@@ -35,10 +35,11 @@ from .posets import (
     kchain_hessenberg,
     path_hessenberg,
     poset_from_hessenberg,
+    poset_from_relations,
 )
 from .qcore import QPoly, QRat, partitions, q_factorial, q_int
 from .structural import K_set, greedy_shape_family
-from .tableaux import enumerate_class, inv_p, is_strong
+from .tableaux import enumerate_class, inv_p, is_strong, text_to_tableau
 
 __version__ = "0.1.0"
 
@@ -70,11 +71,13 @@ __all__ = [
     "path_formula",
     "path_hessenberg",
     "poset_from_hessenberg",
+    "poset_from_relations",
     "prob",
     "q_factorial",
     "q_int",
     "run_verification",
     "summarize",
+    "text_to_tableau",
     "to_elementary",
     "zeta",
 ]

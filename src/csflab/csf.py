@@ -27,9 +27,15 @@ from .qcore import (
     q_int,
     sort_desc,
 )
-from .tableaux import enumerate_standard, inv_p
+# inv_p is not called here; bench/spans.py looks up csf.inv_p by name.
+from .tableaux import enumerate_standard, inv_p, inv_sum
 
 BASES = ("m", "e", "s")
+
+#: Largest poset the coloring walk accepts.  The walk visits every proper
+#: coloring, up to n! of them, so n = 10 already takes seconds; the harness
+#: takes its extended sweep cap from here.
+SIZE_CAP = 10
 
 
 class SymFunc:
@@ -142,10 +148,10 @@ def coloring_weights(p, content):
     return QPoly(tuple(counts.get(i, 0) for i in range(top + 1)))
 
 
-def csf_coloring_oracle(p, bound=9):
+def csf_coloring_oracle(p):
     """Monomial expansion from proper colorings of the incomparability graph."""
-    if p.n > bound:
-        raise ValueError(f"n={p.n} exceeds the coloring bound {bound}")
+    if p.n > SIZE_CAP:
+        raise ValueError(f"n={p.n} exceeds the size cap {SIZE_CAP}")
     if p.n and natural_unit_m(p) is None:
         warnings.warn(
             "q-weights of a poset that is not a natural unit interval order "
@@ -176,9 +182,7 @@ def csf_schur(p):
         )
     coeffs = {}
     for lam in partitions(p.n):
-        total = QPoly.zero()
-        for t in enumerate_standard(p, conjugate(lam)):
-            total = total + QPoly.monomial(inv_p(p, t))
+        total = inv_sum(p, enumerate_standard(p, conjugate(lam)))
         if total:
             coeffs[lam] = total
     return SymFunc("s", p.n, coeffs)
@@ -347,18 +351,6 @@ def chromatic_e_expansion(p):
     if p.n == 0:
         return SymFunc("e", 0, {(): QPoly.one()})
     return _e_expansion_cached(m)
-
-
-def e_expansion_at_one(p, bound=9):
-    """e-expansion of the q=1 specialization; valid for any poset whose
-    chromatic function is symmetric (in particular every (3+1)-free one)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        mono = csf_coloring_oracle(p, bound=bound)
-    flat = {
-        part: QPoly.const(poly.eval_at(1)) for part, poly in mono.coeffs.items()
-    }
-    return to_elementary(SymFunc("m", p.n, flat))
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ import random
 import time
 from fractions import Fraction
 
-from .csf import e_coeff
+from .csf import SIZE_CAP, e_coeff
 from .hikita import enumerate_hikita, h
 from .posets import (
     check_hessenberg,
@@ -55,7 +55,8 @@ from .posets import (
 )
 from .qcore import QPoly, QRat, check_partition, partitions, q_factorial
 from .structural import K_set, greedy_shape_family
-from .tableaux import enumerate_class, inv_p
+# inv_p is not called here; bench/spans.py looks up harness.inv_p by name.
+from .tableaux import enumerate_class, inv_p, inv_sum
 
 log = logging.getLogger("csflab.harness")
 
@@ -72,9 +73,9 @@ CONJECTURES = (
 
 STATUSES = ("holds", "fails", "skipped")
 
-#: Full sweeps above this size need the explicit override flag.
+#: Full sweeps above this size need the explicit override flag, which
+#: raises the cap to ``SIZE_CAP``, the largest size the coloring walk takes.
 DEFAULT_CAP = 8
-EXTENDED_CAP = 10
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +264,6 @@ def rat_nonneg_on_nonneg(ratio):
 # per-unit checks
 # ---------------------------------------------------------------------------
 
-def _inv_sum(p, tableaux):
-    total = QPoly.zero()
-    for cols in tableaux:
-        total = total + QPoly.monomial(inv_p(p, cols))
-    return total
-
-
 def _integer_nonneg(poly):
     return poly.is_nonneg() and all(c.denominator == 1 for c in poly.coeffs)
 
@@ -290,7 +284,7 @@ def _check_bounds(m, lam):
 
 def _check_undercount_q(m, lam):
     p = poset_from_hessenberg(m)
-    margin = e_coeff(p, lam) - _inv_sum(p, enumerate_class(p, lam, "strong"))
+    margin = e_coeff(p, lam) - inv_sum(p, enumerate_class(p, lam, "strong"))
     if _integer_nonneg(margin):
         witness = {"discrepancy": margin.json_coeffs()} if margin else None
         return "holds", witness
@@ -299,7 +293,7 @@ def _check_undercount_q(m, lam):
 
 def _check_overcount_q(m, lam):
     p = poset_from_hessenberg(m)
-    margin = _inv_sum(p, enumerate_class(p, lam, "powerful")) - e_coeff(p, lam)
+    margin = inv_sum(p, enumerate_class(p, lam, "powerful")) - e_coeff(p, lam)
     if _integer_nonneg(margin):
         witness = {"discrepancy": margin.json_coeffs()} if margin else None
         return "holds", witness
@@ -348,7 +342,7 @@ def _check_h_lower_bound(m, lam):
 
 def _check_barbell(m, lam, gamma):
     p = poset_from_hessenberg(m)
-    margin = _inv_sum(p, enumerate_class(p, lam, "powerful")) - e_coeff(p, lam)
+    margin = inv_sum(p, enumerate_class(p, lam, "powerful")) - e_coeff(p, lam)
     if not margin:
         return "holds", {"gamma": list(gamma)}
     return "fails", {"gamma": list(gamma), "discrepancy": margin.json_coeffs()}
@@ -420,28 +414,28 @@ def _check_theorem_suite(m, lam):
 
     if n >= 5 and lam == (n - 2, 2):
         family = K_set(p)
-        if _inv_sum(p, family) != coeff:
+        if inv_sum(p, family) != coeff:
             return "fails", {
                 "check": "k2-identity",
-                "family_sum": _inv_sum(p, family).json_coeffs(),
+                "family_sum": inv_sum(p, family).json_coeffs(),
                 "coefficient": coeff.json_coeffs(),
             }
         ran.append("k2-identity")
 
     if m == path_hessenberg(n):
-        if _inv_sum(p, powerful) != coeff:
+        if inv_sum(p, powerful) != coeff:
             return "fails", {
                 "check": "path-identity",
-                "powerful_sum": _inv_sum(p, powerful).json_coeffs(),
+                "powerful_sum": inv_sum(p, powerful).json_coeffs(),
                 "coefficient": coeff.json_coeffs(),
             }
         ran.append("path-identity")
 
     if lam in _greedy_shapes(m):
-        if _inv_sum(p, strong) != coeff:
+        if inv_sum(p, strong) != coeff:
             return "fails", {
                 "check": "greedy-identity",
-                "strong_sum": _inv_sum(p, strong).json_coeffs(),
+                "strong_sum": inv_sum(p, strong).json_coeffs(),
                 "coefficient": coeff.json_coeffs(),
             }
         ran.append("greedy-identity")
@@ -517,11 +511,11 @@ def run_verification(
     does not depend on the worker count.  With a cache directory, finished
     units are replayed (original timing included) instead of recomputed.
     """
-    cap = EXTENDED_CAP if override_cap else DEFAULT_CAP
+    cap = SIZE_CAP if override_cap else DEFAULT_CAP
     if not 1 <= n_max <= cap:
         raise ValueError(
             f"n_max must be between 1 and {cap}"
-            + ("" if override_cap else " (pass override_cap=True to go to 10)")
+            + ("" if override_cap else f" (pass override_cap=True to go to {SIZE_CAP})")
         )
     if parallelism < 1:
         raise ValueError(f"parallelism must be positive, got {parallelism}")

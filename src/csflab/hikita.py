@@ -6,6 +6,9 @@ layout as `csflab.tableaux` (tuples of top-to-bottom columns): rows and
 columns strictly increase.  A tableau of size n is grown by inserting
 n+1 at the bottom of an admissible column; which columns are admissible,
 and with what weight, is read off a binary column sequence.
+
+The tests hold the second routes: ``enumerate_syt`` and the entry-by-entry
+reachability test ``is_reachable`` live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -13,9 +16,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .posets import check_hessenberg, poset_from_hessenberg
+from .posets import check_hessenberg
 from .qcore import QPoly, QRat, check_partition, conjugate, q_int
-from .tableaux import colword, enumerate_standard
+from .tableaux import colword
 
 
 def tableau_size(cols):
@@ -41,15 +44,6 @@ def is_syt(cols):
             if cols[j][i] >= cols[j + 1][i]:
                 return False
     return True
-
-
-def enumerate_syt(lam):
-    """Standard Young tableaux of a shape (via the chain order, under which
-    the poset tableau conditions reduce to classical standardness)."""
-    lam = check_partition(lam)
-    n = sum(lam)
-    chain = poset_from_hessenberg(tuple(range(n)))
-    return enumerate_standard(chain, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -249,37 +243,9 @@ def h(m, cols):
     return pr / QRat(_zeta(m, cols))
 
 
-def clear_caches():
-    _prob.cache_clear()
-    _zeta.cache_clear()
-
-
 # ---------------------------------------------------------------------------
 # reachable tableaux
 # ---------------------------------------------------------------------------
-
-def is_reachable(m, cols):
-    """Direct test against the insertion conditions, entry by entry:
-    the cell above the new entry must lie at or below the threshold, and the
-    column to its left must already reach above the threshold."""
-    m = check_hessenberg(m)
-    cols = tuple(tuple(c) for c in cols)
-    if tableau_size(cols) != len(m):
-        raise ValueError("tableau size does not match the function's domain")
-    while cols:
-        n = tableau_size(cols)
-        if not is_syt(cols):
-            return False
-        r = m[n - 1]
-        smaller, col = _strip_max(cols)
-        height = len(cols[col - 1])
-        if height > 1 and not cols[col - 1][height - 2] <= r:
-            return False
-        if col > 1 and not cols[col - 2][-1] > r:
-            return False
-        cols = smaller
-    return True
-
 
 def enumerate_hikita(m, lam):
     """All standard Young tableaux of the shape reachable under m,

@@ -2,15 +2,16 @@
 
 A reverse Hessenberg vector m (1-indexed, weakly increasing, m(i) < i) encodes
 the order i < j in P exactly when i <= m(j).  General posets built from
-explicit relations are supported for classification tests; the heavy
-enumeration machinery only ever sees the unit-interval family.
+explicit relations are supported as input; the heavy enumeration machinery
+only ever sees the unit-interval family.  Brute-force invariants used to
+cross-check the family (pattern classification, incomparability
+components, longest chains, the unit-interval construction) live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 
@@ -138,21 +139,6 @@ def poset_from_hessenberg(m):
     return Poset(n, rels)
 
 
-def poset_from_units(points):
-    """Order by unit intervals: i < j in P iff a_i + 1 < a_j (exact rationals)."""
-    pts = [Fraction(x) for x in points]
-    if any(pts[i] > pts[i + 1] for i in range(len(pts) - 1)):
-        raise ValueError(f"interval left endpoints must be nondecreasing: {points}")
-    n = len(pts)
-    rels = [
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        if pts[i - 1] + 1 < pts[j - 1]
-    ]
-    return Poset(n, rels)
-
-
 def enumerate_hessenberg(n):
     """All reverse Hessenberg vectors of length n, lexicographically.
 
@@ -170,97 +156,6 @@ def enumerate_hessenberg(n):
                 yield (v,) + rest
 
     return list(rec(1, 0))
-
-
-@dataclass(frozen=True)
-class PosetClass:
-    is_31_free: bool
-    is_22_free: bool
-    is_3_free: bool
-
-
-def classify(p):
-    """Brute-force scan for induced 3-chain+point, 2+2, and 3-chain patterns."""
-    chains3 = [
-        (a, b, c)
-        for a in p.elements()
-        for b in _bits(p.above(a))
-        for c in _bits(p.above(b))
-    ]
-    has_31 = any(
-        d not in (a, b, c)
-        and p.incomparable(d, a)
-        and p.incomparable(d, b)
-        and p.incomparable(d, c)
-        for (a, b, c) in chains3
-        for d in p.elements()
-    )
-    pairs = [(a, b) for a in p.elements() for b in _bits(p.above(a))]
-    has_22 = any(
-        len({a, b, c, d}) == 4
-        and p.incomparable(a, c)
-        and p.incomparable(a, d)
-        and p.incomparable(b, c)
-        and p.incomparable(b, d)
-        for (a, b) in pairs
-        for (c, d) in pairs
-    )
-    return PosetClass(
-        is_31_free=not has_31, is_22_free=not has_22, is_3_free=not chains3
-    )
-
-
-def incomparability_graph(p):
-    """Edges {i, j} with i < j as integers, sorted."""
-    return tuple(
-        (a, b)
-        for a in p.elements()
-        for b in _bits(p.incomparables(a))
-        if a < b
-    )
-
-
-def inc_components(p):
-    """Connected components of the incomparability graph, as sorted tuples."""
-    seen = set()
-    comps = []
-    for start in p.elements():
-        if start in seen:
-            continue
-        comp = []
-        stack = [start]
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in _bits(p.incomparables(v)):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(tuple(sorted(comp)))
-    return tuple(comps)
-
-
-def inc_is_connected(p):
-    return len(inc_components(p)) <= 1
-
-
-def max_chain_length(p):
-    """Number of elements in a longest chain (longest path in the order DAG)."""
-    if p.n == 0:
-        return 0
-    depth = {}
-
-    def rec(v):
-        if v in depth:
-            return depth[v]
-        best = 1
-        for w in _bits(p.above(v)):
-            best = max(best, 1 + rec(w))
-        depth[v] = best
-        return best
-
-    return max(rec(v) for v in p.elements())
 
 
 def _chain_partition_feasible(p, sizes):
@@ -319,11 +214,14 @@ def _mask_is_chain(p, mask):
     )
 
 
+@lru_cache(maxsize=None)
 def greedy_partition(p):
     """The dominance-maximum partition of n into disjoint chain sizes.
 
     Candidate shapes are scanned from the dominant end (reverse-lex refines
     dominance), so the first feasible chain-size partition is the maximum.
+    Cached per poset, since every member of the greedy displacement family
+    starts from it.
     """
     from .qcore import partitions
 
@@ -333,19 +231,6 @@ def greedy_partition(p):
         if _chain_partition_feasible(p, nu):
             return nu
     raise AssertionError("singleton chains always work")  # pragma: no cover
-
-
-def injective_chain_shapes(p):
-    """All partitions (of any size <= n) realizable as disjoint chain sizes."""
-    from .qcore import partitions
-
-    out = []
-    for k in range(p.n + 1):
-        for nu in partitions(k):
-            padded = tuple(nu) + (1,) * (p.n - k)
-            if _chain_partition_feasible(p, padded):
-                out.append(nu)
-    return out
 
 
 def natural_unit_m(p):

@@ -126,12 +126,6 @@ class QPoly:
 
     __rmul__ = __mul__
 
-    def shift(self, k):
-        """Multiply by q^k."""
-        if not self:
-            return self
-        return QPoly((0,) * k + self.coeffs)
-
     def eval_at(self, x):
         """Exact evaluation at a rational point."""
         x = Fraction(x)
@@ -372,20 +366,6 @@ def conjugate(lam):
     return tuple(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1))
 
 
-def dominates(lam, mu):
-    """Prefix sums of lam are all >= those of mu (same total size required)."""
-    lam, mu = tuple(lam), tuple(mu)
-    if sum(lam) != sum(mu):
-        raise ValueError(f"dominance needs equal size: {lam} vs {mu}")
-    a = b = 0
-    for i in range(max(len(lam), len(mu))):
-        a += lam[i] if i < len(lam) else 0
-        b += mu[i] if i < len(mu) else 0
-        if a < b:
-            return False
-    return True
-
-
 def partitions(n, max_part=None):
     """All partitions of n, largest-part-first ("(n) down to (1,..,1)").
 
@@ -403,25 +383,6 @@ def partitions(n, max_part=None):
     for first in range(min(n, max_part), 0, -1):
         for rest in partitions(n - first, first):
             yield (first,) + rest
-
-
-def pairwise_part_products(lam):
-    """Sum of lam_i * lam_j over all pairs i < j."""
-    total = sum(lam)
-    return (total * total - sum(p * p for p in lam)) // 2
-
-
-def remove_first_column(lam):
-    """Partition left after deleting the first column (each part minus one)."""
-    return tuple(p - 1 for p in lam if p > 1)
-
-
-def add_parts(mu, nu):
-    """Componentwise sum of two partitions (zero-padded); again a partition."""
-    k = max(len(mu), len(nu))
-    mu = tuple(mu) + (0,) * (k - len(mu))
-    nu = tuple(nu) + (0,) * (k - len(nu))
-    return tuple(a + b for a, b in zip(mu, nu))
 
 
 # ---------------------------------------------------------------------------

@@ -1,62 +1,40 @@
 """Structural identities for powerful-tableau families.
 
-Three groups of operations live here, all downstream of the tableau
+Two groups of operations live here, both downstream of the tableau
 machinery:
 
-* concatenation of column arrays, the greedy-partition displacement family,
-  and full-column extension for shapes whose length matches the longest
-  chain — together these produce partitions whose elementary coefficient is
-  a plain sum of q^inv over strong tableaux;
+* the greedy-partition displacement family, whose members are shapes
+  whose elementary coefficient is a plain sum of q^inv over strong
+  tableaux;
 * the two-row factorization/multiplication machinery: every powersum word of
   length k splits into a 2-letter and a (k-2)-letter word, the pairs missed
   by that splitting are characterized by five mutually exclusive relation
   patterns, and gluing each missed pair back into a two-row array yields the
   distinguished family K(n-2, 2) sitting between the strong and powerful
-  standard tableaux;
-* peak vectors for bijective powerful arrays over the path order, which
-  reduce enumeration and inversion counting to a product-form recurrence.
+  standard tableaux.
+
+The paper's other constructions (concatenation, full-column extension at
+the longest chain, peak vectors over the path order, the tableau-side
+test for the gluing image, monomial structure coefficients) are second
+routes to quantities computed here or in ``csf``; they live in the tests
+(``tests/oracles.py``), which check them against these.
 
 Everything is exact.  Identities that the construction is supposed to
 guarantee (case exclusivity, powersum outputs, inversion preservation,
 injectivity, dual-route agreement) are re-checked at runtime and raise
 RuntimeError when violated, so a breach is loud rather than silent.
 """
-
 import itertools
 from dataclasses import dataclass
 
-from .qcore import check_partition, conjugate, partitions, remove_first_column
-from .posets import (
-    max_chain_length,
-    greedy_partition,
-    natural_unit_m,
-    path_hessenberg,
-    poset_from_hessenberg,
-)
-from .tableaux import (
-    colword,
-    inv_word,
-    is_p_tableau,
-    is_powersum_word,
-    is_powerful_array,
-    tab,
-    tab_inverse,
-)
+from .qcore import check_partition, conjugate
+from .posets import greedy_partition
+from .tableaux import colword, inv_word, is_powersum_word, tab
 
 
 # ---------------------------------------------------------------------------
-# concatenation and the greedy displacement family
+# the greedy displacement family
 # ---------------------------------------------------------------------------
-
-def concat(s_cols, t_cols):
-    """Columns of the first array followed by the columns of the second.
-
-    No validity checking happens here: concatenation is used both on
-    tableaux (partition column shapes) and on ragged arrays, and the caller
-    decides which predicate the result must satisfy.
-    """
-    return tuple(tuple(c) for c in s_cols) + tuple(tuple(c) for c in t_cols)
-
 
 def greedy_shape_family(p, cuts, weights):
     """Partition obtained by displacing the greedy chain partition.
@@ -274,34 +252,6 @@ def mult_map(p, pair):
     return cols
 
 
-def in_mult_image(p, cols):
-    """Whether a powerful (k-2, 2) tableau is glued from some missed pair.
-
-    Decided from the tableau's unique row-shaped preimage alone, with no
-    reference to the gluing map — an independent route used to cross-check
-    the image computed by ``K_set``.
-    """
-    rows = tab_inverse(p, cols)
-    if rows is None:
-        raise ValueError("not a powerful tableau")
-    lengths = tuple(len(r) for r in rows)
-    if len(lengths) != 2 or sorted(lengths) != [2, sum(lengths) - 2]:
-        raise ValueError(f"expected two rows of sizes (k-2, 2), got {lengths}")
-    if lengths[0] == 2:
-        return True
-    v, w = rows
-    r = r_index(p, v)
-    if r == 1:
-        return True
-    if p.less(v[r - 1], w[0]) and p.less(v[r - 1], w[1]) and p.less(v[r], w[1]):
-        return True
-    return (
-        p.incomparable(v[r - 1], w[0])
-        and p.less(v[r - 1], w[1])
-        and p.less(v[r], w[0])
-    )
-
-
 def K_set(p):
     """The distinguished standard tableaux of shape (n-2, 2).
 
@@ -317,164 +267,4 @@ def K_set(p):
     out = {mult_map(p, fp) for fp in missed}
     if len(out) != len(missed):
         raise RuntimeError("gluing map collided on distinct pairs")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# peak vectors over the path order
-# ---------------------------------------------------------------------------
-
-def _path_poset(n):
-    return poset_from_hessenberg(path_hessenberg(n))
-
-
-def peak(rows, p=None):
-    """Positions of each row's maximum in a bijective powerful path array."""
-    rows = tuple(tuple(r) for r in rows)
-    n = sum(len(r) for r in rows)
-    if p is None:
-        p = _path_poset(n)
-    elif p.n != n or natural_unit_m(p) != path_hessenberg(p.n):
-        raise ValueError("rows must form an array over the path order")
-    if sorted(x for r in rows for x in r) != list(range(1, n + 1)):
-        raise ValueError("array is not bijective onto 1..n")
-    if not is_powerful_array(p, rows):
-        raise ValueError("not a powerful array")
-    return tuple(r.index(max(r)) + 1 for r in rows)
-
-
-def _peak_admissible(alpha, rvec):
-    for i in range(1, len(alpha)):
-        if rvec[i] == 1:
-            if rvec[i - 1] == min(alpha[i], alpha[i - 1]):
-                return False
-        elif rvec[i - 1] == 1:
-            return False
-    return True
-
-
-def _peak_rows(alpha, rvec):
-    rows = []
-    z = 0
-    for size, r in zip(alpha, rvec):
-        rows.append(
-            tuple(range(z + 1, z + r)) + tuple(range(z + size, z + r - 1, -1))
-        )
-        z += size
-    return tuple(rows)
-
-
-def peak_inversions(alpha, rvec):
-    """Closed-form inversion count of the array with the given peak vector.
-
-    Row i contributes alpha_i - r_i inversions internally, plus one against
-    the next row unless that row's maximum sits first and points left of it;
-    the last row has no next row and contributes nothing extra.
-    """
-    total = 0
-    last = len(alpha) - 1
-    for i, (size, r) in enumerate(zip(alpha, rvec)):
-        total += size - r
-        if i < last and not (rvec[i + 1] == 1 and r < alpha[i + 1]):
-            total += 1
-    return total
-
-
-def bpa_enumerate(n, alpha):
-    """All bijective powerful arrays over the path order with given row sizes.
-
-    Generates the admissible peak vectors directly and materializes each row
-    as its forced consecutive block, ascending up to the peak and descending
-    after it.
-    """
-    alpha = tuple(alpha)
-    if not alpha or any(not isinstance(a, int) or a <= 0 for a in alpha):
-        raise ValueError(f"row sizes must be positive integers: {alpha!r}")
-    if sum(alpha) != n:
-        raise ValueError(f"row sizes {alpha} do not total {n}")
-    out = set()
-    for rvec in itertools.product(*[range(1, a + 1) for a in alpha]):
-        if _peak_admissible(alpha, rvec):
-            out.add(_peak_rows(alpha, rvec))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# full-column extension at maximal chain length
-# ---------------------------------------------------------------------------
-
-def _chains(p, r):
-    out = []
-    for combo in itertools.combinations(p.elements(), r):
-        ordered = tuple(
-            sorted(combo, key=lambda x: sum(1 for y in combo if p.less(y, x)))
-        )
-        if all(p.less(ordered[i], ordered[i + 1]) for i in range(r - 1)):
-            out.append(ordered)
-    return out
-
-
-def maxchain_extend(p, lam, key_inner):
-    """Prepend full-height chain columns to a family of inner tableaux.
-
-    Valid only when the shape's length equals the longest chain of the
-    poset; then the tableaux of shape ``lam`` whose first-column removal
-    lands in ``key_inner`` are exactly the valid chain-prepends, and they
-    inherit the inner family's coefficient property.
-    """
-    lam = check_partition(lam)
-    r = len(lam)
-    if r != max_chain_length(p):
-        raise ValueError(
-            f"shape length {r} must equal the longest chain {max_chain_length(p)}"
-        )
-    inner = [tuple(tuple(c) for c in t) for t in key_inner]
-    want = conjugate(remove_first_column(lam))
-    for t in inner:
-        if tuple(len(c) for c in t) != want:
-            raise ValueError(f"inner tableau has column heights "
-                             f"{tuple(len(c) for c in t)}, expected {want}")
-    out = set()
-    for column in _chains(p, r):
-        taken = set(column)
-        for t in inner:
-            if any(taken.intersection(c) for c in t):
-                continue
-            cand = (column,) + t
-            if is_p_tableau(p, cand):
-                out.add(cand)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# monomial structure coefficients
-# ---------------------------------------------------------------------------
-
-def m_product_coeffs(mu, nu):
-    """Structure coefficients of a product of two monomial symmetric functions.
-
-    Returns {partition: coefficient} over partitions of |mu| + |nu|, computed
-    by counting exponent-vector pairs in as many variables as the two lengths
-    combined (enough for every partition that can appear).  The coefficient
-    of the componentwise sum is always 1, and every partition appearing is
-    dominated by that sum.
-    """
-    mu, nu = check_partition(mu), check_partition(nu)
-    width = len(mu) + len(nu)
-    if width == 0:
-        return {(): 1}
-    vecs_mu = set(itertools.permutations(mu + (0,) * (width - len(mu))))
-    vecs_nu = set(itertools.permutations(nu + (0,) * (width - len(nu))))
-    out = {}
-    for eta in partitions(sum(mu) + sum(nu)):
-        if len(eta) > width:
-            continue
-        target = eta + (0,) * (width - len(eta))
-        count = 0
-        for u in vecs_mu:
-            w = tuple(t - x for t, x in zip(target, u))
-            if all(c >= 0 for c in w) and w in vecs_nu:
-                count += 1
-        if count:
-            out[eta] = count
     return out

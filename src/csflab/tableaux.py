@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .qcore import QPoly, check_partition, compositions_with_sort, conjugate, sort_desc
+from .qcore import QPoly, check_partition, compositions_with_sort, conjugate
 
 
 # ---------------------------------------------------------------------------
@@ -25,14 +25,6 @@ from .qcore import QPoly, check_partition, compositions_with_sort, conjugate, so
 
 def col_heights(cols):
     return tuple(len(c) for c in cols)
-
-
-def shape_from_cols(cols):
-    """Row-shape partition of a column layout (heights must be weakly decreasing)."""
-    h = col_heights(cols)
-    if any(h[i] < h[i + 1] for i in range(len(h) - 1)):
-        raise ValueError(f"column heights not weakly decreasing: {h}")
-    return conjugate(h)
 
 
 def cols_to_rows(cols):
@@ -75,27 +67,8 @@ def text_to_tableau(text):
 
 
 # ---------------------------------------------------------------------------
-# validity and statistics
+# inversion statistics
 # ---------------------------------------------------------------------------
-
-def is_p_array(p, cols):
-    """Columns are chains, increasing downward."""
-    return all(
-        p.less(c[i], c[i + 1]) for c in cols for i in range(len(c) - 1)
-    )
-
-
-def is_p_tableau(p, cols):
-    """A column-increasing array whose rows never step strictly down in P."""
-    if not is_p_array(p, cols):
-        return False
-    for j in range(len(cols) - 1):
-        a, b = cols[j], cols[j + 1]
-        for i in range(min(len(a), len(b))):
-            if p.less(b[i], a[i]):  # left entry strictly above right one
-                return False
-    return True
-
 
 def colword(cols):
     """Entries read bottom-to-top within each column, columns left to right."""
@@ -122,18 +95,15 @@ def inv_p(p, x):
     return inv_word(p, x)
 
 
-def eval_q(p, w):
-    """q^inv for words that use every element exactly once; zero otherwise."""
-    if sorted(w) != list(range(1, p.n + 1)):
+def inv_sum(p, tableaux):
+    """Sum of q^inv over a collection of tableaux (or words)."""
+    counts = {}
+    for x in tableaux:
+        k = inv_p(p, x)
+        counts[k] = counts.get(k, 0) + 1
+    if not counts:
         return QPoly.zero()
-    return QPoly.monomial(inv_word(p, w))
-
-
-def eval_q_partial(p, w):
-    """q^inv for repeat-free words; zero when any entry repeats."""
-    if len(set(w)) != len(w):
-        return QPoly.zero()
-    return QPoly.monomial(inv_word(p, w))
+    return QPoly(tuple(counts.get(i, 0) for i in range(max(counts) + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -237,77 +207,13 @@ def ladders(p, cols, i):
     return out
 
 
-def _sort_chain(p, values):
-    vals = list(values)
-    depth = {v: sum(1 for u in vals if p.less(u, v)) for v in vals}
-    return tuple(sorted(vals, key=depth.__getitem__))
-
-
-def ladder_swap(p, cols, ladder):
-    """Exchange the two sides of an unbalanced ladder between its columns.
-
-    The element counts of the two columns move one step toward the larger
-    side's column; the result is validated as a column-increasing array.
-    """
-    if ladder.balance == "balanced":
-        raise ValueError("refusing to swap a balanced ladder")
-    i = ladder.column
-    lvals = {v for _, v in ladder.left}
-    rvals = {v for _, v in ladder.right}
-    new_left = [v for v in cols[i - 1] if v not in lvals] + sorted(rvals)
-    new_right = [v for v in cols[i] if v not in rvals] + sorted(lvals)
-    new_cols = list(cols)
-    new_cols[i - 1] = _sort_chain(p, new_left)
-    new_cols[i] = _sort_chain(p, new_right)
-    new_cols = tuple(new_cols)
-    if not is_p_array(p, new_cols):
-        raise AssertionError("ladder swap produced a non-chain column")
-    old_h, new_h = col_heights(cols), col_heights(new_cols)
-    delta = 1 if ladder.balance == "right_unbalanced" else -1
-    expected = list(old_h)
-    expected[i - 1] += delta
-    expected[i] -= delta
-    if list(new_h) != expected:
-        raise AssertionError(
-            f"swap changed shape {old_h} -> {new_h}, expected {tuple(expected)}"
-        )
-    return new_cols
-
-
-def has_right_unbalanced(p, cols):
-    return any(
+def is_strong(p, cols):
+    """No adjacent column pair carries a right-unbalanced ladder."""
+    return not any(
         lad.balance == "right_unbalanced"
         for i in range(1, len(cols))
         for lad in ladders(p, cols, i)
     )
-
-
-def is_strong(p, cols):
-    """No adjacent column pair carries a right-unbalanced ladder."""
-    return not has_right_unbalanced(p, cols)
-
-
-def is_strong_by_matching(p, cols):
-    """Independent check: each column injects into its left neighbor through
-    incomparable partners (bipartite matching)."""
-    for i in range(1, len(cols)):
-        left, right = cols[i - 1], cols[i]
-        match = {}
-
-        def try_assign(ridx, seen):
-            for lidx, lval in enumerate(left):
-                if lidx in seen or not p.same_or_incomparable(right[ridx], lval):
-                    continue
-                seen.add(lidx)
-                if match.get(lidx) is None or try_assign(match[lidx], seen):
-                    match[lidx] = ridx
-                    return True
-            return False
-
-        count = sum(1 for r in range(len(right)) if try_assign(r, set()))
-        if count < len(right):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -354,48 +260,6 @@ def tab(p, rows):
     if not is_powerful_array(p, rows):
         raise ValueError(f"not a powerful array: {rows_to_text(rows)}")
     return rows_to_cols(rows)
-
-
-def _leftmost_rl_minimum(p, w):
-    for i in range(len(w)):
-        if all(p.less(w[i], w[j]) for j in range(i + 1, len(w))):
-            return i
-    raise AssertionError("the final position is always a minimum")
-
-
-def tab_inverse(p, cols):
-    """Unique row-shaped preimage under `tab`, or None when there is none.
-
-    Peels the top row of the leading columns: the next array row always ends
-    at the leftmost position of the current first row that sits below the
-    whole remainder.  The candidate is validated wholesale at the end, so a
-    failed reconstruction can only return None, never a wrong array.
-    """
-    original = tuple(tuple(c) for c in cols)
-    work = [list(c) for c in original if c]
-    rows = []
-    while work:
-        first_row = tuple(c[0] for c in work)
-        cut = _leftmost_rl_minimum(p, first_row) + 1
-        row = first_row[:cut]
-        if not is_powersum_word(p, row):
-            return None
-        rows.append(row)
-        for j in range(cut):
-            work[j].pop(0)
-        work = [c for c in work if c]
-        work_heights = [len(c) for c in work]
-        if any(
-            work_heights[i] < work_heights[i + 1]
-            for i in range(len(work_heights) - 1)
-        ):
-            return None
-    rows = tuple(rows)
-    if not is_powerful_array(p, rows):
-        return None
-    if rows_to_cols(rows) != original:
-        return None
-    return rows
 
 
 def enumerate_powerful_arrays(p, lam):

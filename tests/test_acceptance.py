@@ -3,7 +3,8 @@
 Each test states its claim, its exact-arithmetic check, and (where the
 deliverable fixes one) its wall-clock budget.  Frozen reference data
 lives in overcount_table.py and test_tableaux.py; everything else is
-recomputed from scratch through the public library surface.
+recomputed from scratch through the public library surface and the
+second routes in oracles.py.
 """
 
 from __future__ import annotations
@@ -18,17 +19,14 @@ from csflab.csf import (
     csf_coloring_oracle,
     csf_schur,
     e_coeff,
-    e_expansion_at_one,
     kchain_formula,
     path_formula,
     to_elementary,
 )
 from csflab.harness import _greedy_shapes, run_verification, summarize
-from csflab.hikita import delta, enumerate_hikita, enumerate_syt, phi, prob, zeta
+from csflab.hikita import delta, enumerate_hikita, phi, prob, zeta
 from csflab.posets import (
     enumerate_hessenberg,
-    inc_components,
-    inc_is_connected,
     kchain_hessenberg,
     path_hessenberg,
     poset_from_hessenberg,
@@ -37,14 +35,20 @@ from csflab.posets import (
 from csflab.qcore import (
     QPoly,
     QRat,
-    pairwise_part_products,
     partitions,
     q_factorial,
     sort_desc,
 )
 from csflab.structural import K_set
-from csflab.tableaux import enumerate_class, inv_p, is_strong, text_to_tableau
+from csflab.tableaux import enumerate_class, inv_p, inv_sum, is_strong, text_to_tableau
 
+from oracles import (
+    e_expansion_at_one,
+    enumerate_syt,
+    inc_components,
+    inc_is_connected,
+    pairwise_part_products,
+)
 from overcount_table import E5_ELEMENTARY, E5_SCHUR, OVERCOUNT_ROWS
 from test_tableaux import CENSUS, POWERFUL_322
 
@@ -57,13 +61,6 @@ ZERO = QRat(QPoly.zero())
 def poly_from_powers(powers):
     top = max(powers, default=-1)
     return QPoly([powers.get(i, 0) for i in range(top + 1)])
-
-
-def inv_sum(p, tableaux):
-    total = QPoly.zero()
-    for t in tableaux:
-        total = total + QPoly.monomial(inv_p(p, t))
-    return total
 
 
 def powerful_expansion(p):

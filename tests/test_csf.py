@@ -4,13 +4,14 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, strategies as st
 
+from csflab import csf, harness
 from csflab.csf import (
     SymFunc,
+    chromatic_e_expansion,
     coloring_weights,
     csf_coloring_oracle,
     csf_schur,
     e_coeff,
-    e_expansion_at_one,
     e_to_m,
     kchain_formula,
     kostka,
@@ -19,13 +20,14 @@ from csflab.csf import (
 )
 from csflab.posets import (
     enumerate_hessenberg,
-    incomparability_graph,
     kchain_hessenberg,
     path_hessenberg,
     poset_from_hessenberg,
     poset_from_relations,
 )
 from csflab.qcore import QPoly, conjugate, partitions, q_factorial
+
+from oracles import e_expansion_at_one, incomparability_graph
 
 P5 = poset_from_hessenberg((0, 0, 1, 1, 3))
 
@@ -284,9 +286,18 @@ def test_e_expansion_at_one_off_unit_orders():
 
 
 def test_oracle_bound():
+    # the extended sweep cap and the coloring walk's cap are one constant
+    assert harness.SIZE_CAP == csf.SIZE_CAP == 10
     with pytest.raises(ValueError):
-        csf_coloring_oracle(poset_from_hessenberg((0,) * 10))
-    csf_coloring_oracle(poset_from_hessenberg((0,) * 10), bound=10)
+        csf_coloring_oracle(poset_from_hessenberg((0,) * 11))
+    # K10 walks all 10! colorings; its expansion is [10]_q! e_10
+    k10 = (0,) * 10
+    assert chromatic_e_expansion(poset_from_hessenberg(k10)).coeffs == {
+        (10,): q_factorial(10)
+    }
+    # a sweep unit at the cap reuses that expansion and is not an error
+    report = harness.evaluate_task(harness.VerificationTask("nonzero", k10, (1,) * 10))
+    assert (report.status, report.witness) == ("holds", None)
 
 
 @given(st.data())

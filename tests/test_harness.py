@@ -23,6 +23,7 @@ from csflab.harness import (
     tasks_for,
 )
 from csflab.qcore import QPoly, QRat
+from csflab.tableaux import text_to_tableau
 
 JOBS = min(4, os.cpu_count() or 1)
 
@@ -136,6 +137,20 @@ def test_small_sweeps_hold():
     for conjecture in ("undercount-q", "nonzero", "strong-iff-hikita", "h-lower-bound"):
         reports = run_verification(conjecture, 5)
         assert summarize(reports) == {"holds": 384, "fails": 0, "skipped": 0}, conjecture
+
+
+def test_h_lower_bound_fails_once_at_six():
+    # the bound is refuted (or mis-stated) from n = 6 on; pin the one unit
+    reports = run_verification("h-lower-bound", 6, parallelism=JOBS)
+    assert summarize(reports) == {"holds": 1835, "fails": 1, "skipped": 0}
+    (bad,) = [r for r in reports if r.status == "fails"]
+    assert (bad.task.m, bad.task.lam) == ((0, 0, 1, 1, 2, 4), (3, 2, 1))
+    assert bad.witness == {
+        "tableau": [list(c) for c in text_to_tableau("1,2,3/4,5/6")],
+        "q": "1/4",
+        "margin_num": [0, -1],
+        "margin_den": [1, 1],
+    }
 
 
 def test_barbell_sweep_skips_other_posets():

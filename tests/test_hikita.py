@@ -7,10 +7,8 @@ from csflab.csf import e_coeff
 from csflab.hikita import (
     delta,
     enumerate_hikita,
-    enumerate_syt,
     h,
     insert,
-    is_reachable,
     is_syt,
     phi,
     phi_tilde,
@@ -21,12 +19,13 @@ from csflab.posets import enumerate_hessenberg, poset_from_hessenberg
 from csflab.qcore import (
     QPoly,
     QRat,
-    pairwise_part_products,
     partitions,
     q_factorial,
     q_int,
 )
 from csflab.tableaux import enumerate_class, inv_p
+
+from oracles import enumerate_syt, is_reachable, pairwise_part_products
 
 ONE = QRat(QPoly.one())
 ZERO = QRat(QPoly.zero())

@@ -5,17 +5,20 @@ from hypothesis import given, strategies as st
 
 from csflab.posets import (
     Poset,
-    classify,
     enumerate_hessenberg,
     greedy_partition,
+    natural_unit_m,
+    poset_from_hessenberg,
+    poset_from_relations,
+)
+
+from oracles import (
+    classify,
     inc_components,
     inc_is_connected,
     incomparability_graph,
     injective_chain_shapes,
     max_chain_length,
-    natural_unit_m,
-    poset_from_hessenberg,
-    poset_from_relations,
     poset_from_units,
 )
 

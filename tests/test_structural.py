@@ -9,36 +9,26 @@ from csflab.csf import csf_schur, e_coeff, path_formula
 from csflab.posets import (
     enumerate_hessenberg,
     greedy_partition,
-    max_chain_length,
+    natural_unit_m,
     path_hessenberg,
     poset_from_hessenberg,
     poset_from_relations,
 )
 from csflab.qcore import (
     QPoly,
-    add_parts,
     compositions,
     compositions_with_sort,
     conjugate,
-    dominates,
     partitions,
     q_int,
-    remove_first_column,
 )
 from csflab.structural import (
     FactorPair,
     K_set,
-    bpa_enumerate,
     complemented_set,
-    concat,
     factorize,
     greedy_shape_family,
-    in_mult_image,
-    m_product_coeffs,
-    maxchain_extend,
     mult_map,
-    peak,
-    peak_inversions,
     powersum_words,
     r_index,
 )
@@ -46,13 +36,29 @@ from csflab.tableaux import (
     enumerate_class,
     enumerate_powerful_arrays,
     inv_p,
-    inv_word,
-    is_p_tableau,
+    inv_sum,
     is_strong,
     rows_to_cols,
     tab,
-    tab_inverse,
     text_to_rows,
+)
+
+from oracles import (
+    add_parts,
+    bpa_enumerate,
+    classify,
+    concat,
+    dominates,
+    e_expansion_at_one,
+    in_mult_image,
+    is_p_tableau,
+    m_product_coeffs,
+    max_chain_length,
+    maxchain_extend,
+    peak,
+    peak_inversions,
+    remove_first_column,
+    tab_inverse,
 )
 
 P5 = poset_from_hessenberg((0, 0, 1, 1, 3))
@@ -121,13 +127,6 @@ def key_family(p, lam):
     if lam[0] == 1:
         return injective_fillings(p, lam, is_p_tableau)
     return maxchain_extend(p, lam, key_family(p, remove_first_column(lam)))
-
-
-def qsum(p, tableaux):
-    total = QPoly.zero()
-    for t in tableaux:
-        total = total + QPoly.monomial(inv_p(p, t))
-    return total
 
 
 # -- concatenation ------------------------------------------------------------
@@ -213,7 +212,7 @@ def test_greedy_family_members_sum_over_strong():
                     except ValueError:
                         continue
                     strong = enumerate_class(p, lam, "strong")
-                    assert e_coeff(p, lam) == qsum(p, strong)
+                    assert e_coeff(p, lam) == inv_sum(p, strong)
 
 
 # -- factorization -------------------------------------------------------------
@@ -271,9 +270,7 @@ def test_complemented_set_empty_for_chain():
 def test_complemented_set_recovers_coefficient():
     fc = complemented_set(P6, 6)
     assert len(fc) == 8
-    total = QPoly.zero()
-    for a, b in fc:
-        total = total + QPoly.monomial(inv_word(P6, a + b))
+    total = inv_sum(P6, [a + b for a, b in fc])
     assert total == e_coeff(P6, (4, 2))
     assert total == QPoly([0, 0, 1, 3, 3, 1])
 
@@ -299,7 +296,7 @@ def test_kset_split_42_census():
 
 
 def test_k_set_sum_is_the_e_coefficient():
-    assert qsum(P6, K_set(P6)) == QPoly([0, 0, 1, 3, 3, 1])
+    assert inv_sum(P6, K_set(P6)) == QPoly([0, 0, 1, 3, 3, 1])
 
 
 def test_mult_map_rejects_out_of_domain():
@@ -317,7 +314,7 @@ def test_k_set_between_strong_and_powerful():
         powerful = set(enumerate_class(p, (3, 2), "powerful"))
         k = K_set(p)
         assert strong <= k <= powerful
-        assert qsum(p, k) == e_coeff(p, (3, 2))
+        assert inv_sum(p, k) == e_coeff(p, (3, 2))
         assert k == {t for t in powerful if in_mult_image(p, t)}
 
 
@@ -328,7 +325,7 @@ def test_k_set_sample_n6():
         powerful = set(enumerate_class(p, (4, 2), "powerful"))
         k = K_set(p)
         assert strong <= k <= powerful
-        assert qsum(p, k) == e_coeff(p, (4, 2))
+        assert inv_sum(p, k) == e_coeff(p, (4, 2))
         assert k == {t for t in powerful if in_mult_image(p, t)}
 
 
@@ -433,7 +430,7 @@ def test_maxchain_extension_of_p5():
     fam = key_family(P5, (3, 1, 1))
     assert fam <= injective_powerful(P5, (3, 1, 1))
     standard = {t for t in fam if sum(len(c) for c in t) == 5}
-    assert qsum(P5, standard) == e_coeff(P5, (3, 1, 1))
+    assert inv_sum(P5, standard) == e_coeff(P5, (3, 1, 1))
     # shape (2,2,1) admits no standard tableaux at all for this order
     assert e_coeff(P5, (2, 2, 1)) == QPoly.zero()
     fam = key_family(P5, (2, 2, 1))
@@ -460,7 +457,7 @@ def test_maxchain_families_equal_powerful_when_three_free():
                     standard = {
                         t for t in fam if sum(len(c) for c in t) == p.n
                     }
-                    assert qsum(p, standard) == e_coeff(p, lam)
+                    assert inv_sum(p, standard) == e_coeff(p, lam)
 
 
 def test_rectangle_families_match_schur_coefficients():
@@ -474,7 +471,7 @@ def test_rectangle_families_match_schur_coefficients():
         lam = (c,) * r
         fam = key_family(p, lam)
         standard = {t for t in fam if sum(len(cc) for cc in t) == 4}
-        assert qsum(p, standard) == csf_schur(p).coeff((r,) * c)
+        assert inv_sum(p, standard) == csf_schur(p).coeff((r,) * c)
 
 
 # -- monomial structure coefficients --------------------------------------------
@@ -530,8 +527,6 @@ TWO_PLUS_TWO_POINT = poset_from_relations(5, [(1, 3), (2, 4)])
 
 
 def test_bank_posets_are_non_unit():
-    from csflab.posets import classify, natural_unit_m
-
     for p in (TWO_PLUS_TWO, TWO_PLUS_TWO_TOPPED, TWO_PLUS_TWO_POINT):
         label = classify(p)
         assert label.is_31_free and not label.is_22_free
@@ -542,8 +537,6 @@ def test_bank_chain_free_families_still_work():
     # no 3-chain in these two, so extension families must equal the
     # injective powerful tableaux, and standard counts match the q=1
     # elementary coefficients
-    from csflab.csf import e_expansion_at_one
-
     cases = [
         (TWO_PLUS_TWO, (2, 2), 2),
         (TWO_PLUS_TWO_POINT, (3, 2), 2),
@@ -561,8 +554,6 @@ def test_bank_topped_poset_has_no_powersum_covers():
     # the top element must sit last in its row, where it turns the previous
     # letter into a sub-everything minimum, so no length-5 powersum word and
     # no two-row census at all; the coefficient identity holds as 0 = 0
-    from csflab.csf import e_expansion_at_one
-
     p = TWO_PLUS_TWO_TOPPED
     assert powersum_words(p, 5) == []
     assert complemented_set(p, 5) == set()

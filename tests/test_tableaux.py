@@ -14,26 +14,31 @@ from csflab.tableaux import (
     enumerate_class,
     enumerate_powerful_arrays,
     enumerate_standard,
-    eval_q,
-    eval_q_partial,
     inv_p,
+    inv_sum,
     inv_word,
-    is_p_array,
-    is_p_tableau,
     is_powerful_array,
     is_powersum_word,
     is_strong,
-    is_strong_by_matching,
-    ladder_swap,
     ladders,
     rows_to_cols,
     rows_to_text,
-    shape_from_cols,
     tab,
-    tab_inverse,
     tableau_to_text,
     text_to_rows,
     text_to_tableau,
+)
+
+from oracles import (
+    eval_q,
+    eval_q_partial,
+    inv_sum_by_monomials,
+    is_p_array,
+    is_p_tableau,
+    is_strong_by_matching,
+    ladder_swap,
+    shape_from_cols,
+    tab_inverse,
 )
 
 P5 = poset_from_hessenberg((0, 0, 1, 1, 3))
@@ -158,6 +163,24 @@ def test_eval_q():
 @given(st.permutations(list(range(1, 6))))
 def test_eval_q_is_inv_monomial_on_permutations(w):
     assert eval_q(P5, tuple(w)) == QPoly.monomial(inv_word(P5, tuple(w)))
+
+
+POSETS_TO_5 = [m for n in range(1, 6) for m in enumerate_hessenberg(n)]
+
+
+@given(
+    st.sampled_from(POSETS_TO_5),
+    st.sampled_from(["standard", "strong", "powerful"]),
+    st.data(),
+)
+def test_inv_sum_matches_monomial_loop(m, which, data):
+    p = poset_from_hessenberg(m)
+    lam = data.draw(st.sampled_from(list(partitions(p.n))))
+    found = enumerate_class(p, lam, which)
+    # any sub-multiset, repeats included, so equal inv values pile up
+    picked = data.draw(st.lists(st.sampled_from(found), max_size=12)) if found else []
+    for tableaux in (found, picked):
+        assert inv_sum(p, tableaux) == inv_sum_by_monomials(p, tableaux)
 
 
 # -- standard enumeration ----------------------------------------------------
