@@ -323,12 +323,20 @@ def _check_strong_iff_hikita(m, lam):
     return "fails", {"strong_count": n_strong, "hikita_count": n_hikita}
 
 
-def _check_h_lower_bound(m, lam):
+@functools.lru_cache(maxsize=None)
+def _row_factorials(lam):
+    """The h-lower-bound floor, the product of the row q-factorials."""
     floor = QPoly.one()
     for part in lam:
         floor = floor * q_factorial(part)
+    return floor
+
+
+def _check_h_lower_bound(m, lam):
+    floor = _row_factorials(lam)
     for cols in enumerate_hikita(m, lam):
-        margin = h(m, cols) * QRat(floor) - 1
+        ht = h(m, cols)
+        margin = QRat(ht.num * floor - ht.den, ht.den)
         ok, point = rat_nonneg_on_nonneg(margin)
         if not ok:
             return "fails", {

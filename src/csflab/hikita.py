@@ -7,13 +7,21 @@ columns strictly increase.  A tableau of size n is grown by inserting
 n+1 at the bottom of an admissible column; which columns are admissible,
 and with what weight, is read off a binary column sequence.
 
+Each step's weight is q^(a_1 + ... + a_k) times a ratio of q-integers of
+run sums, so a whole insertion path is kept in factored form: a q-power
+and the net exponent of each [j]_q.  One cached walk per tableau serves
+``prob`` (the full product), ``zeta`` (the q-power alone) and ``h`` (the
+q-integer part, prob/zeta); each reduces to a canonical QRat only once.
+
 The tests hold the second routes: ``enumerate_syt`` and the entry-by-entry
-reachability test ``is_reachable`` live in ``tests/oracles.py``.
+reachability test ``is_reachable`` live in ``tests/oracles.py``, with the
+per-step weights ``phi`` and ``phi_tilde`` as unfactored rational functions.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 from .posets import check_hessenberg
@@ -72,40 +80,44 @@ class ColorSequence:
 
     def insertion_columns(self):
         """c_k = 1 + a_1 + ... + a_k + b_0 + ... + b_k for 0 <= k <= l."""
-        out = []
-        for k in range(self.ell + 1):
-            out.append(1 + sum(self.a[:k]) + sum(self.b[: k + 1]))
-        return out
+        return [1 + sum(self.a[:k]) + sum(self.b[: k + 1]) for k in range(self.ell + 1)]
+
+    def weight(self, k):
+        """Transition weight for the k-th admissible column, factored as
+        (e, {j: x}): q^(a_1 + ... + a_k) times the product of [j]_q^x.
+
+        The ratios are [A(i+1..k) + B(i..k)] / [A(1..k) + B(i..k)] for
+        1 <= i <= k and [A(k+1..i) + B(k+1..i-1)] / [A(k+1..i) + B(k+1..i)]
+        for k < i <= l, with A and B the run sums; [1]_q factors and zero
+        exponents are dropped, and a [0]_q numerator stays (weight zero).
+        """
+        if not 0 <= k <= self.ell:
+            raise ValueError(f"k={k} out of range; ell={self.ell}")
+        a, b = self.a, self.b  # a[i - 1] holds a_i, b[i] holds b_i
+        ratios = [(sum(a[i:k]) + sum(b[i : k + 1]), sum(a[:k]) + sum(b[i : k + 1]))
+                  for i in range(1, k + 1)]
+        ratios += [(sum(a[k:i]) + sum(b[k + 1 : i]), sum(a[k:i]) + sum(b[k + 1 : i + 1]))
+                   for i in range(k + 1, self.ell + 1)]
+        factors = {}
+        for num, den in ratios:
+            if not den:
+                raise AssertionError("zero denominator in transition weight")
+            factors[num] = factors.get(num, 0) + 1
+            factors[den] = factors.get(den, 0) - 1
+        return sum(a[:k]), {j: x for j, x in factors.items() if x and j != 1}
 
 
 def delta(cols, r):
     """Column sequence of length n+1: a one marks a column whose largest
     entry exceeds r, absent columns count as zeros."""
-    n = tableau_size(cols)
-    seq = []
-    for i in range(n + 1):
-        on = i < len(cols) and bool(cols[i]) and cols[i][-1] > r
-        seq.append(1 if on else 0)
-    b, a = [], []
-    j = 0
-    while j < len(seq) and seq[j] == 1:
-        j += 1
-    b.append(j)
-    while j < len(seq):
-        k = j
-        while k < len(seq) and seq[k] == 0:
-            k += 1
-        a.append(k - j)
-        j = k
-        if j < len(seq):
-            k = j
-            while k < len(seq) and seq[k] == 1:
-                k += 1
-            b.append(k - j)
-            j = k
-    if len(a) < len(b):
-        a.append(0)  # sequence ended on a one; only possible for n = -1, kept safe
-    return ColorSequence(tuple(b), tuple(a))
+    seq = [int(i < len(cols) and bool(cols[i]) and cols[i][-1] > r)
+           for i in range(tableau_size(cols) + 1)]
+    runs = [len(list(run)) for _, run in itertools.groupby(seq)]
+    if seq[0] == 0:
+        runs.insert(0, 0)  # b_0 = 0: the sequence opens with zeros
+    # the sequence always ends on a zero (column n+1 is absent), so the
+    # runs alternate b_0, a_1, b_1, ..., b_l, a_{l+1}
+    return ColorSequence(tuple(runs[0::2]), tuple(runs[1::2]))
 
 
 def insert(cols, r, k):
@@ -130,44 +142,7 @@ def insert(cols, r, k):
 
 
 # ---------------------------------------------------------------------------
-# transition weights
-# ---------------------------------------------------------------------------
-
-def phi(cols, r, k):
-    """Transition weight for the k-th admissible column, a rational function
-    built from q-integers of run sums."""
-    cs = delta(cols, r)
-    ell = cs.ell
-    if not 0 <= k <= ell:
-        raise ValueError(f"k={k} out of range; ell={ell}")
-    a = lambda i: cs.a[i - 1]  # noqa: E731 - a_1..a_{l+1}
-    b = lambda i: cs.b[i]  # noqa: E731 - b_0..b_l
-    result = QRat(QPoly.monomial(sum(a(i) for i in range(1, k + 1))))
-    for i in range(1, k + 1):
-        num = q_int(sum(a(j) for j in range(i + 1, k + 1)) + sum(b(j) for j in range(i, k + 1)))
-        den = q_int(sum(a(j) for j in range(1, k + 1)) + sum(b(j) for j in range(i, k + 1)))
-        if not den:
-            raise AssertionError("zero denominator in transition weight")
-        result = result * QRat(num, den)
-    for i in range(k + 1, ell + 1):
-        num = q_int(sum(a(j) for j in range(k + 1, i + 1)) + sum(b(j) for j in range(k + 1, i)))
-        den = q_int(sum(a(j) for j in range(k + 1, i + 1)) + sum(b(j) for j in range(k + 1, i + 1)))
-        if not den:
-            raise AssertionError("zero denominator in transition weight")
-        result = result * QRat(num, den)
-    return result
-
-
-def phi_tilde(cols, r, k):
-    """Monomial part of the transition weight, q^(a_1 + ... + a_k)."""
-    cs = delta(cols, r)
-    if not 0 <= k <= cs.ell:
-        raise ValueError(f"k={k} out of range; ell={cs.ell}")
-    return QPoly.monomial(sum(cs.a[:k]))
-
-
-# ---------------------------------------------------------------------------
-# the distribution and its monomial shadow
+# the insertion path and its three views
 # ---------------------------------------------------------------------------
 
 def _strip_max(cols):
@@ -187,31 +162,40 @@ def _strip_max(cols):
 
 
 @functools.lru_cache(maxsize=None)
-def _prob(m, cols):
+def _walk(m, cols):
+    """Weight of the insertion path that grows ``cols`` under ``m``.
+
+    None when some step lands in a column the sequence does not admit;
+    otherwise the factored product of the step weights (read-only: the
+    cache hands out the same dict again).
+    """
     if not cols:
-        return QRat.one()
+        return 0, {}
     n = tableau_size(cols)
-    r = m[n - 1]
     smaller, col = _strip_max(cols)
-    columns = delta(smaller, r).insertion_columns()
+    cs = delta(smaller, m[n - 1])
+    columns = cs.insertion_columns()
     if col not in columns:
-        return QRat.zero()
-    k = columns.index(col)
-    return phi(smaller, r, k) * _prob(m[: n - 1], smaller)
+        return None
+    e, factors = cs.weight(columns.index(col))
+    rest = _walk(m[: n - 1], smaller)
+    if rest is None:
+        return None
+    net = dict(rest[1])
+    for j, x in factors.items():
+        net[j] = net.get(j, 0) + x
+    return rest[0] + e, {j: x for j, x in net.items() if x}
 
 
-@functools.lru_cache(maxsize=None)
-def _zeta(m, cols):
-    if not cols:
-        return QPoly.one()
-    n = tableau_size(cols)
-    r = m[n - 1]
-    smaller, col = _strip_max(cols)
-    columns = delta(smaller, r).insertion_columns()
-    if col not in columns:
-        return QPoly.zero()
-    k = columns.index(col)
-    return phi_tilde(smaller, r, k) * _zeta(m[: n - 1], smaller)
+def _reduce(e, factors):
+    """One canonical QRat for q^e times the product of [j]_q^x."""
+    num, den = QPoly.monomial(e), QPoly.one()
+    for j, x in factors.items():
+        for _ in range(x):
+            num = num * q_int(j)
+        for _ in range(-x):
+            den = den * q_int(j)
+    return QRat(num, den)
 
 
 def _check_args(m, cols):
@@ -226,21 +210,23 @@ def _check_args(m, cols):
 
 def prob(m, cols):
     m, cols = _check_args(m, cols)
-    return _prob(m, cols)
+    path = _walk(m, cols)
+    return QRat.zero() if path is None else _reduce(*path)
 
 
 def zeta(m, cols):
     m, cols = _check_args(m, cols)
-    return _zeta(m, cols)
+    path = _walk(m, cols)
+    return QPoly.zero() if path is None else QPoly.monomial(path[0])
 
 
 def h(m, cols):
     """prob/zeta; only defined on tableaux the distribution can reach."""
     m, cols = _check_args(m, cols)
-    pr = _prob(m, cols)
-    if not pr:
+    path = _walk(m, cols)
+    if path is None or path[1].get(0, 0) > 0:
         raise ValueError("h is undefined: the tableau has probability zero")
-    return pr / QRat(_zeta(m, cols))
+    return _reduce(0, path[1])
 
 
 # ---------------------------------------------------------------------------

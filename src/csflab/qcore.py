@@ -14,7 +14,6 @@ the underlying combinatorics.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 
@@ -405,10 +404,17 @@ def compositions(n):
 
 
 def compositions_with_sort(lam):
-    """All distinct rearrangements of lam's parts, in descending lex order."""
+    """All distinct rearrangements of lam's parts, in descending lex order:
+    each distinct part in turn leads, followed by the rearrangements of the
+    rest."""
     lam = check_partition(lam)
-    seen = sorted(set(itertools.permutations(lam)), reverse=True)
-    return seen
+    if not lam:
+        return [()]
+    return [
+        (v,) + rest
+        for v in sorted(set(lam), reverse=True)
+        for rest in compositions_with_sort(lam[: lam.index(v)] + lam[lam.index(v) + 1 :])
+    ]
 
 
 def parse_int_tuple(text):

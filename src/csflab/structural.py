@@ -103,16 +103,11 @@ def r_index(p, w):
     raise ValueError(f"no incomparable adjacent letters in {w!r}")
 
 
-def powersum_words(p, length, pool=None):
-    """All injective powersum words of the given length over ``pool``.
-
-    ``pool`` defaults to every element of the poset; words draw distinct
-    letters from it in any order.
-    """
-    if pool is None:
-        pool = p.elements()
+def powersum_words(p, length):
+    """All injective powersum words of the given length: words draw
+    distinct elements of the poset in any order."""
     out = []
-    for combo in itertools.combinations(pool, length):
+    for combo in itertools.combinations(p.elements(), length):
         for word in itertools.permutations(combo):
             if is_powersum_word(p, word):
                 out.append(word)
@@ -194,9 +189,10 @@ def complemented_set(p, k):
     if k <= 4:
         raise ValueError(f"need k > 4, got {k}")
     universe = set()
+    tails = powersum_words(p, k - 2)
     for a in powersum_words(p, 2):
         sa = set(a)
-        for b in powersum_words(p, k - 2):
+        for b in tails:
             if sa.isdisjoint(b):
                 universe.add(FactorPair(a, tuple(b)))
 

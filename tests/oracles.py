@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from csflab.csf import SymFunc, csf_coloring_oracle, to_elementary
-from csflab.hikita import _strip_max, is_syt, tableau_size
+from csflab.hikita import _strip_max, delta, is_syt, tableau_size
 from csflab.posets import (
     Poset,
     _bits,
@@ -26,7 +26,7 @@ from csflab.posets import (
     path_hessenberg,
     poset_from_hessenberg,
 )
-from csflab.qcore import QPoly, check_partition, conjugate, partitions
+from csflab.qcore import QPoly, QRat, check_partition, conjugate, partitions, q_int
 from csflab.structural import r_index
 from csflab.tableaux import (
     col_heights,
@@ -387,6 +387,67 @@ def is_reachable(m, cols):
             return False
         cols = smaller
     return True
+
+
+def phi(cols, r, k):
+    """Transition weight for the k-th admissible column, a rational function
+    built from q-integers of run sums."""
+    cs = delta(cols, r)
+    ell = cs.ell
+    if not 0 <= k <= ell:
+        raise ValueError(f"k={k} out of range; ell={ell}")
+    a = lambda i: cs.a[i - 1]  # noqa: E731 - a_1..a_{l+1}
+    b = lambda i: cs.b[i]  # noqa: E731 - b_0..b_l
+    result = QRat(QPoly.monomial(sum(a(i) for i in range(1, k + 1))))
+    for i in range(1, k + 1):
+        num = q_int(sum(a(j) for j in range(i + 1, k + 1)) + sum(b(j) for j in range(i, k + 1)))
+        den = q_int(sum(a(j) for j in range(1, k + 1)) + sum(b(j) for j in range(i, k + 1)))
+        if not den:
+            raise AssertionError("zero denominator in transition weight")
+        result = result * QRat(num, den)
+    for i in range(k + 1, ell + 1):
+        num = q_int(sum(a(j) for j in range(k + 1, i + 1)) + sum(b(j) for j in range(k + 1, i)))
+        den = q_int(sum(a(j) for j in range(k + 1, i + 1)) + sum(b(j) for j in range(k + 1, i + 1)))
+        if not den:
+            raise AssertionError("zero denominator in transition weight")
+        result = result * QRat(num, den)
+    return result
+
+
+def phi_tilde(cols, r, k):
+    """Monomial part of the transition weight, q^(a_1 + ... + a_k)."""
+    cs = delta(cols, r)
+    if not 0 <= k <= cs.ell:
+        raise ValueError(f"k={k} out of range; ell={cs.ell}")
+    return QPoly.monomial(sum(cs.a[:k]))
+
+
+def path_weights(m, cols):
+    """(prob, zeta) as the products of ``phi`` and ``phi_tilde`` along the
+    insertion path, one reduced QRat multiply per step; zero when a step
+    lands in a column the sequence does not admit."""
+    pr, z = QRat.one(), QPoly.one()
+    while cols:
+        n = tableau_size(cols)
+        r = m[n - 1]
+        smaller, col = _strip_max(cols)
+        columns = delta(smaller, r).insertion_columns()
+        if col not in columns:
+            return QRat.zero(), QPoly.zero()
+        k = columns.index(col)
+        pr = pr * phi(smaller, r, k)
+        z = z * phi_tilde(smaller, r, k)
+        cols = smaller
+    return pr, z
+
+
+def factored_value(e, factors):
+    """q^e times the product of [j]_q^x, by plain QRat arithmetic."""
+    out = QRat(QPoly.monomial(e))
+    for j, x in factors.items():
+        for _ in range(abs(x)):
+            out = out * q_int(j) if x > 0 else out / q_int(j)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from csflab.csf import (
     to_elementary,
 )
 from csflab.harness import _greedy_shapes, run_verification, summarize
-from csflab.hikita import delta, enumerate_hikita, phi, prob, zeta
+from csflab.hikita import delta, enumerate_hikita, prob, zeta
 from csflab.posets import (
     enumerate_hessenberg,
     kchain_hessenberg,
@@ -45,6 +45,7 @@ from csflab.tableaux import enumerate_class, inv_p, inv_sum, is_strong, text_to_
 from oracles import (
     e_expansion_at_one,
     enumerate_syt,
+    factored_value,
     inc_components,
     inc_is_connected,
     pairwise_part_products,
@@ -213,8 +214,9 @@ def test_criterion_06_insertion_identities():
             for t in enumerate_syt(lam):
                 for r in range(size + 1):
                     total = ZERO
-                    for k in range(delta(t, r).ell + 1):
-                        total = total + phi(t, r, k)
+                    cs = delta(t, r)
+                    for k in range(cs.ell + 1):
+                        total = total + factored_value(*cs.weight(k))
                     assert total == ONE
 
     # the inversion statistic is the zeta power, shifted between the

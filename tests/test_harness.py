@@ -139,11 +139,28 @@ def test_small_sweeps_hold():
         assert summarize(reports) == {"holds": 384, "fails": 0, "skipped": 0}, conjecture
 
 
+# the units where h-lower-bound fails at n <= 7 (bench/run.py pins the same nine)
+H_BOUND_FAILING = (
+    ((0, 0, 1, 1, 2, 4), (3, 2, 1)),
+    ((0, 0, 1, 1, 1, 2, 5), (4, 2, 1)),
+    ((0, 0, 1, 1, 2, 2, 4), (4, 2, 1)),
+    ((0, 0, 1, 1, 2, 2, 4), (4, 3)),
+    ((0, 0, 1, 1, 2, 2, 5), (4, 2, 1)),
+    ((0, 0, 1, 1, 2, 4, 4), (3, 3, 1)),
+    ((0, 0, 1, 1, 2, 4, 6), (3, 2, 1, 1)),
+    ((0, 0, 1, 2, 2, 2, 5), (4, 2, 1)),
+    ((0, 1, 1, 2, 2, 3, 5), (3, 2, 1, 1)),
+)
+
+
 def test_h_lower_bound_fails_once_at_six():
-    # the bound is refuted (or mis-stated) from n = 6 on; pin the one unit
-    reports = run_verification("h-lower-bound", 6, parallelism=JOBS)
-    assert summarize(reports) == {"holds": 1835, "fails": 1, "skipped": 0}
-    (bad,) = [r for r in reports if r.status == "fails"]
+    # the bound is refuted (or mis-stated) from n = 6 on: one unit at n = 6,
+    # eight more at n = 7
+    reports = run_verification("h-lower-bound", 7, parallelism=JOBS)
+    assert summarize(reports) == {"holds": 8262, "fails": 9, "skipped": 0}
+    failing = [r for r in reports if r.status == "fails"]
+    assert sorted((r.task.m, r.task.lam) for r in failing) == sorted(H_BOUND_FAILING)
+    (bad,) = [r for r in failing if len(r.task.m) == 6]
     assert (bad.task.m, bad.task.lam) == ((0, 0, 1, 1, 2, 4), (3, 2, 1))
     assert bad.witness == {
         "tableau": [list(c) for c in text_to_tableau("1,2,3/4,5/6")],
@@ -165,6 +182,18 @@ def test_barbell_sweep_skips_other_posets():
                 (2, 2), (2, 3), (3, 2), (2, 2, 2), (2, 4), (4, 2), (3, 3),
                 (2, 2, 3), (3, 2, 2), (2, 2, 2, 2),
             }
+    wider = run_verification("barbell-powerful", 7, parallelism=JOBS)
+    assert summarize(wider) == {"holds": 395, "fails": 0, "skipped": 590}
+    for r in wider:
+        if r.status == "skipped":
+            assert r.task.lam is None and "reason" in r.witness
+        else:
+            # two cliques of sizes a, b >= 2 joined by a path of 2-cliques
+            gamma = r.witness["gamma"]
+            a, *middle, b = gamma
+            assert a >= 2 and b >= 2 and set(middle) <= {2}
+            # consecutive cliques share one element
+            assert sum(gamma) - (len(gamma) - 1) == len(r.task.m)
 
 
 def test_theorem_suite_to_five():

@@ -10,8 +10,6 @@ from csflab.hikita import (
     h,
     insert,
     is_syt,
-    phi,
-    phi_tilde,
     prob,
     zeta,
 )
@@ -25,7 +23,15 @@ from csflab.qcore import (
 )
 from csflab.tableaux import enumerate_class, inv_p
 
-from oracles import enumerate_syt, is_reachable, pairwise_part_products
+from oracles import (
+    enumerate_syt,
+    factored_value,
+    is_reachable,
+    pairwise_part_products,
+    path_weights,
+    phi,
+    phi_tilde,
+)
 
 ONE = QRat(QPoly.one())
 ZERO = QRat(QPoly.zero())
@@ -129,6 +135,36 @@ def test_phi_sums_to_one():
                     assert phi_tilde(t, r, k).eval_at(1) == 1
                     total = total + phi(t, r, k)
                 assert total == ONE
+
+
+def test_factored_weights_match_reference():
+    # every step weight, factored, equals the unfactored reference weight
+    for n in range(6):
+        for _, t in all_syt(n):
+            for r in range(n + 1):
+                cs = delta(t, r)
+                for k in range(cs.ell + 1):
+                    e, factors = cs.weight(k)
+                    assert 1 not in factors and 0 not in factors.values()
+                    assert factored_value(e, factors) == phi(t, r, k)
+                    assert QPoly.monomial(e) == phi_tilde(t, r, k)
+                with pytest.raises(ValueError):
+                    cs.weight(cs.ell + 1)
+
+
+def test_path_views_match_reference_products():
+    # prob, zeta and h are the products of the reference weights along the path
+    for n in range(1, 6):
+        for m in enumerate_hessenberg(n):
+            for _, t in all_syt(n):
+                pr, z = path_weights(m, t)
+                assert prob(m, t) == pr
+                assert zeta(m, t) == z
+                if pr:
+                    assert h(m, t) == pr / QRat(z)
+                else:
+                    with pytest.raises(ValueError):
+                        h(m, t)
 
 
 def test_prob_two_elements():
@@ -287,7 +323,7 @@ def test_phi_distribution_property(n, data):
     cs = delta(t, r)
     total = ZERO
     for k in range(cs.ell + 1):
-        f = phi(t, r, k)
+        f = factored_value(*cs.weight(k))
         total = total + f
         # each transition inserts where the color sequence allows
         assert insert(t, r, k) != t

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from math import factorial
 
@@ -168,6 +169,11 @@ def test_compositions_with_sort():
     assert compositions_with_sort((2, 1)) == [(2, 1), (1, 2)]
     assert len(compositions_with_sort((3, 1, 1))) == 3
     assert all(sort_desc(a) == (3, 1, 1) for a in compositions_with_sort((3, 1, 1)))
+    # the same list as sorting the set of every permutation, without building it
+    for n in range(8):
+        for lam in partitions(n):
+            assert compositions_with_sort(lam) == sorted(set(itertools.permutations(lam)), reverse=True)
+    assert compositions_with_sort((1,) * 10) == [(1,) * 10]
 
 
 def test_compositions_of_n():
