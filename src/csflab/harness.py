@@ -27,7 +27,11 @@ The registry:
                            displacement shapes
 
 All checks are pure, so the worker pool needs no shared state; a single
-writer sorts and persists the merged reports.
+writer sorts and persists the merged reports.  With more than one worker
+the pool gets one unit per Hessenberg vector, largest vectors first, so
+each vector's cached work (its e-expansion, greedy shapes and insertion
+walks) is built once, in one worker.  A report's ``seconds`` is still the
+time of its own (m, lam) check.
 """
 
 from __future__ import annotations
@@ -505,6 +509,21 @@ def tasks_for(conjecture, n_max):
     return out
 
 
+def _by_vector(tasks):
+    """The tasks grouped by Hessenberg vector, largest vector first, so the
+    longest groups start early and do not straggle."""
+    groups = {}
+    for task in tasks:
+        groups.setdefault(task.m, []).append(task)
+    return sorted(groups.values(), key=lambda group: -len(group[0].m))
+
+
+def _evaluate_vector(tasks):
+    """One pool unit: every pending task of one vector, each timed on its
+    own by ``evaluate_task``."""
+    return [evaluate_task(task) for task in tasks]
+
+
 def run_verification(
     conjecture,
     n_max,
@@ -544,7 +563,8 @@ def run_verification(
     else:
         context = multiprocessing.get_context("fork")
         with context.Pool(parallelism) as pool:
-            fresh = list(pool.imap_unordered(evaluate_task, pending, chunksize=1))
+            groups = pool.imap_unordered(_evaluate_vector, _by_vector(pending), chunksize=1)
+            fresh = [report for group in groups for report in group]
 
     if cache:
         for report in fresh:

@@ -120,8 +120,12 @@ def delta(cols, r):
     return ColorSequence(tuple(runs[0::2]), tuple(runs[1::2]))
 
 
+@functools.lru_cache(maxsize=None)
 def insert(cols, r, k):
-    """Grow the tableau by n+1 at the bottom of its k-th admissible column."""
+    """Grow the tableau by n+1 at the bottom of its k-th admissible column.
+
+    Cached: every (m, lam) sweep regrows the same small tableaux.
+    """
     cs = delta(cols, r)
     columns = cs.insertion_columns()
     if not 0 <= k < len(columns):

@@ -28,7 +28,7 @@ def check_hessenberg(m):
 class Poset:
     """Immutable poset on elements 1..n with O(1) order queries.
 
-    The full strict relation is stored as per-element bitmasks (bit j-1 of
+    The full strict relation is stored as per-element bitmasks (bit j of
     up[i] set when i < j in P), with the incomparability masks cached since
     tableau backtracking hammers them.
     """

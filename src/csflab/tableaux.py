@@ -10,11 +10,14 @@ Two layouts are used throughout:
 
 The textual form everywhere is rows joined by "/" with comma-separated
 entries, e.g. "1,2,4/3,5/6".
+
+The hot kernels read the poset's bitmasks (``_up``, ``_down``, ``_inc``:
+bit b of ``_up[a]`` is set when a < b) into locals once per call and work
+on sets of entries as integers.  The element-by-element versions they
+replaced are kept in ``tests/oracles.py`` and checked against them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .qcore import QPoly, check_partition, compositions_with_sort, conjugate
 
@@ -22,10 +25,6 @@ from .qcore import QPoly, check_partition, compositions_with_sort, conjugate
 # ---------------------------------------------------------------------------
 # layout plumbing
 # ---------------------------------------------------------------------------
-
-def col_heights(cols):
-    return tuple(len(c) for c in cols)
-
 
 def cols_to_rows(cols):
     if not cols:
@@ -79,13 +78,15 @@ def colword(cols):
 
 
 def inv_word(p, w):
-    """Pairs read in decreasing label order whose entries are incomparable."""
-    return sum(
-        1
-        for s in range(len(w))
-        for t in range(s + 1, len(w))
-        if w[s] > w[t] and p.same_or_incomparable(w[s], w[t])
-    )
+    """Pairs read in decreasing label order whose entries are incomparable,
+    for a word without repeated letters: each letter counts the larger
+    letters incomparable to it that were read before it."""
+    inc = p._inc
+    seen = total = 0
+    for v in w:
+        total += (seen & inc[v] & ~((2 << v) - 1)).bit_count()
+        seen |= 1 << v
+    return total
 
 
 def inv_p(p, x):
@@ -115,105 +116,88 @@ def enumerate_standard(p, lam):
 
     Cells are filled along the column word (leftmost column bottom-to-top
     first) trying small values first, so the output is sorted by column word.
+    A cell takes the unused values below the cell under it and not below
+    the cell to its left.
     """
     lam = check_partition(lam)
     if sum(lam) != p.n:
         raise ValueError(f"shape {lam} does not use {p.n} entries")
     if not lam:
         return [()]
+    down = p._down
     heights = conjugate(lam)
-    ncols = lam[0]
+    # (column, row, has a cell below, has a cell to the left) in fill order
     cells = [
-        (j, i) for j in range(ncols) for i in range(heights[j] - 1, -1, -1)
+        (j, i, i + 1 < heights[j], j > 0)
+        for j in range(lam[0])
+        for i in range(heights[j] - 1, -1, -1)
     ]
-    grid = [[None] * heights[j] for j in range(ncols)]
-    used = [False] * (p.n + 1)
+    last = len(cells) - 1
+    grid = [[0] * height for height in heights]
     out = []
 
-    def place(idx):
-        if idx == len(cells):
-            out.append(tuple(tuple(c) for c in grid))
-            return
-        j, i = cells[idx]
-        below = grid[j][i + 1] if i + 1 < heights[j] else None
-        left = grid[j - 1][i] if j else None
-        for v in range(1, p.n + 1):
-            if used[v]:
-                continue
-            if below is not None and not p.less(v, below):
-                continue
-            if left is not None and p.less(v, left):
-                continue
-            used[v] = True
-            grid[j][i] = v
-            place(idx + 1)
-            used[v] = False
-        grid[j][i] = None
+    def place(idx, free):
+        j, i, below, left = cells[idx]
+        cand = free
+        if below:
+            cand &= down[grid[j][i + 1]]
+        if left:
+            cand &= ~down[grid[j - 1][i]]
+        column = grid[j]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            column[i] = low.bit_length() - 1
+            if idx == last:
+                out.append(tuple(tuple(c) for c in grid))
+            else:
+                place(idx + 1, free ^ low)
 
-    place(0)
+    place(0, (1 << (p.n + 1)) - 2)
     return out
 
 
 # ---------------------------------------------------------------------------
-# ladders
+# strength
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Ladder:
-    """One incomparability component across an adjacent column pair."""
-
-    column: int  # 1-based index of the left column
-    left: tuple  # ((row, value), ...) in the left column, rows 1-based
-    right: tuple
-    balance: str  # "balanced" | "left_unbalanced" | "right_unbalanced"
-
-
-def ladders(p, cols, i):
-    """Incomparability components between columns i and i+1 (1-based)."""
-    if not (1 <= i < len(cols)):
-        raise ValueError(f"no column pair at {i} in shape {col_heights(cols)}")
-    left = [(r + 1, v) for r, v in enumerate(cols[i - 1])]
-    right = [(r + 1, v) for r, v in enumerate(cols[i])]
-    nodes = [("L", rv) for rv in left] + [("R", rv) for rv in right]
-    parent = {node: node for node in nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for lnode in left:
-        for rnode in right:
-            if p.incomparable(lnode[1], rnode[1]):
-                ra, rb = find(("L", lnode)), find(("R", rnode))
-                if ra != rb:
-                    parent[ra] = rb
-    groups = {}
-    for node in nodes:
-        groups.setdefault(find(node), []).append(node)
-    out = []
-    for members in groups.values():
-        lpart = tuple(sorted(rv for side, rv in members if side == "L"))
-        rpart = tuple(sorted(rv for side, rv in members if side == "R"))
-        if len(lpart) == len(rpart):
-            bal = "balanced"
-        elif len(lpart) > len(rpart):
-            bal = "left_unbalanced"
-        else:
-            bal = "right_unbalanced"
-        out.append(Ladder(column=i, left=lpart, right=rpart, balance=bal))
-    out.sort(key=lambda k: min(k.left + k.right))
+def _reach(inc, mask):
+    """Every element incomparable to some element of the mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out |= inc[low.bit_length() - 1]
     return out
 
 
 def is_strong(p, cols):
-    """No adjacent column pair carries a right-unbalanced ladder."""
-    return not any(
-        lad.balance == "right_unbalanced"
-        for i in range(1, len(cols))
-        for lad in ladders(p, cols, i)
-    )
+    """No adjacent column pair carries a right-unbalanced ladder.
+
+    A ladder is one component of the incomparability graph between the two
+    columns; each one that meets the right column is grown from a seed
+    there and must hold at least as many left entries as right ones.
+    """
+    inc = p._inc
+    for j in range(1, len(cols)):
+        left_col = right_col = 0
+        for v in cols[j - 1]:
+            left_col |= 1 << v
+        for v in cols[j]:
+            right_col |= 1 << v
+        rest = right_col
+        while rest:
+            right = grow = rest & -rest
+            left = 0
+            while grow:
+                new_left = _reach(inc, grow) & left_col & ~left
+                left |= new_left
+                grow = _reach(inc, new_left) & rest & ~right
+                right |= grow
+            if right.bit_count() > left.bit_count():
+                return False
+            rest &= ~right
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -223,12 +207,13 @@ def is_strong(p, cols):
 def is_powersum_word(p, w):
     """No adjacent step down in P, and no position other than the last that
     sits below everything to its right."""
-    for i in range(len(w) - 1):
-        if p.less(w[i + 1], w[i]):
+    up = p._up
+    later = after = 0  # the letters right of v, and v's right neighbour
+    for v in reversed(w):
+        if later and (not later & ~up[v] or (up[after] >> v) & 1):
             return False
-    for i in range(len(w) - 1):
-        if all(p.less(w[i], w[j]) for j in range(i + 1, len(w))):
-            return False
+        later |= 1 << v
+        after = v
     return True
 
 
@@ -264,50 +249,69 @@ def tab(p, rows):
 
 def enumerate_powerful_arrays(p, lam):
     """All row-shaped powerful arrays using 1..n once, over every ordering
-    of lam's parts.  Returned as (row_shape, rows) pairs."""
+    of lam's parts.  Returned as (row_shape, rows) pairs.
+
+    Rows are filled left to right trying small values first.  A value may
+    not step down from its left neighbour and must sit above the anchor of
+    every earlier row: that row's entry in the same column, or its last
+    entry when the row is shorter.  ``pending`` holds the entries of the
+    row so far that sit below everything after them; the last entry must
+    clear them all, which makes the row a powersum word.  A value is also
+    dropped when too few unused values sit above it to fill the cells of
+    later rows that it anchors.
+    """
     lam = check_partition(lam)
     if sum(lam) != p.n:
         raise ValueError(f"shape {lam} does not use {p.n} entries")
     if not lam:
         return [((), ())]
+    up, down = p._up, p._down
+    full = (1 << (p.n + 1)) - 2
     out = []
+
+    def fill_row(alpha, need, rows, free):
+        width, wanted = alpha[len(rows)], need[len(rows)]
+        anchored = [full] * width
+        for prev in rows:
+            for pos in range(width):
+                anchored[pos] &= up[prev[pos] if pos < len(prev) else prev[-1]]
+        row = [0] * width
+
+        def fill(pos, free, allowed, pending):
+            cand = free & allowed & anchored[pos]
+            last = pos + 1 == width
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                v = row[pos] = low.bit_length() - 1
+                rest = free ^ low
+                if (rest & up[v]).bit_count() < wanted[pos]:
+                    continue
+                if not last:
+                    fill(pos + 1, rest, ~down[v], (pending & down[v]) | low)
+                elif not pending & down[v]:
+                    rows.append(tuple(row))
+                    if len(rows) == len(alpha):
+                        out.append((alpha, tuple(rows)))
+                    else:
+                        fill_row(alpha, need, rows, rest)
+                    rows.pop()
+
+        fill(0, free, -1, 0)
+
     for alpha in compositions_with_sort(lam):
-        rows = []
-        used = [False] * (p.n + 1)
-
-        def fill_row(ridx, pos, row):
-            target = alpha[ridx]
-            if pos == target:
-                if not is_powersum_word(p, row):
-                    return
-                rows.append(tuple(row))
-                if ridx + 1 == len(alpha):
-                    out.append((alpha, tuple(rows)))
-                else:
-                    fill_row(ridx + 1, 0, [])
-                rows.pop()
-                return
-            for v in range(1, p.n + 1):
-                if used[v]:
-                    continue
-                if pos and p.less(v, row[pos - 1]):
-                    continue  # a step down in P inside the row
-                ok = True
-                for r in range(ridx):
-                    prev = rows[r]
-                    anchor = prev[pos] if len(prev) > pos else prev[-1]
-                    if not p.less(anchor, v):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                used[v] = True
-                row.append(v)
-                fill_row(ridx, pos + 1, row)
-                row.pop()
-                used[v] = False
-
-        fill_row(0, 0, [])
+        # need[r][pos]: cells of later rows that must sit above row r's
+        # entry at pos (the same column, and every column from there on
+        # when pos is the row's last)
+        need = [
+            [
+                sum(max(0, part - pos) if pos + 1 == alpha[r] else part > pos
+                    for part in alpha[r + 1 :])
+                for pos in range(alpha[r])
+            ]
+            for r in range(len(alpha))
+        ]
+        fill_row(alpha, need, [], full)
     return out
 
 

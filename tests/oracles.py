@@ -26,10 +26,17 @@ from csflab.posets import (
     path_hessenberg,
     poset_from_hessenberg,
 )
-from csflab.qcore import QPoly, QRat, check_partition, conjugate, partitions, q_int
+from csflab.qcore import (
+    QPoly,
+    QRat,
+    check_partition,
+    compositions_with_sort,
+    conjugate,
+    partitions,
+    q_int,
+)
 from csflab.structural import r_index
 from csflab.tableaux import (
-    col_heights,
     enumerate_standard,
     inv_p,
     inv_word,
@@ -210,6 +217,10 @@ def inv_sum_by_monomials(p, tableaux):
     return total
 
 
+def col_heights(cols):
+    return tuple(len(c) for c in cols)
+
+
 def shape_from_cols(cols):
     """Row-shape partition of a column layout (heights must be weakly decreasing)."""
     h = col_heights(cols)
@@ -351,6 +362,183 @@ def tab_inverse(p, cols):
     if rows_to_cols(rows) != original:
         return None
     return rows
+
+
+# ---------------------------------------------------------------------------
+# tableau and word kernels on P.less: the references for the bitmask kernels
+# ---------------------------------------------------------------------------
+
+def inv_word_by_pairs(p, w):
+    """Pairs read in decreasing label order whose entries are incomparable."""
+    return sum(
+        1
+        for s in range(len(w))
+        for t in range(s + 1, len(w))
+        if w[s] > w[t] and p.same_or_incomparable(w[s], w[t])
+    )
+
+
+def enumerate_standard_by_less(p, lam):
+    """All tableaux of the given row shape using each of 1..n once.
+
+    Cells are filled along the column word (leftmost column bottom-to-top
+    first) trying small values first, so the output is sorted by column word.
+    """
+    lam = check_partition(lam)
+    if sum(lam) != p.n:
+        raise ValueError(f"shape {lam} does not use {p.n} entries")
+    if not lam:
+        return [()]
+    heights = conjugate(lam)
+    ncols = lam[0]
+    cells = [
+        (j, i) for j in range(ncols) for i in range(heights[j] - 1, -1, -1)
+    ]
+    grid = [[None] * heights[j] for j in range(ncols)]
+    used = [False] * (p.n + 1)
+    out = []
+
+    def place(idx):
+        if idx == len(cells):
+            out.append(tuple(tuple(c) for c in grid))
+            return
+        j, i = cells[idx]
+        below = grid[j][i + 1] if i + 1 < heights[j] else None
+        left = grid[j - 1][i] if j else None
+        for v in range(1, p.n + 1):
+            if used[v]:
+                continue
+            if below is not None and not p.less(v, below):
+                continue
+            if left is not None and p.less(v, left):
+                continue
+            used[v] = True
+            grid[j][i] = v
+            place(idx + 1)
+            used[v] = False
+        grid[j][i] = None
+
+    place(0)
+    return out
+
+
+@dataclass(frozen=True)
+class Ladder:
+    """One incomparability component across an adjacent column pair."""
+
+    column: int  # 1-based index of the left column
+    left: tuple  # ((row, value), ...) in the left column, rows 1-based
+    right: tuple
+    balance: str  # "balanced" | "left_unbalanced" | "right_unbalanced"
+
+
+def ladders(p, cols, i):
+    """Incomparability components between columns i and i+1 (1-based)."""
+    if not (1 <= i < len(cols)):
+        raise ValueError(f"no column pair at {i} in shape {col_heights(cols)}")
+    left = [(r + 1, v) for r, v in enumerate(cols[i - 1])]
+    right = [(r + 1, v) for r, v in enumerate(cols[i])]
+    nodes = [("L", rv) for rv in left] + [("R", rv) for rv in right]
+    parent = {node: node for node in nodes}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for lnode in left:
+        for rnode in right:
+            if p.incomparable(lnode[1], rnode[1]):
+                ra, rb = find(("L", lnode)), find(("R", rnode))
+                if ra != rb:
+                    parent[ra] = rb
+    groups = {}
+    for node in nodes:
+        groups.setdefault(find(node), []).append(node)
+    out = []
+    for members in groups.values():
+        lpart = tuple(sorted(rv for side, rv in members if side == "L"))
+        rpart = tuple(sorted(rv for side, rv in members if side == "R"))
+        if len(lpart) == len(rpart):
+            bal = "balanced"
+        elif len(lpart) > len(rpart):
+            bal = "left_unbalanced"
+        else:
+            bal = "right_unbalanced"
+        out.append(Ladder(column=i, left=lpart, right=rpart, balance=bal))
+    out.sort(key=lambda k: min(k.left + k.right))
+    return out
+
+
+def is_strong_by_ladders(p, cols):
+    """No adjacent column pair carries a right-unbalanced ladder."""
+    return not any(
+        lad.balance == "right_unbalanced"
+        for i in range(1, len(cols))
+        for lad in ladders(p, cols, i)
+    )
+
+
+def is_powersum_word_by_less(p, w):
+    """No adjacent step down in P, and no position other than the last that
+    sits below everything to its right."""
+    for i in range(len(w) - 1):
+        if p.less(w[i + 1], w[i]):
+            return False
+    for i in range(len(w) - 1):
+        if all(p.less(w[i], w[j]) for j in range(i + 1, len(w))):
+            return False
+    return True
+
+
+def enumerate_powerful_arrays_by_less(p, lam):
+    """All row-shaped powerful arrays using 1..n once, over every ordering
+    of lam's parts.  Returned as (row_shape, rows) pairs."""
+    lam = check_partition(lam)
+    if sum(lam) != p.n:
+        raise ValueError(f"shape {lam} does not use {p.n} entries")
+    if not lam:
+        return [((), ())]
+    out = []
+    for alpha in compositions_with_sort(lam):
+        rows = []
+        used = [False] * (p.n + 1)
+
+        def fill_row(ridx, pos, row):
+            target = alpha[ridx]
+            if pos == target:
+                if not is_powersum_word_by_less(p, row):
+                    return
+                rows.append(tuple(row))
+                if ridx + 1 == len(alpha):
+                    out.append((alpha, tuple(rows)))
+                else:
+                    fill_row(ridx + 1, 0, [])
+                rows.pop()
+                return
+            for v in range(1, p.n + 1):
+                if used[v]:
+                    continue
+                if pos and p.less(v, row[pos - 1]):
+                    continue  # a step down in P inside the row
+                ok = True
+                for r in range(ridx):
+                    prev = rows[r]
+                    anchor = prev[pos] if len(prev) > pos else prev[-1]
+                    if not p.less(anchor, v):
+                        ok = False
+                        break
+                if not ok:
+                    continue
+                used[v] = True
+                row.append(v)
+                fill_row(ridx, pos + 1, row)
+                row.pop()
+                used[v] = False
+
+        fill_row(0, 0, [])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import os
@@ -262,6 +263,55 @@ def test_parallel_runs_match_serial(tmp_path):
     serial = run_verification("overcount-q", 4)
     parallel = run_verification("overcount-q", 4, parallelism=3)
     assert without_seconds(serial) == without_seconds(parallel)
+
+
+def test_vector_dispatch_matches_serial_theorem_suite():
+    serial = run_verification("theorem-suite", 5)
+    parallel = run_verification("theorem-suite", 5, parallelism=2)
+    assert without_seconds(parallel) == without_seconds(serial)
+
+
+def test_vector_dispatch_matches_serial_h_lower_bound():
+    serial = run_verification("h-lower-bound", 6)
+    parallel = run_verification("h-lower-bound", 6, parallelism=2)
+    assert without_seconds(parallel) == without_seconds(serial)
+    failing = [r for r in parallel if r.status == "fails"]
+    assert [(r.task.m, r.task.lam) for r in failing] == [((0, 0, 1, 1, 2, 4), (3, 2, 1))]
+    assert failing[0].witness == [r for r in serial if r.status == "fails"][0].witness
+
+
+def test_vector_dispatch_on_half_warm_cache(tmp_path):
+    cache = str(tmp_path / "cache")
+    warm = run_verification("theorem-suite", 4, cache_dir=cache)
+    mixed = run_verification("theorem-suite", 5, parallelism=2, cache_dir=cache)
+    cold = run_verification("theorem-suite", 5)
+    a, b = tmp_path / "mixed.jsonl", tmp_path / "cold.jsonl"
+    emit_report(mixed, a)
+    emit_report(cold, b)
+
+    def stripped(path):
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        for row in rows:
+            row.pop("seconds")
+        return "".join(json.dumps(row) + "\n" for row in rows).encode()
+
+    assert stripped(a) == stripped(b)
+    # the n <= 4 units are replays: they keep the timing of the run that stored them
+    replayed = [r.to_json_dict()["seconds"] for r in mixed if len(r.task.m) <= 4]
+    assert replayed == [r.to_json_dict()["seconds"] for r in warm]
+
+
+def test_pool_workers_call_evaluate_task_by_module_name(monkeypatch):
+    import csflab.harness as harness
+
+    plain = harness.evaluate_task
+
+    def marked(task):
+        return dataclasses.replace(plain(task), seconds=-1.0)
+
+    monkeypatch.setattr(harness, "evaluate_task", marked)
+    reports = run_verification("bounds", 4, parallelism=2)
+    assert reports and all(r.seconds == -1.0 for r in reports)
 
 
 def test_warm_cache_replays_bytes_and_logs_hits(tmp_path, caplog):

@@ -3,12 +3,11 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from csflab.posets import enumerate_hessenberg, poset_from_hessenberg
 from csflab.qcore import QPoly, partitions
 from csflab.tableaux import (
-    col_heights,
     cols_to_rows,
     colword,
     enumerate_class,
@@ -20,7 +19,6 @@ from csflab.tableaux import (
     is_powerful_array,
     is_powersum_word,
     is_strong,
-    ladders,
     rows_to_cols,
     rows_to_text,
     tab,
@@ -30,13 +28,20 @@ from csflab.tableaux import (
 )
 
 from oracles import (
+    col_heights,
+    enumerate_powerful_arrays_by_less,
+    enumerate_standard_by_less,
     eval_q,
     eval_q_partial,
     inv_sum_by_monomials,
+    inv_word_by_pairs,
     is_p_array,
     is_p_tableau,
+    is_powersum_word_by_less,
+    is_strong_by_ladders,
     is_strong_by_matching,
     ladder_swap,
+    ladders,
     shape_from_cols,
     tab_inverse,
 )
@@ -393,6 +398,33 @@ def test_two_column_shapes_collapse():
             powerful = set(enumerate_class(p, lam, "powerful"))
             strong = set(enumerate_class(p, lam, "strong"))
             assert powerful == strong
+
+
+# -- bitmask kernels against the P.less kernels they replaced -----------------
+
+VECTORS_TO_7 = [m for n in range(1, 8) for m in enumerate_hessenberg(n)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(VECTORS_TO_7))
+def test_bitmask_enumerations_match_less_kernels(m):
+    p = poset_from_hessenberg(m)
+    for lam in partitions(p.n):
+        standard = enumerate_standard(p, lam)
+        assert standard == enumerate_standard_by_less(p, lam)
+        assert enumerate_powerful_arrays(p, lam) == enumerate_powerful_arrays_by_less(p, lam)
+        for t in standard:
+            assert is_strong(p, t) == is_strong_by_ladders(p, t)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(VECTORS_TO_7))
+def test_bitmask_word_kernels_match_on_every_injective_word(m):
+    p = poset_from_hessenberg(m)
+    for k in range(p.n + 1):
+        for w in itertools.permutations(range(1, p.n + 1), k):
+            assert is_powersum_word(p, w) == is_powersum_word_by_less(p, w)
+            assert inv_word(p, w) == inv_word_by_pairs(p, w)
 
 
 def test_enumerate_class_rejects_unknown():
