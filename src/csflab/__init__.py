@@ -12,6 +12,7 @@ configurable size.
 from .csf import (
     SymFunc,
     chromatic_e_expansion,
+    coloring_weights,
     csf_coloring_oracle,
     csf_schur,
     e_coeff,
@@ -54,6 +55,7 @@ __all__ = [
     "VerificationTask",
     "audit_cache",
     "chromatic_e_expansion",
+    "coloring_weights",
     "csf_coloring_oracle",
     "csf_schur",
     "e_coeff",

@@ -1,7 +1,7 @@
 """Chromatic symmetric function of an incomparability graph, with exact
 q-coefficients, computed by independent routes:
 
-* a proper-coloring oracle giving monomial coefficients,
+* a dynamic program over proper colorings giving monomial coefficients,
 * summing q^inv over standard tableaux for Schur coefficients,
 * closed q-integer formulas for paths and chains of complete graphs,
 
@@ -32,9 +32,9 @@ from .tableaux import enumerate_standard, inv_p, inv_sum
 
 BASES = ("m", "e", "s")
 
-#: Largest poset the coloring walk accepts.  The walk visits every proper
-#: coloring, up to n! of them, so n = 10 already takes seconds; the harness
-#: takes its extended sweep cap from here.
+#: Largest poset the coloring oracle accepts, and the harness's extended
+#: sweep cap.  The oracle takes well under a second at n = 10; the cap
+#: bounds the size of a sweep over every vector and tableau.
 SIZE_CAP = 10
 
 
@@ -108,44 +108,58 @@ class SymFunc:
 # coloring oracle
 # ---------------------------------------------------------------------------
 
+def _coloring_counts(p):
+    """Memoised ``counts(used, parts)``: the q^inv counts, as a coefficient
+    list, of the proper colorings of inc(P) outside ``used`` by colour
+    classes of the sizes ``parts`` in colour order, every vertex in ``used``
+    having a smaller colour.  A colour class is a chain of P; placing a chain
+    S adds one inversion for each u in S and each incomparable v > u in used.
+    """
+    n, up, inc = p.n, p._up, p._inc
+    larger = [inc[v] & ~((2 << v) - 1) for v in range(n + 1)]
+    # chains[k]: (mask, the ``larger`` masks of its elements) per k-chain
+    chains = [[] for _ in range(n + 1)]
+
+    def grow(mask, later, above):
+        chains[len(later)].append((mask, later))
+        for v in range(1, n + 1):
+            if (above >> v) & 1:
+                grow(mask | 1 << v, later + (larger[v],), up[v])
+
+    grow(0, (), (1 << (n + 1)) - 2)
+    memo = {}
+
+    def counts(used, parts):
+        if not parts:
+            return [1]
+        got = memo.get((used, parts))
+        if got is None:
+            got = []
+            rest = parts[1:]
+            for chain, later in chains[parts[0]]:
+                if chain & used:
+                    continue
+                sub = counts(used | chain, rest)
+                if not sub:
+                    continue
+                bump = 0
+                for mask in later:
+                    bump += (mask & used).bit_count()
+                got.extend([0] * (bump + len(sub) - len(got)))
+                for i, c in enumerate(sub, bump):
+                    got[i] += c
+            memo[used, parts] = got
+        return got
+
+    return counts
+
+
 def coloring_weights(p, content):
     """q-weight generating polynomial of the proper colorings of inc(P)
     where color i is used exactly content[i] times."""
-    n = p.n
-    if sum(content) != n:
-        raise ValueError(f"content {content} does not use {n} cells")
-    before = [[] for _ in range(n + 1)]
-    for v in range(2, n + 1):
-        before[v] = [u for u in range(1, v) if p.incomparable(u, v)]
-    counts = {}
-    remaining = list(content)
-    color = [0] * (n + 1)
-
-    def walk(v, inv):
-        if v > n:
-            counts[inv] = counts.get(inv, 0) + 1
-            return
-        for c in range(len(remaining)):
-            if not remaining[c]:
-                continue
-            bump = 0
-            for u in before[v]:
-                if color[u] == c:
-                    break
-                if color[u] > c:
-                    bump += 1
-            else:
-                remaining[c] -= 1
-                color[v] = c
-                walk(v + 1, inv + bump)
-                color[v] = 0
-                remaining[c] += 1
-
-    walk(1, 0)
-    if not counts:
-        return QPoly.zero()
-    top = max(counts)
-    return QPoly(tuple(counts.get(i, 0) for i in range(top + 1)))
+    if sum(content) != p.n:
+        raise ValueError(f"content {content} does not use {p.n} cells")
+    return QPoly(_coloring_counts(p)(0, tuple(content)))
 
 
 def csf_coloring_oracle(p):
@@ -159,12 +173,8 @@ def csf_coloring_oracle(p):
             "specialization is reliable",
             stacklevel=2,
         )
-    coeffs = {}
-    for lam in partitions(p.n):
-        poly = coloring_weights(p, lam)
-        if poly:
-            coeffs[lam] = poly
-    return SymFunc("m", p.n, coeffs)
+    counts = _coloring_counts(p)
+    return SymFunc("m", p.n, {lam: QPoly(counts(0, lam)) for lam in partitions(p.n)})
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,7 @@ CONJECTURES = (
 STATUSES = ("holds", "fails", "skipped")
 
 #: Full sweeps above this size need the explicit override flag, which
-#: raises the cap to ``SIZE_CAP``, the largest size the coloring walk takes.
+#: raises the cap to ``SIZE_CAP``, the largest sweep size csflab runs.
 DEFAULT_CAP = 8
 
 

@@ -639,6 +639,50 @@ def factored_value(e, factors):
 
 
 # ---------------------------------------------------------------------------
+# coloring oracle (from csf): vertex by vertex over every proper coloring
+# ---------------------------------------------------------------------------
+
+def coloring_weights_by_walk(p, content):
+    """q-weight generating polynomial of the proper colorings of inc(P)
+    where color i is used exactly content[i] times."""
+    n = p.n
+    if sum(content) != n:
+        raise ValueError(f"content {content} does not use {n} cells")
+    before = [[] for _ in range(n + 1)]
+    for v in range(2, n + 1):
+        before[v] = [u for u in range(1, v) if p.incomparable(u, v)]
+    counts = {}
+    remaining = list(content)
+    color = [0] * (n + 1)
+
+    def walk(v, inv):
+        if v > n:
+            counts[inv] = counts.get(inv, 0) + 1
+            return
+        for c in range(len(remaining)):
+            if not remaining[c]:
+                continue
+            bump = 0
+            for u in before[v]:
+                if color[u] == c:
+                    break
+                if color[u] > c:
+                    bump += 1
+            else:
+                remaining[c] -= 1
+                color[v] = c
+                walk(v + 1, inv + bump)
+                color[v] = 0
+                remaining[c] += 1
+
+    walk(1, 0)
+    if not counts:
+        return QPoly.zero()
+    top = max(counts)
+    return QPoly(tuple(counts.get(i, 0) for i in range(top + 1)))
+
+
+# ---------------------------------------------------------------------------
 # chromatic function at q = 1 for any poset
 # ---------------------------------------------------------------------------
 

@@ -1,8 +1,9 @@
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import factorial, prod
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from csflab import csf, harness
 from csflab.csf import (
@@ -27,7 +28,11 @@ from csflab.posets import (
 )
 from csflab.qcore import QPoly, conjugate, partitions, q_factorial
 
-from oracles import e_expansion_at_one, incomparability_graph
+from oracles import (
+    coloring_weights_by_walk,
+    e_expansion_at_one,
+    incomparability_graph,
+)
 
 P5 = poset_from_hessenberg((0, 0, 1, 1, 3))
 
@@ -286,11 +291,11 @@ def test_e_expansion_at_one_off_unit_orders():
 
 
 def test_oracle_bound():
-    # the extended sweep cap and the coloring walk's cap are one constant
+    # the extended sweep cap and the coloring oracle's cap are one constant
     assert harness.SIZE_CAP == csf.SIZE_CAP == 10
     with pytest.raises(ValueError):
         csf_coloring_oracle(poset_from_hessenberg((0,) * 11))
-    # K10 walks all 10! colorings; its expansion is [10]_q! e_10
+    # K10: every coloring uses all ten colours; the expansion is [10]_q! e_10
     k10 = (0,) * 10
     assert chromatic_e_expansion(poset_from_hessenberg(k10)).coeffs == {
         (10,): q_factorial(10)
@@ -298,6 +303,47 @@ def test_oracle_bound():
     # a sweep unit at the cap reuses that expansion and is not an error
     report = harness.evaluate_task(harness.VerificationTask("nonzero", k10, (1,) * 10))
     assert (report.status, report.witness) == ("holds", None)
+    # the 10-chain has no incomparable pair: X = e_1^10, whose m_lam
+    # coefficient is the multinomial 10!/lam!, in particular 10! at 1^10
+    chain = csf_coloring_oracle(poset_from_hessenberg(tuple(range(10))))
+    assert chain.coeffs == {
+        lam: QPoly.const(factorial(10) // prod(map(factorial, lam)))
+        for lam in partitions(10)
+    }
+    assert chain.coeff((1,) * 10) == QPoly.const(factorial(10))
+    assert to_elementary(chain).coeffs == {(1,) * 10: QPoly.one()}
+    path = poset_from_hessenberg(path_hessenberg(10))
+    assert chromatic_e_expansion(path) == path_formula(10)
+
+
+@st.composite
+def relation_posets(draw):
+    """Posets from random relations on 1..n, labelled in a random order, so
+    neither a natural labelling nor a unit interval order is assumed."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    pairs = list(combinations(draw(st.permutations(range(1, n + 1))), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return poset_from_relations(n, [pair for pair, k in zip(pairs, keep) if k])
+
+
+VECTORS_TO_7 = [m for n in range(8) for m in enumerate_hessenberg(n)]
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_coloring_weights_match_walk(data):
+    # every content: any order of a partition's parts, zero parts included
+    p = data.draw(
+        st.one_of(
+            st.just(TWO_PLUS_TWO),
+            st.sampled_from(VECTORS_TO_7).map(poset_from_hessenberg),
+            relation_posets(),
+        )
+    )
+    lam = data.draw(st.sampled_from(list(partitions(p.n))))
+    zeros = data.draw(st.integers(min_value=0, max_value=2))
+    content = tuple(data.draw(st.permutations(lam + (0,) * zeros)))
+    assert coloring_weights(p, content) == coloring_weights_by_walk(p, content)
 
 
 @given(st.data())
