@@ -8,8 +8,9 @@ order up to a size, and ``formula`` evaluates the closed forms for path
 and glued-clique orders.
 
 Exit codes: 0 when everything holds, 1 when a verification fails,
-2 on usage errors.  Domain validation errors (bad vectors, mismatched
-shapes) count as usage errors.
+2 on usage errors, 3 when a check raised inside ``verify`` (an ``error``
+unit is a crash, not a counterexample).  Domain validation errors (bad
+vectors, mismatched shapes) count as usage errors.
 """
 
 from __future__ import annotations
@@ -175,12 +176,16 @@ def verify(conjecture, max_n, jobs, report_path, cache_dir, override_cap):
             raise click.ClickException(str(exc)) from exc
     counts = summarize(reports)
     for r in reports:
-        if r.status == "fails":
+        if r.status in ("fails", "error"):
             click.echo(json.dumps(r.to_json_dict()), err=True)
+    errors = counts.get("error", 0)
     click.echo(
         f"{conjecture} n<={max_n}: holds={counts['holds']}"
         f" fails={counts['fails']} skipped={counts['skipped']}"
+        + (f" error={errors}" if errors else "")
     )
+    if errors:
+        sys.exit(3)
     if counts["fails"]:
         sys.exit(1)
 

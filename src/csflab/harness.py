@@ -26,6 +26,18 @@ The registry:
                            (n-2,2) family, the path shapes, and the greedy
                            displacement shapes
 
+``h-lower-bound`` decides each tableau on the unreduced integer margin
+floor*num - den, where num/den is h = prob/zeta as the hikita walk
+multiplies it out.  den is a product of q-integers [j]_q with j >= 2,
+that is of cyclotomic factors Phi_d with d >= 2, each positive at every
+q >= 0; so floor*num - den has the sign of the reduced margin's num*den
+at every q >= 0 and the verdict is the same, with no gcd.  Only a failing
+unit builds the reduced QRat margin, which gives its witness and must
+agree that the unit fails.
+
+A check that raises is reported with status ``error``, never as a
+counterexample, and is never stored in the cache.
+
 All checks are pure, so the worker pool needs no shared state; a single
 writer sorts and persists the merged reports.  With more than one worker
 the pool gets one unit per Hessenberg vector, largest vectors first, so
@@ -49,7 +61,7 @@ import time
 from fractions import Fraction
 
 from .csf import SIZE_CAP, e_coeff
-from .hikita import enumerate_hikita, h
+from .hikita import enumerate_hikita, h, h_unreduced
 from .posets import (
     check_hessenberg,
     enumerate_hessenberg,
@@ -57,7 +69,7 @@ from .posets import (
     path_hessenberg,
     poset_from_hessenberg,
 )
-from .qcore import QPoly, QRat, check_partition, partitions, q_factorial
+from .qcore import QPoly, QRat, check_partition, int_poly_mul, partitions, q_factorial
 from .structural import K_set, greedy_shape_family
 # inv_p is not called here; bench/spans.py looks up harness.inv_p by name.
 from .tableaux import enumerate_class, inv_p, inv_sum
@@ -75,7 +87,7 @@ CONJECTURES = (
     "theorem-suite",
 )
 
-STATUSES = ("holds", "fails", "skipped")
+STATUSES = ("holds", "fails", "skipped", "error")
 
 #: Full sweeps above this size need the explicit override flag, which
 #: raises the cap to ``SIZE_CAP``, the largest sweep size csflab runs.
@@ -118,8 +130,8 @@ class Report:
     def __post_init__(self):
         if self.status not in STATUSES:
             raise ValueError(f"unknown status {self.status!r}")
-        if self.status == "fails" and not self.witness:
-            raise ValueError("a failing report must carry a witness")
+        if self.status in ("fails", "error") and not self.witness:
+            raise ValueError(f"a {self.status} report must carry a witness")
 
     def to_json_dict(self):
         return {
@@ -151,9 +163,10 @@ def _report_key(report):
 
 
 def summarize(reports):
-    counts = {status: 0 for status in STATUSES}
+    """Units per status; ``error`` is counted only when some unit raised."""
+    counts = {status: 0 for status in STATUSES if status != "error"}
     for report in reports:
-        counts[report.status] += 1
+        counts[report.status] = counts.get(report.status, 0) + 1
     return counts
 
 
@@ -329,26 +342,44 @@ def _check_strong_iff_hikita(m, lam):
 
 @functools.lru_cache(maxsize=None)
 def _row_factorials(lam):
-    """The h-lower-bound floor, the product of the row q-factorials."""
+    """The h-lower-bound floor, the product of the row q-factorials, as
+    integer coefficients."""
     floor = QPoly.one()
     for part in lam:
         floor = floor * q_factorial(part)
-    return floor
+    return tuple(int(c) for c in floor.coeffs)
+
+
+def _h_margin_nonneg(floor, num, den):
+    """floor*num - den >= 0 at every q >= 0, on integer coefficients; the
+    Sturm decision runs only when some coefficient is negative."""
+    margin = int_poly_mul(floor, num)
+    margin += [0] * (len(den) - len(margin))
+    for i, c in enumerate(den):
+        margin[i] -= c
+    if all(c >= 0 for c in margin):
+        return True
+    return poly_nonneg_on_nonneg(QPoly(margin))[0]
 
 
 def _check_h_lower_bound(m, lam):
     floor = _row_factorials(lam)
     for cols in enumerate_hikita(m, lam):
+        if _h_margin_nonneg(floor, *h_unreduced(m, cols)):
+            continue
         ht = h(m, cols)
-        margin = QRat(ht.num * floor - ht.den, ht.den)
+        margin = QRat(ht.num * QPoly(floor) - ht.den, ht.den)
         ok, point = rat_nonneg_on_nonneg(margin)
-        if not ok:
-            return "fails", {
-                "tableau": [list(c) for c in cols],
-                "q": str(point),
-                "margin_num": margin.num.json_coeffs(),
-                "margin_den": margin.den.json_coeffs(),
-            }
+        if ok:
+            raise AssertionError(
+                f"the integer and the reduced h margin disagree at {cols}"
+            )
+        return "fails", {
+            "tableau": [list(c) for c in cols],
+            "q": str(point),
+            "margin_num": margin.num.json_coeffs(),
+            "margin_den": margin.den.json_coeffs(),
+        }
     return "holds", None
 
 
@@ -467,7 +498,8 @@ _PER_UNIT = {
 
 
 def evaluate_task(task):
-    """Run one task; exceptions inside a check become failing reports."""
+    """Run one task; an exception inside a check becomes an ``error``
+    report, never a failing one."""
     start = time.perf_counter()
     try:
         if task.conjecture == "barbell-powerful":
@@ -483,7 +515,7 @@ def evaluate_task(task):
         else:
             status, witness = _PER_UNIT[task.conjecture](task.m, task.lam)
     except Exception as exc:  # captured, never propagated: the sweep must finish
-        status = "fails"
+        status = "error"
         witness = {"error": f"{type(exc).__name__}: {exc}"}
     return Report(task, status, witness, time.perf_counter() - start)
 
@@ -630,6 +662,10 @@ class _Cache:
             return None
 
     def store(self, report):
+        """Persist one report; an ``error`` is never stored, so a transient
+        crash is recomputed rather than replayed."""
+        if report.status == "error":
+            return
         path = self._path(report.task)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = path + ".tmp"

@@ -11,10 +11,19 @@ Each step's weight is q^(a_1 + ... + a_k) times a ratio of q-integers of
 run sums, so a whole insertion path is kept in factored form: a q-power
 and the net exponent of each [j]_q.  One cached walk per tableau serves
 ``prob`` (the full product), ``zeta`` (the q-power alone) and ``h`` (the
-q-integer part, prob/zeta); each reduces to a canonical QRat only once.
+q-integer part, prob/zeta).  ``h_unreduced`` multiplies the q-integers out
+into an integer numerator and denominator with no gcd; ``prob`` and ``h``
+build their canonical QRat from that same product.
 
-The tests hold the second routes: ``enumerate_syt`` and the entry-by-entry
-reachability test ``is_reachable`` live in ``tests/oracles.py``, with the
+The reachable tableaux are grown once per vector: ``_reachable(m)``
+inserts 1..n along every admissible column, with no shape pruning, and
+buckets the results by shape.  Insertion only ever adds cells, so a
+tableau of shape lam is reached only through tableaux inside lam, and
+the buckets are exactly what a growth pruned to lam would return.
+
+The tests hold the second routes: ``enumerate_syt``, the entry-by-entry
+reachability test ``is_reachable`` and the shape-pruned growth
+``enumerate_hikita_by_pruning`` live in ``tests/oracles.py``, with the
 per-step weights ``phi`` and ``phi_tilde`` as unfactored rational functions.
 """
 
@@ -25,7 +34,7 @@ import itertools
 from dataclasses import dataclass
 
 from .posets import check_hessenberg
-from .qcore import QPoly, QRat, check_partition, conjugate, q_int
+from .qcore import QPoly, QRat, check_partition, conjugate, int_poly_mul
 from .tableaux import colword
 
 
@@ -191,15 +200,15 @@ def _walk(m, cols):
     return rest[0] + e, {j: x for j, x in net.items() if x}
 
 
-def _reduce(e, factors):
-    """One canonical QRat for q^e times the product of [j]_q^x."""
-    num, den = QPoly.monomial(e), QPoly.one()
+def _product(factors):
+    """The product of [j]_q^x as integer coefficient lists (num, den)."""
+    num, den = [1], [1]
     for j, x in factors.items():
         for _ in range(x):
-            num = num * q_int(j)
+            num = int_poly_mul(num, [1] * j)
         for _ in range(-x):
-            den = den * q_int(j)
-    return QRat(num, den)
+            den = int_poly_mul(den, [1] * j)
+    return num, den
 
 
 def _check_args(m, cols):
@@ -215,7 +224,10 @@ def _check_args(m, cols):
 def prob(m, cols):
     m, cols = _check_args(m, cols)
     path = _walk(m, cols)
-    return QRat.zero() if path is None else _reduce(*path)
+    if path is None:
+        return QRat.zero()
+    num, den = _product(path[1])
+    return QRat(QPoly.monomial(path[0]) * QPoly(num), QPoly(den))
 
 
 def zeta(m, cols):
@@ -224,39 +236,47 @@ def zeta(m, cols):
     return QPoly.zero() if path is None else QPoly.monomial(path[0])
 
 
-def h(m, cols):
-    """prob/zeta; only defined on tableaux the distribution can reach."""
+def h_unreduced(m, cols):
+    """prob/zeta as integer coefficient lists (num, den), not reduced.
+
+    Each is a product of q-integers [j]_q with j >= 2, so den is positive
+    at every q >= 0.  Only defined on tableaux the distribution can reach.
+    """
     m, cols = _check_args(m, cols)
     path = _walk(m, cols)
     if path is None or path[1].get(0, 0) > 0:
         raise ValueError("h is undefined: the tableau has probability zero")
-    return _reduce(0, path[1])
+    return _product(path[1])
+
+
+def h(m, cols):
+    """prob/zeta as a canonical QRat; only defined on reachable tableaux."""
+    num, den = h_unreduced(m, cols)
+    return QRat(QPoly(num), QPoly(den))
 
 
 # ---------------------------------------------------------------------------
 # reachable tableaux
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _reachable(m):
+    """Every tableau reachable under m, bucketed by shape, each bucket a
+    tuple in column-word order."""
+    current = {()}
+    for r in m:
+        current = {insert(s, r, k) for s in current for k in range(delta(s, r).ell + 1)}
+    by_shape = {}
+    for cols in current:
+        by_shape.setdefault(conjugate([len(c) for c in cols]), []).append(cols)
+    return {lam: tuple(sorted(tabs, key=colword)) for lam, tabs in by_shape.items()}
+
+
 def enumerate_hikita(m, lam):
-    """All standard Young tableaux of the shape reachable under m,
-    grown by insertion with pruning to the target shape."""
+    """All standard Young tableaux of the shape reachable under m, in
+    column-word order."""
     m = check_hessenberg(m)
     lam = check_partition(lam)
     if sum(lam) != len(m):
         raise ValueError(f"shape {lam} does not match domain size {len(m)}")
-    target_heights = conjugate(lam)
-    ncols = lam[0] if lam else 0
-    current = {()}
-    for t in range(1, len(m) + 1):
-        r = m[t - 1]
-        grown = set()
-        for s in current:
-            for k in range(delta(s, r).ell + 1):
-                bigger = insert(s, r, k)
-                if len(bigger) > ncols:
-                    continue
-                if any(len(bigger[j]) > target_heights[j] for j in range(len(bigger))):
-                    continue
-                grown.add(bigger)
-        current = grown
-    return sorted(current, key=colword)
+    return list(_reachable(m).get(lam, ()))

@@ -5,6 +5,9 @@ exact rationals, occasionally with ratios of such polynomials.  Coefficients
 are `fractions.Fraction`; there is no floating-point mode.  Polynomials are
 dense (degrees in this project stay tiny), rational functions are kept in a
 canonical reduced form so that equality is a plain structural comparison.
+Where a hot loop multiplies q-integers and needs no canonical form, it
+keeps plain integer coefficient lists (``int_poly_mul``): no Fraction and
+no gcd.
 
 Partitions and compositions are ordinary tuples of ints.  A partition is
 weakly decreasing with positive parts; a composition is any tuple of positive
@@ -321,6 +324,19 @@ def _coerce_rat(x):
     if isinstance(x, (int, Fraction)):
         return QRat(QPoly.const(x))
     return NotImplemented
+
+
+def int_poly_mul(a, b):
+    """Product of two integer coefficient lists (index i holds q^i), for
+    the hot loops that must not pay for Fraction or a gcd."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
 def q_int(n):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from csflab.csf import SymFunc, csf_coloring_oracle, to_elementary
-from csflab.hikita import _strip_max, delta, is_syt, tableau_size
+from csflab.hikita import _strip_max, delta, insert, is_syt, tableau_size
 from csflab.posets import (
     Poset,
     _bits,
@@ -37,6 +37,7 @@ from csflab.qcore import (
 )
 from csflab.structural import r_index
 from csflab.tableaux import (
+    colword,
     enumerate_standard,
     inv_p,
     inv_word,
@@ -575,6 +576,31 @@ def is_reachable(m, cols):
             return False
         cols = smaller
     return True
+
+
+def enumerate_hikita_by_pruning(m, lam):
+    """All standard Young tableaux of the shape reachable under m,
+    grown by insertion with pruning to the target shape."""
+    m = check_hessenberg(m)
+    lam = check_partition(lam)
+    if sum(lam) != len(m):
+        raise ValueError(f"shape {lam} does not match domain size {len(m)}")
+    target_heights = conjugate(lam)
+    ncols = lam[0] if lam else 0
+    current = {()}
+    for t in range(1, len(m) + 1):
+        r = m[t - 1]
+        grown = set()
+        for s in current:
+            for k in range(delta(s, r).ell + 1):
+                bigger = insert(s, r, k)
+                if len(bigger) > ncols:
+                    continue
+                if any(len(bigger[j]) > target_heights[j] for j in range(len(bigger))):
+                    continue
+                grown.add(bigger)
+        current = grown
+    return sorted(current, key=colword)
 
 
 def phi(cols, r, k):

@@ -131,13 +131,27 @@ def test_verify_all_holds(tmp_path):
 def test_verify_failure_exits_one(monkeypatch):
     import csflab.harness as harness
 
+    def refuted(m, lam):
+        return "fails", {"forced": True}
+
+    monkeypatch.setitem(harness._PER_UNIT, "nonzero", refuted)
+    result = run("verify", "--conjecture", "nonzero", "--max-n", "2")
+    assert result.exit_code == 1
+    assert "fails=5" in result.output
+
+
+def test_verify_error_exits_three(monkeypatch):
+    import csflab.harness as harness
+
     def boom(m, lam):
         raise RuntimeError("forced")
 
     monkeypatch.setitem(harness._PER_UNIT, "nonzero", boom)
     result = run("verify", "--conjecture", "nonzero", "--max-n", "2")
-    assert result.exit_code == 1
-    assert "fails=5" in result.output
+    assert result.exit_code == 3
+    last = result.output.strip().splitlines()[-1]
+    assert last == "nonzero n<=2: holds=0 fails=0 skipped=0 error=5"
+    assert "RuntimeError: forced" in result.output
 
 
 def test_verify_usage_errors():

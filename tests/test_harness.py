@@ -13,6 +13,8 @@ from csflab.harness import (
     CONJECTURES,
     Report,
     VerificationTask,
+    _h_margin_nonneg,
+    _row_factorials,
     audit_cache,
     code_version,
     emit_report,
@@ -23,7 +25,9 @@ from csflab.harness import (
     summarize,
     tasks_for,
 )
-from csflab.qcore import QPoly, QRat
+from csflab.hikita import enumerate_hikita, h, h_unreduced
+from csflab.posets import enumerate_hessenberg
+from csflab.qcore import QPoly, QRat, partitions
 from csflab.tableaux import text_to_tableau
 
 JOBS = min(4, os.cpu_count() or 1)
@@ -78,6 +82,8 @@ def test_failing_report_needs_witness():
     task = VerificationTask("bounds", (0,), (1,))
     with pytest.raises(ValueError):
         Report(task, "fails", None, 0.0)
+    with pytest.raises(ValueError):
+        Report(task, "error", None, 0.0)
     with pytest.raises(ValueError):
         Report(task, "unsure", None, 0.0)
 
@@ -140,7 +146,8 @@ def test_small_sweeps_hold():
         assert summarize(reports) == {"holds": 384, "fails": 0, "skipped": 0}, conjecture
 
 
-# the units where h-lower-bound fails at n <= 7 (bench/run.py pins the same nine)
+# the units where h-lower-bound fails at n <= 8: one at n = 6, eight at
+# n = 7 (bench/run.py pins these nine) and 46 at n = 8
 H_BOUND_FAILING = (
     ((0, 0, 1, 1, 2, 4), (3, 2, 1)),
     ((0, 0, 1, 1, 1, 2, 5), (4, 2, 1)),
@@ -151,16 +158,65 @@ H_BOUND_FAILING = (
     ((0, 0, 1, 1, 2, 4, 6), (3, 2, 1, 1)),
     ((0, 0, 1, 2, 2, 2, 5), (4, 2, 1)),
     ((0, 1, 1, 2, 2, 3, 5), (3, 2, 1, 1)),
+    ((0, 0, 0, 1, 2, 2, 4, 4), (4, 3, 1)),
+    ((0, 0, 0, 1, 2, 2, 4, 5), (4, 3, 1)),
+    ((0, 0, 1, 1, 1, 2, 3, 5), (4, 3, 1)),
+    ((0, 0, 1, 1, 1, 2, 4, 4), (4, 3, 1)),
+    ((0, 0, 1, 1, 1, 2, 4, 5), (4, 3, 1)),
+    ((0, 0, 1, 1, 1, 2, 5, 5), (4, 3, 1)),
+    ((0, 0, 1, 1, 1, 2, 5, 7), (4, 2, 1, 1)),
+    ((0, 0, 1, 1, 2, 2, 3, 4), (4, 3, 1)),
+    ((0, 0, 1, 1, 2, 2, 3, 4), (5, 2, 1)),
+    ((0, 0, 1, 1, 2, 2, 3, 4), (5, 3)),
+    ((0, 0, 1, 1, 2, 2, 3, 5), (4, 3, 1)),
+    ((0, 0, 1, 1, 2, 2, 3, 5), (5, 2, 1)),
+    ((0, 0, 1, 1, 2, 2, 4, 4), (4, 3, 1)),
+    ((0, 0, 1, 1, 2, 2, 4, 4), (5, 2, 1)),
+    ((0, 0, 1, 1, 2, 2, 4, 4), (5, 3)),
+    ((0, 0, 1, 1, 2, 2, 4, 5), (4, 3, 1)),
+    ((0, 0, 1, 1, 2, 2, 4, 5), (5, 2, 1)),
+    ((0, 0, 1, 1, 2, 2, 4, 6), (4, 3, 1)),
+    ((0, 0, 1, 1, 2, 2, 4, 6), (4, 4)),
+    ((0, 0, 1, 1, 2, 2, 4, 7), (4, 2, 1, 1)),
+    ((0, 0, 1, 1, 2, 2, 4, 7), (4, 3, 1)),
+    ((0, 0, 1, 1, 2, 2, 5, 5), (4, 3, 1)),
+    ((0, 0, 1, 1, 2, 2, 5, 7), (4, 2, 1, 1)),
+    ((0, 0, 1, 1, 2, 3, 4, 4), (4, 3, 1)),
+    ((0, 0, 1, 1, 2, 3, 4, 5), (4, 3, 1)),
+    ((0, 0, 1, 1, 2, 4, 4, 5), (3, 3, 2)),
+    ((0, 0, 1, 1, 2, 4, 4, 5), (4, 3, 1)),
+    ((0, 0, 1, 1, 2, 4, 4, 7), (3, 3, 1, 1)),
+    ((0, 0, 1, 1, 2, 4, 5, 6), (3, 2, 2, 1)),
+    ((0, 0, 1, 1, 2, 4, 6, 7), (3, 2, 1, 1, 1)),
+    ((0, 0, 1, 1, 3, 3, 3, 6), (4, 2, 1, 1)),
+    ((0, 0, 1, 2, 2, 2, 2, 6), (5, 2, 1)),
+    ((0, 0, 1, 2, 2, 2, 3, 5), (4, 3, 1)),
+    ((0, 0, 1, 2, 2, 2, 4, 4), (4, 3, 1)),
+    ((0, 0, 1, 2, 2, 2, 4, 5), (4, 3, 1)),
+    ((0, 0, 1, 2, 2, 2, 5, 5), (4, 3, 1)),
+    ((0, 0, 1, 2, 2, 2, 5, 7), (4, 2, 1, 1)),
+    ((0, 0, 1, 2, 3, 3, 4, 6), (3, 2, 2, 1)),
+    ((0, 1, 1, 2, 2, 2, 3, 6), (4, 2, 1, 1)),
+    ((0, 1, 1, 2, 2, 3, 3, 5), (4, 2, 1, 1)),
+    ((0, 1, 1, 2, 2, 3, 3, 5), (4, 3, 1)),
+    ((0, 1, 1, 2, 2, 3, 3, 6), (4, 2, 1, 1)),
+    ((0, 1, 1, 2, 2, 3, 5, 5), (3, 3, 1, 1)),
+    ((0, 1, 1, 2, 2, 3, 5, 7), (3, 2, 1, 1, 1)),
+    ((0, 1, 1, 2, 3, 3, 3, 6), (4, 2, 1, 1)),
+    ((0, 1, 2, 2, 3, 3, 4, 6), (3, 2, 1, 1, 1)),
 )
 
 
 def test_h_lower_bound_fails_once_at_six():
     # the bound is refuted (or mis-stated) from n = 6 on: one unit at n = 6,
-    # eight more at n = 7
-    reports = run_verification("h-lower-bound", 7, parallelism=JOBS)
-    assert summarize(reports) == {"holds": 8262, "fails": 9, "skipped": 0}
+    # eight more at n = 7, 46 more at n = 8
+    reports = run_verification("h-lower-bound", 8, parallelism=JOBS)
+    assert summarize(reports) == {"holds": 39676, "fails": 55, "skipped": 0}
     failing = [r for r in reports if r.status == "fails"]
     assert sorted((r.task.m, r.task.lam) for r in failing) == sorted(H_BOUND_FAILING)
+    assert summarize([r for r in reports if len(r.task.m) <= 7]) == {
+        "holds": 8262, "fails": 9, "skipped": 0,
+    }
     (bad,) = [r for r in failing if len(r.task.m) == 6]
     assert (bad.task.m, bad.task.lam) == ((0, 0, 1, 1, 2, 4), (3, 2, 1))
     assert bad.witness == {
@@ -169,6 +225,23 @@ def test_h_lower_bound_fails_once_at_six():
         "margin_num": [0, -1],
         "margin_den": [1, 1],
     }
+
+
+def test_integer_h_margin_matches_reduced_margin():
+    # every reachable tableau with n <= 6: the unreduced integer verdict
+    # equals the Sturm verdict on the reduced QRat margin
+    verdicts = set()
+    for n in range(1, 7):
+        for m in enumerate_hessenberg(n):
+            for lam in partitions(n):
+                floor = _row_factorials(lam)
+                for cols in enumerate_hikita(m, lam):
+                    ht = h(m, cols)
+                    reduced = QRat(ht.num * QPoly(floor) - ht.den, ht.den)
+                    verdict = _h_margin_nonneg(floor, *h_unreduced(m, cols))
+                    assert verdict == rat_nonneg_on_nonneg(reduced)[0], (m, cols)
+                    verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_barbell_sweep_skips_other_posets():
@@ -219,16 +292,23 @@ def test_theorem_suite_to_five():
     assert {(3, 1, 1), (3, 2)} <= example
 
 
-def test_check_panic_becomes_failing_report(monkeypatch):
+def test_check_panic_becomes_error_report(monkeypatch, tmp_path):
     import csflab.harness as harness
 
     def boom(m, lam):
         raise RuntimeError("wired to explode")
 
+    cache = str(tmp_path / "cache")
     monkeypatch.setitem(harness._PER_UNIT, "bounds", boom)
-    reports = run_verification("bounds", 2)
-    assert all(r.status == "fails" for r in reports)
+    reports = run_verification("bounds", 2, cache_dir=cache)
+    assert all(r.status == "error" for r in reports)
     assert all("wired to explode" in r.witness["error"] for r in reports)
+    assert summarize(reports) == {"holds": 0, "fails": 0, "skipped": 0, "error": 5}
+    # a crash is never cached: the next run recomputes every unit
+    assert not list((tmp_path / "cache").rglob("*.json"))
+    monkeypatch.undo()
+    again = run_verification("bounds", 2, cache_dir=cache)
+    assert summarize(again) == {"holds": 5, "fails": 0, "skipped": 0}
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from csflab.hikita import (
     delta,
     enumerate_hikita,
     h,
+    h_unreduced,
     insert,
     is_syt,
     prob,
@@ -21,9 +22,10 @@ from csflab.qcore import (
     q_factorial,
     q_int,
 )
-from csflab.tableaux import enumerate_class, inv_p
+from csflab.tableaux import enumerate_class, inv_p, text_to_tableau
 
 from oracles import (
+    enumerate_hikita_by_pruning,
     enumerate_syt,
     factored_value,
     is_reachable,
@@ -273,6 +275,37 @@ def test_h_bounds_at_sample_points():
 def test_h_undefined_off_support():
     with pytest.raises(ValueError):
         h((0, 0), COL2)
+    with pytest.raises(ValueError):
+        h_unreduced((0, 0), COL2)
+
+
+def test_h_unreduced_matches_reference_on_every_reachable_tableau():
+    # n <= 6, every shape: the integer pair is a product of q-integers
+    # (positive coefficients, constant term 1) whose ratio is h and the
+    # reference prob/zeta
+    for n in range(1, 7):
+        for m in enumerate_hessenberg(n):
+            for lam in partitions(n):
+                for t in enumerate_hikita(m, lam):
+                    num, den = h_unreduced(m, t)
+                    for coeffs in (num, den):
+                        assert coeffs[0] == 1 and all(
+                            isinstance(c, int) and c > 0 for c in coeffs
+                        )
+                    ratio = QRat(QPoly(num), QPoly(den))
+                    assert ratio == h(m, t)
+                    pr, z = path_weights(m, t)
+                    assert ratio == pr / QRat(z)
+
+
+def test_h_at_the_first_failing_unit():
+    # the n = 6 h-lower-bound witness: h times the row floor [3]_q! [2]_q!
+    # is 1/(1+q), so the margin is -q/(1+q)
+    m, t = (0, 0, 1, 1, 2, 4), text_to_tableau("1,2,3/4,5/6")
+    pr, z = path_weights(m, t)
+    assert h(m, t) == pr / QRat(z)
+    floor = q_factorial(3) * q_factorial(2)
+    assert h(m, t) * QRat(floor) == QRat(QPoly.one(), QPoly([1, 1]))
 
 
 def test_h_sum_identity():
@@ -288,6 +321,19 @@ def test_h_sum_identity():
                 for part in lam:
                     fact = fact * q_factorial(part)
                 assert total == QRat(e_coeff(p, lam), fact)
+
+
+def test_reachable_growth_matches_pruned_growth():
+    # one growth per vector, bucketed by shape, gives the same lists in the
+    # same order as growing each shape with pruning
+    for n in range(8):
+        for m in enumerate_hessenberg(n):
+            for lam in partitions(n):
+                assert enumerate_hikita(m, lam) == enumerate_hikita_by_pruning(m, lam)
+    # callers get their own list, not the cached bucket
+    tabs = enumerate_hikita((0, 0, 1), (2, 1))
+    tabs.clear()
+    assert enumerate_hikita((0, 0, 1), (2, 1))
 
 
 def test_enumerate_hikita_examples():
