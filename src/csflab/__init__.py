@@ -24,7 +24,6 @@ from .harness import (
     CONJECTURES,
     Report,
     VerificationTask,
-    audit_cache,
     emit_report,
     run_verification,
     summarize,
@@ -53,7 +52,6 @@ __all__ = [
     "Report",
     "SymFunc",
     "VerificationTask",
-    "audit_cache",
     "chromatic_e_expansion",
     "coloring_weights",
     "csf_coloring_oracle",

@@ -38,12 +38,14 @@ agree that the unit fails.
 A check that raises is reported with status ``error``, never as a
 counterexample, and is never stored in the cache.
 
-All checks are pure, so the worker pool needs no shared state; a single
-writer sorts and persists the merged reports.  With more than one worker
-the pool gets one unit per Hessenberg vector, largest vectors first, so
-each vector's cached work (its e-expansion, greedy shapes and insertion
-walks) is built once, in one worker.  A report's ``seconds`` is still the
-time of its own (m, lam) check.
+All checks are pure, so the worker pool needs no shared state.  The unit
+of work is one Hessenberg vector, largest vectors first, so each
+vector's cached work (its e-expansion, greedy shapes and insertion
+walks) is built once, in one process.  A report's ``seconds`` is still
+the time of its own (m, lam) check.  The cache holds one file per
+(conjecture, vector): the parent replays the vectors it finds there, and
+the process that computes a vector stores it at once, unless some unit
+of it raised.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ import json
 import logging
 import multiprocessing
 import os
-import random
 import time
 from fractions import Fraction
 
@@ -143,12 +144,6 @@ class Report:
             "witness": self.witness,
             "seconds": round(self.seconds, 6),
         }
-
-
-def report_from_json_dict(data):
-    lam = None if data["lam"] is None else tuple(data["lam"])
-    task = VerificationTask(data["conjecture"], tuple(data["m"]), lam)
-    return Report(task, data["status"], data["witness"], data["seconds"])
 
 
 def _report_key(report):
@@ -550,10 +545,13 @@ def _by_vector(tasks):
     return sorted(groups.values(), key=lambda group: -len(group[0].m))
 
 
-def _evaluate_vector(tasks):
-    """One pool unit: every pending task of one vector, each timed on its
-    own by ``evaluate_task``."""
-    return [evaluate_task(task) for task in tasks]
+def _evaluate_vector(tasks, cache):
+    """One unit of work: every task of one vector, each timed on its own
+    by ``evaluate_task``, stored by the process that computed them."""
+    reports = [evaluate_task(task) for task in tasks]
+    if cache:
+        cache.store(reports)
+    return reports
 
 
 def run_verification(
@@ -568,7 +566,7 @@ def run_verification(
 
     Results are sorted by (n, m, lam, conjecture), so the report sequence
     does not depend on the worker count.  With a cache directory, finished
-    units are replayed (original timing included) instead of recomputed.
+    vectors are replayed (original timing included) instead of recomputed.
     """
     cap = SIZE_CAP if override_cap else DEFAULT_CAP
     if not 1 <= n_max <= cap:
@@ -579,30 +577,28 @@ def run_verification(
     if parallelism < 1:
         raise ValueError(f"parallelism must be positive, got {parallelism}")
 
-    tasks = tasks_for(conjecture, n_max)
     cache = _Cache(cache_dir) if cache_dir else None
-    reports, pending, hits = [], [], 0
-    for task in tasks:
-        cached = cache.load(task) if cache else None
-        if cached is not None:
-            reports.append(cached)
-            hits += 1
+    reports, pending = [], []
+    for group in _by_vector(tasks_for(conjecture, n_max)):
+        cached = cache.load(group) if cache else None
+        if cached is None:
+            pending.append(group)
         else:
-            pending.append(task)
+            reports.extend(cached)
+    hits = len(reports)
 
+    unit = functools.partial(_evaluate_vector, cache=cache)
     if parallelism == 1 or len(pending) <= 1:
-        fresh = [evaluate_task(task) for task in pending]
+        fresh = map(unit, pending)
     else:
         context = multiprocessing.get_context("fork")
         with context.Pool(parallelism) as pool:
-            groups = pool.imap_unordered(_evaluate_vector, _by_vector(pending), chunksize=1)
-            fresh = [report for group in groups for report in group]
+            fresh = list(pool.imap_unordered(unit, pending, chunksize=1))
+    for group in fresh:
+        reports.extend(group)
 
     if cache:
-        for report in fresh:
-            cache.store(report)
-        log.info("cache hits: %d of %d tasks", hits, len(tasks))
-    reports.extend(fresh)
+        log.info("cache hits: %d of %d tasks", hits, len(reports))
     reports.sort(key=_report_key)
     return reports
 
@@ -638,59 +634,54 @@ def code_version():
 
 
 class _Cache:
+    """One JSON file per (conjecture, vector): that vector's reports in
+    task order, keyed by the package sources."""
+
     def __init__(self, root):
         self.root = root
+        self.version = code_version()
         os.makedirs(root, exist_ok=True)
 
     def _path(self, task):
-        key = json.dumps(
-            [
-                code_version(),
-                task.conjecture,
-                list(task.m),
-                None if task.lam is None else list(task.lam),
-            ]
-        )
+        key = json.dumps([self.version, task.conjecture, list(task.m)])
         digest = hashlib.sha256(key.encode()).hexdigest()
         return os.path.join(self.root, digest[:2], digest + ".json")
 
-    def load(self, task):
+    def load(self, tasks):
+        """The reports of one vector's tasks, or None on a miss.  A file
+        that is not exactly those tasks' rows, in order, is a miss, so
+        the whole vector is recomputed."""
         try:
-            with open(self._path(task), "r", encoding="utf-8") as fh:
-                return report_from_json_dict(json.load(fh))
-        except (OSError, ValueError, KeyError):
+            with open(self._path(tasks[0]), "r", encoding="utf-8") as fh:
+                rows = json.load(fh)
+            if len(rows) != len(tasks):
+                return None
+            reports = []
+            for task, row in zip(tasks, rows):
+                lam = None if task.lam is None else list(task.lam)
+                expected = (task.conjecture, list(task.m), lam)
+                if (
+                    (row["conjecture"], row["m"], row["lam"]) != expected
+                    or row["status"] == "error"
+                    or not isinstance(row["seconds"], float)
+                    or not isinstance(row["witness"], (dict, type(None)))
+                ):
+                    return None
+                reports.append(Report(task, row["status"], row["witness"], row["seconds"]))
+            return reports
+        except (OSError, ValueError, KeyError, TypeError):
             return None
 
-    def store(self, report):
-        """Persist one report; an ``error`` is never stored, so a transient
-        crash is recomputed rather than replayed."""
-        if report.status == "error":
+    def store(self, reports):
+        """Persist one vector's reports; nothing is stored when any of them
+        is an ``error``, so a transient crash is recomputed rather than
+        replayed.  The temporary file is private to this process."""
+        if any(report.status == "error" for report in reports):
             return
-        path = self._path(report.task)
+        path = self._path(reports[0].task)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = path + ".tmp"
+        tmp = f"{path}.{os.getpid()}.tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(report.to_json_dict(), fh)
+            # json.dumps runs the C encoder; json.dump streams through the Python one
+            fh.write(json.dumps([report.to_json_dict() for report in reports]))
         os.replace(tmp, path)
-
-
-def audit_cache(conjecture, n_max, cache_dir, fraction=0.1, seed=0):
-    """Recompute a random sample of cached units and diff them against the
-    stored results (timing excluded).  Returns the list of mismatches;
-    empty means the cache is faithful."""
-    cache = _Cache(cache_dir)
-    cached = [
-        (task, hit)
-        for task in tasks_for(conjecture, n_max)
-        if (hit := cache.load(task)) is not None
-    ]
-    rng = random.Random(seed)
-    k = max(1, round(fraction * len(cached))) if cached else 0
-    mismatches = []
-    for task, hit in rng.sample(cached, k):
-        fresh = evaluate_task(task)
-        old, new = hit.to_json_dict(), fresh.to_json_dict()
-        old.pop("seconds"), new.pop("seconds")
-        if old != new:
-            mismatches.append({"cached": old, "recomputed": new})
-    return mismatches

@@ -11,11 +11,13 @@ agreement of the two routes is still checked.  The module has no
 from __future__ import annotations
 
 import itertools
+import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 from csflab.csf import SymFunc, csf_coloring_oracle, to_elementary
+from csflab.harness import _by_vector, _Cache, evaluate_task, tasks_for
 from csflab.hikita import _strip_max, delta, insert, is_syt, tableau_size
 from csflab.posets import (
     Poset,
@@ -912,3 +914,25 @@ def m_product_coeffs(mu, nu):
         if count:
             out[eta] = count
     return out
+
+
+def audit_cache(conjecture, n_max, cache_dir, fraction=0.1, seed=0):
+    """Recompute a random sample of the units stored in a result cache's
+    per-vector files and diff them against the stored reports (timing
+    excluded).  Returns the list of mismatches; empty means the cache is
+    faithful."""
+    cache = _Cache(cache_dir)
+    cached = [
+        report
+        for group in _by_vector(tasks_for(conjecture, n_max))
+        for report in cache.load(group) or ()
+    ]
+    rng = random.Random(seed)
+    k = max(1, round(fraction * len(cached))) if cached else 0
+    mismatches = []
+    for hit in rng.sample(cached, k):
+        old, new = hit.to_json_dict(), evaluate_task(hit.task).to_json_dict()
+        old.pop("seconds"), new.pop("seconds")
+        if old != new:
+            mismatches.append({"cached": old, "recomputed": new})
+    return mismatches

@@ -13,9 +13,10 @@ from csflab.harness import (
     CONJECTURES,
     Report,
     VerificationTask,
+    _by_vector,
+    _Cache,
     _h_margin_nonneg,
     _row_factorials,
-    audit_cache,
     code_version,
     emit_report,
     evaluate_task,
@@ -29,6 +30,7 @@ from csflab.hikita import enumerate_hikita, h, h_unreduced
 from csflab.posets import enumerate_hessenberg
 from csflab.qcore import QPoly, QRat, partitions
 from csflab.tableaux import text_to_tableau
+from oracles import audit_cache
 
 JOBS = min(4, os.cpu_count() or 1)
 
@@ -417,13 +419,103 @@ def test_cache_audit_catches_tampering(tmp_path):
     cache = tmp_path / "cache"
     run_verification("bounds", 3, cache_dir=str(cache))
     victim = sorted(cache.rglob("*.json"))[0]
-    data = json.loads(victim.read_text())
-    data["status"] = "skipped"
-    victim.write_text(json.dumps(data))
+    rows = json.loads(victim.read_text())
+    rows[0]["status"] = "skipped"
+    victim.write_text(json.dumps(rows))
     bad = audit_cache("bounds", 3, str(cache), fraction=1.0, seed=0)
     assert len(bad) == 1
     assert bad[0]["cached"]["status"] == "skipped"
     assert bad[0]["recomputed"]["status"] == "holds"
+
+
+def _vectors(conjecture, n_max):
+    """Each vector's tasks, in the order the sweep lists them."""
+    return {group[0].m: group for group in _by_vector(tasks_for(conjecture, n_max))}
+
+
+def _recording(monkeypatch):
+    """Record every task the sweep evaluates; serial sweeps only."""
+    import csflab.harness as harness
+
+    plain, seen = harness.evaluate_task, []
+
+    def recorded(task):
+        seen.append(task)
+        return plain(task)
+
+    monkeypatch.setattr(harness, "evaluate_task", recorded)
+    return seen
+
+
+def test_cold_pool_run_stores_one_file_per_vector(tmp_path):
+    cache = tmp_path / "cache"
+    run_verification("theorem-suite", 5, parallelism=2, cache_dir=str(cache))
+    vectors = _vectors("theorem-suite", 5)
+    stored = sorted(cache.rglob("*.json"))
+    paths = sorted(_Cache(str(cache))._path(tasks[0]) for tasks in vectors.values())
+    assert [str(p) for p in stored] == paths
+    assert not list(cache.rglob("*.tmp"))
+    for tasks in vectors.values():
+        assert [r.task for r in _Cache(str(cache)).load(tasks)] == tasks
+
+
+def test_vector_with_an_error_is_not_stored(monkeypatch, tmp_path, caplog):
+    import csflab.harness as harness
+
+    cache = str(tmp_path / "cache")
+    victim = ((0, 0, 1, 2), (2, 1, 1))
+    plain = harness._PER_UNIT["theorem-suite"]
+
+    def boom(m, lam):
+        if (m, lam) == victim:
+            raise RuntimeError("wired to explode")
+        return plain(m, lam)
+
+    monkeypatch.setitem(harness._PER_UNIT, "theorem-suite", boom)
+    first = run_verification("theorem-suite", 4, parallelism=2, cache_dir=cache)
+    assert [(r.task.m, r.task.lam) for r in first if r.status == "error"] == [victim]
+    monkeypatch.undo()
+
+    vectors = _vectors("theorem-suite", 4)
+    store = _Cache(cache)
+    for m, tasks in vectors.items():
+        assert os.path.exists(store._path(tasks[0])) == (m != victim[0])
+
+    seen = _recording(monkeypatch)
+    with caplog.at_level(logging.INFO, logger="csflab.harness"):
+        again = run_verification("theorem-suite", 4, cache_dir=cache)
+    assert seen == vectors[victim[0]]
+    total = sum(len(tasks) for tasks in vectors.values())
+    assert f"cache hits: {total - len(seen)} of {total}" in caplog.text
+    assert summarize(again) == {"holds": total, "fails": 0, "skipped": 0}
+    assert os.path.exists(store._path(seen[0]))
+
+
+@pytest.mark.parametrize("tamper", ["drop", "swap", "shape"])
+def test_damaged_vector_file_is_recomputed_whole(monkeypatch, tmp_path, tamper):
+    cache = str(tmp_path / "cache")
+    cold = run_verification("theorem-suite", 4, cache_dir=cache)
+    vectors = _vectors("theorem-suite", 4)
+    victim = vectors[(0, 0, 1, 2)]
+    path = _Cache(cache)._path(victim[0])
+    with open(path, encoding="utf-8") as fh:
+        rows = json.load(fh)
+    if tamper == "drop":
+        del rows[2]
+    elif tamper == "swap":
+        rows[1], rows[3] = rows[3], rows[1]
+    else:
+        rows = [row["status"] for row in rows]
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(rows, fh)
+
+    seen = _recording(monkeypatch)
+    again = run_verification("theorem-suite", 4, cache_dir=cache)
+    assert seen == victim
+    assert without_seconds(again) == without_seconds(cold)
+    # every other vector is a replay, timing included
+    others = [r.to_json_dict() for r in again if r.task.m != victim[0].m]
+    assert others == [r.to_json_dict() for r in cold if r.task.m != victim[0].m]
 
 
 def test_code_version_is_stable_hex():
