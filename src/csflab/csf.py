@@ -27,8 +27,9 @@ from .qcore import (
     q_int,
     sort_desc,
 )
-# inv_p is not called here; bench/spans.py looks up csf.inv_p by name.
-from .tableaux import enumerate_standard, inv_p, inv_sum
+# enumerate_standard and inv_p are not called here; bench/spans.py looks
+# up csf.enumerate_standard and csf.inv_p by name.
+from .tableaux import enumerate_standard, inv_p, standard_inv_counts
 
 BASES = ("m", "e", "s")
 
@@ -192,9 +193,9 @@ def csf_schur(p):
         )
     coeffs = {}
     for lam in partitions(p.n):
-        total = inv_sum(p, enumerate_standard(p, conjugate(lam)))
-        if total:
-            coeffs[lam] = total
+        counts = standard_inv_counts(p, conjugate(lam))
+        if counts:
+            coeffs[lam] = QPoly(counts)
     return SymFunc("s", p.n, coeffs)
 
 
@@ -248,89 +249,42 @@ def e_to_m(mu, n):
     return table
 
 
-@functools.lru_cache(maxsize=None)
-def kostka(lam, mu):
-    """Number of semistandard tableaux of shape lam and content mu."""
-    lam, mu = check_partition(lam), check_partition(mu)
-    if sum(lam) != sum(mu):
-        return 0
-    rows = len(lam)
-    avail = list(mu)
-
-    def fill(r, c, row_prev, row_above):
-        if r == rows:
-            return 1
-        if c == lam[r]:
-            return fill(r + 1, 0, [], row_prev)
-        lo = row_prev[c - 1] if c else 1
-        total = 0
-        for v in range(lo, len(mu) + 1):
-            if not avail[v - 1]:
-                continue
-            if row_above is not None and c < len(row_above) and v <= row_above[c]:
-                continue
-            avail[v - 1] -= 1
-            row_prev.append(v)
-            total += fill(r, c + 1, row_prev, row_above)
-            row_prev.pop()
-            avail[v - 1] += 1
-        return total
-
-    return fill(0, 0, [], None)
-
-
-def s_to_m(lam, n):
-    """Monomial expansion of a Schur function in n variables."""
-    lam = check_partition(lam)
-    out = {}
-    for mu in partitions(sum(lam)):
-        if len(mu) > n:
-            continue
-        k = kostka(lam, mu)
-        if k:
-            out[mu] = k
-    return out
-
-
-def _as_monomial(f):
-    if f.basis == "m":
-        return f
-    coeffs = {}
-    for part, poly in f.coeffs.items():
-        expansion = e_to_m(part, f.n) if f.basis == "e" else s_to_m(part, f.n)
-        for mu, c in expansion.items():
-            coeffs[mu] = coeffs.get(mu, QPoly.zero()) + poly * c
-    return SymFunc("m", f.n, coeffs)
-
-
 def to_elementary(f):
-    """Exact change of basis into elementary symmetric functions.
+    """Exact change of basis from the m (or e) basis into elementary
+    symmetric functions.
 
-    Peels leading monomial coefficients in an order extending dominance;
-    a nonzero residue at the end means the input was not in the span and
-    aborts loudly rather than returning a truncation.
+    Peels leading monomial coefficients in an order extending dominance,
+    on plain coefficient lists: integral coefficients enter as ``int``, so
+    a chromatic function peels without Fraction arithmetic.  A nonzero
+    residue at the end means the input was not in the span and aborts
+    loudly rather than returning a truncation.
     """
     if f.basis == "e":
         return f
-    mono = _as_monomial(f)
-    residual = dict(mono.coeffs)
+    if f.basis != "m":
+        raise ValueError(f"to_elementary takes the m or e basis, not {f.basis!r}")
+    residual = {
+        lam: [int(c) if c.denominator == 1 else c for c in poly.coeffs]
+        for lam, poly in f.coeffs.items()
+    }
     out = {}
     for lam in partitions(f.n):
-        c = residual.pop(lam, QPoly.zero())
-        if not c:
+        c = residual.pop(lam, None)
+        if c is None or not any(c):
             continue
-        out[conjugate(lam)] = c
-        for mu, t in e_to_m(conjugate(lam), f.n).items():
+        e = conjugate(lam)
+        out[e] = QPoly(c)
+        for mu, t in e_to_m(e, f.n).items():
             if mu == lam:
                 continue
-            now = residual.get(mu, QPoly.zero()) - c * t
-            if now:
-                residual[mu] = now
-            else:
-                residual.pop(mu, None)
-    if residual:
+            rest = residual.setdefault(mu, [])
+            rest.extend([0] * (len(c) - len(rest)))
+            for i, x in enumerate(c):
+                rest[i] -= t * x
+    residue = sorted(mu for mu, rest in residual.items() if any(rest))
+    if residue:
         raise ArithmeticError(
-            f"input is not a nonneg-span symmetric function; residue at {sorted(residual)}"
+            f"input is not a nonneg-span symmetric function; residue at {residue}"
         )
     return SymFunc("e", f.n, out)
 

@@ -645,7 +645,7 @@ class _Cache:
     def _path(self, task):
         key = json.dumps([self.version, task.conjecture, list(task.m)])
         digest = hashlib.sha256(key.encode()).hexdigest()
-        return os.path.join(self.root, digest[:2], digest + ".json")
+        return os.path.join(self.root, digest + ".json")
 
     def load(self, tasks):
         """The reports of one vector's tasks, or None on a miss.  A file
@@ -679,7 +679,6 @@ class _Cache:
         if any(report.status == "error" for report in reports):
             return
         path = self._path(reports[0].task)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = f"{path}.{os.getpid()}.tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
             # json.dumps runs the C encoder; json.dump streams through the Python one

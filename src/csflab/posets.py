@@ -235,16 +235,20 @@ def greedy_partition(p):
 
 def natural_unit_m(p):
     """Recover the reverse Hessenberg vector if p is a natural unit interval
-    order labeled compatibly; None otherwise."""
+    order labeled compatibly; None otherwise.
+
+    m(j) is the largest element below j, read off the masks; p is the
+    order of m exactly when m is weakly increasing with m(j) < j and the
+    elements below each j are exactly 1..m(j).
+    """
     m = []
-    for j in p.elements():
-        below = list(_bits(p.below(j)))
-        m.append(max(below) if below else 0)
-    try:
-        q = poset_from_hessenberg(m)
-    except ValueError:
-        return None
-    return tuple(m) if q == p else None
+    for j in range(1, p.n + 1):
+        below = p._down[j]
+        top = max(below.bit_length() - 1, 0)
+        if top >= j or below != (1 << (top + 1)) - 2 or (m and top < m[-1]):
+            return None
+        m.append(top)
+    return tuple(m)
 
 
 def path_hessenberg(n):

@@ -111,20 +111,26 @@ def inv_sum(p, tableaux):
 # enumeration of standard tableaux
 # ---------------------------------------------------------------------------
 
-def enumerate_standard(p, lam):
-    """All tableaux of the given row shape using each of 1..n once.
+def _walk_standard(p, lam, leaf):
+    """Call ``leaf(grid, inv)`` on every tableau of the given row shape
+    using each of 1..n once; ``grid`` is the column layout as lists, valid
+    only during the call, and ``inv`` is its inversion count.
 
     Cells are filled along the column word (leftmost column bottom-to-top
-    first) trying small values first, so the output is sorted by column word.
-    A cell takes the unused values below the cell under it and not below
-    the cell to its left.
+    first) trying small values first, so tableaux come sorted by column
+    word.  A cell takes the unused values below the cell under it and not
+    below the cell to its left.  The fill order is the reading order of
+    `inv_word`, so each entry adds the larger incomparable entries already
+    placed.
     """
     lam = check_partition(lam)
     if sum(lam) != p.n:
         raise ValueError(f"shape {lam} does not use {p.n} entries")
     if not lam:
-        return [()]
-    down = p._down
+        leaf([], 0)
+        return
+    down, inc = p._down, p._inc
+    hi = [inc[v] & ~((2 << v) - 1) for v in range(p.n + 1)]
     heights = conjugate(lam)
     # (column, row, has a cell below, has a cell to the left) in fill order
     cells = [
@@ -134,9 +140,8 @@ def enumerate_standard(p, lam):
     ]
     last = len(cells) - 1
     grid = [[0] * height for height in heights]
-    out = []
 
-    def place(idx, free):
+    def place(idx, free, inv):
         j, i, below, left = cells[idx]
         cand = free
         if below:
@@ -147,14 +152,36 @@ def enumerate_standard(p, lam):
         while cand:
             low = cand & -cand
             cand ^= low
-            column[i] = low.bit_length() - 1
+            v = column[i] = low.bit_length() - 1
+            now = inv + (hi[v] & ~free).bit_count()
             if idx == last:
-                out.append(tuple(tuple(c) for c in grid))
+                leaf(grid, now)
             else:
-                place(idx + 1, free ^ low)
+                place(idx + 1, free ^ low, now)
 
-    place(0, (1 << (p.n + 1)) - 2)
+    place(0, (1 << (p.n + 1)) - 2, 0)
+
+
+def enumerate_standard(p, lam):
+    """All tableaux of the given row shape using each of 1..n once, in
+    column layout, sorted by column word (see `_walk_standard`)."""
+    out = []
+    _walk_standard(p, lam, lambda grid, inv: out.append(tuple(map(tuple, grid))))
     return out
+
+
+def standard_inv_counts(p, lam):
+    """Sum of q^inv over the tableaux of `enumerate_standard`, as an integer
+    coefficient list without trailing zeros."""
+    counts = [0] * (p.n * (p.n - 1) // 2 + 1)
+
+    def leaf(grid, inv):
+        counts[inv] += 1
+
+    _walk_standard(p, lam, leaf)
+    while counts and not counts[-1]:
+        counts.pop()
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,14 @@ agreement of the two routes is still checked.  The module has no
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from csflab.csf import SymFunc, csf_coloring_oracle, to_elementary
+from csflab.csf import SymFunc, csf_coloring_oracle, e_to_m, to_elementary
 from csflab.harness import _by_vector, _Cache, evaluate_task, tasks_for
 from csflab.hikita import _strip_max, delta, insert, is_syt, tableau_size
 from csflab.posets import (
@@ -724,6 +725,93 @@ def e_expansion_at_one(p):
         part: QPoly.const(poly.eval_at(1)) for part, poly in mono.coeffs.items()
     }
     return to_elementary(SymFunc("m", p.n, flat))
+
+
+# ---------------------------------------------------------------------------
+# basis changes (from csf): the Schur route into m, and the QPoly m->e peel
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def kostka(lam, mu):
+    """Number of semistandard tableaux of shape lam and content mu."""
+    lam, mu = check_partition(lam), check_partition(mu)
+    if sum(lam) != sum(mu):
+        return 0
+    rows = len(lam)
+    avail = list(mu)
+
+    def fill(r, c, row_prev, row_above):
+        if r == rows:
+            return 1
+        if c == lam[r]:
+            return fill(r + 1, 0, [], row_prev)
+        lo = row_prev[c - 1] if c else 1
+        total = 0
+        for v in range(lo, len(mu) + 1):
+            if not avail[v - 1]:
+                continue
+            if row_above is not None and c < len(row_above) and v <= row_above[c]:
+                continue
+            avail[v - 1] -= 1
+            row_prev.append(v)
+            total += fill(r, c + 1, row_prev, row_above)
+            row_prev.pop()
+            avail[v - 1] += 1
+        return total
+
+    return fill(0, 0, [], None)
+
+
+def s_to_m(lam, n):
+    """Monomial expansion of a Schur function in n variables."""
+    lam = check_partition(lam)
+    out = {}
+    for mu in partitions(sum(lam)):
+        if len(mu) > n:
+            continue
+        k = kostka(lam, mu)
+        if k:
+            out[mu] = k
+    return out
+
+
+def schur_to_monomial(f):
+    """The monomial expansion of a function given in the Schur basis, so
+    that ``to_elementary`` can take the Schur route's output."""
+    if f.basis != "s":
+        raise ValueError(f"expected the s basis, got {f.basis!r}")
+    coeffs = {}
+    for part, poly in f.coeffs.items():
+        for mu, c in s_to_m(part, f.n).items():
+            coeffs[mu] = coeffs.get(mu, QPoly.zero()) + poly * c
+    return SymFunc("m", f.n, coeffs)
+
+
+def to_elementary_by_qpoly(f):
+    """The m->e peel on QPoly coefficients: the reference for the integer
+    peel in ``csflab.csf.to_elementary``."""
+    if f.basis != "m":
+        raise ValueError(f"expected the m basis, got {f.basis!r}")
+    residual = dict(f.coeffs)
+    out = {}
+    for lam in partitions(f.n):
+        c = residual.pop(lam, QPoly.zero())
+        if not c:
+            continue
+        out[conjugate(lam)] = c
+        for mu, t in e_to_m(conjugate(lam), f.n).items():
+            if mu == lam:
+                continue
+            now = residual.get(mu, QPoly.zero()) - c * t
+            if now:
+                residual[mu] = now
+            else:
+                residual.pop(mu, None)
+    if residual:
+        raise ArithmeticError(
+            f"input is not a nonneg-span symmetric function; residue at {sorted(residual)}"
+        )
+    return SymFunc("e", f.n, out)
 
 
 # ---------------------------------------------------------------------------

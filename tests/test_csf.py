@@ -15,7 +15,6 @@ from csflab.csf import (
     e_coeff,
     e_to_m,
     kchain_formula,
-    kostka,
     path_formula,
     to_elementary,
 )
@@ -32,6 +31,9 @@ from oracles import (
     coloring_weights_by_walk,
     e_expansion_at_one,
     incomparability_graph,
+    kostka,
+    schur_to_monomial,
+    to_elementary_by_qpoly,
 )
 
 P5 = poset_from_hessenberg((0, 0, 1, 1, 3))
@@ -60,7 +62,9 @@ def test_frozen_schur_expansion():
 
 
 def test_routes_agree_on_example():
-    assert to_elementary(csf_schur(P5)) == to_elementary(csf_coloring_oracle(P5))
+    assert to_elementary(schur_to_monomial(csf_schur(P5))) == to_elementary(
+        csf_coloring_oracle(P5)
+    )
 
 
 def test_e_coeff_examples():
@@ -106,7 +110,7 @@ def test_routes_agree_small():
     for n in range(1, 6):
         for m in enumerate_hessenberg(n):
             p = poset_from_hessenberg(m)
-            assert to_elementary(csf_schur(p)) == to_elementary(
+            assert to_elementary(schur_to_monomial(csf_schur(p))) == to_elementary(
                 csf_coloring_oracle(p)
             )
 
@@ -366,3 +370,51 @@ def test_elementary_conversion_roundtrip(data):
         for mu, k in e_to_m(lam, n).items():
             back[mu] = back.get(mu, QPoly.zero()) + poly * k
     assert {mu: c for mu, c in back.items() if c} == f.coeffs
+
+
+def _monomial_inputs(data, coefficients):
+    """A random m-basis function of degree n <= 6 in n variables."""
+    n = data.draw(st.integers(min_value=1, max_value=6))
+    parts = list(partitions(n))
+    chosen = data.draw(
+        st.dictionaries(
+            st.sampled_from(parts),
+            st.lists(coefficients, min_size=1, max_size=4),
+            min_size=1,
+            max_size=len(parts),
+        )
+    )
+    return SymFunc("m", n, {lam: QPoly(c) for lam, c in chosen.items()})
+
+
+COEFFICIENTS = {
+    "int": st.integers(-50, 50),
+    "fraction": st.fractions(min_value=-5, max_value=5, max_denominator=7),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(COEFFICIENTS))
+@settings(deadline=None)
+@given(data=st.data())
+def test_integer_peel_matches_qpoly_peel(kind, data):
+    f = _monomial_inputs(data, COEFFICIENTS[kind])
+    assert to_elementary(f) == to_elementary_by_qpoly(f)
+
+
+@given(st.data())
+def test_both_peels_reject_a_residue(data):
+    # every m-function of degree n in n variables lies in the span of the
+    # e_lam, so only a term the peel never reaches (here, one of the wrong
+    # degree, which SymFunc itself would refuse) can leave a residue
+    f = _monomial_inputs(data, st.integers(-3, 3))
+    stray = data.draw(st.sampled_from(list(partitions(f.n + 1))))
+    object.__setattr__(f, "coeffs", {**f.coeffs, stray: QPoly.one()})
+    with pytest.raises(ArithmeticError):
+        to_elementary(f)
+    with pytest.raises(ArithmeticError):
+        to_elementary_by_qpoly(f)
+
+
+def test_to_elementary_rejects_the_schur_basis():
+    with pytest.raises(ValueError):
+        to_elementary(csf_schur(P5))

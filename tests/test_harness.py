@@ -459,6 +459,16 @@ def test_cold_pool_run_stores_one_file_per_vector(tmp_path):
         assert [r.task for r in _Cache(str(cache)).load(tasks)] == tasks
 
 
+
+def test_cold_sweep_leaves_a_flat_cache_directory(tmp_path):
+    cache = tmp_path / "cache"
+    run_verification("theorem-suite", 4, cache_dir=str(cache))
+    entries = list(cache.iterdir())
+    assert not [e for e in entries if e.is_dir()]
+    assert len(entries) == 22 == len(_vectors("theorem-suite", 4))
+    assert all(e.suffix == ".json" for e in entries)
+
+
 def test_vector_with_an_error_is_not_stored(monkeypatch, tmp_path, caplog):
     import csflab.harness as harness
 

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from csflab.posets import (
     Poset,
@@ -21,6 +21,7 @@ from oracles import (
     max_chain_length,
     poset_from_units,
 )
+from test_csf import relation_posets
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 
@@ -165,6 +166,20 @@ def test_natural_unit_roundtrip():
             assert natural_unit_m(poset_from_hessenberg(m)) == m
     # a non-unit poset: 2+2 is not an interval order at all
     assert natural_unit_m(poset_from_relations(4, [(1, 2), (3, 4)])) is None
+
+
+
+VECTORS_TO_6 = [m for n in range(7) for m in enumerate_hessenberg(n)]
+
+
+@settings(deadline=None)
+@given(st.one_of(relation_posets(), st.sampled_from(VECTORS_TO_6).map(poset_from_hessenberg)))
+def test_natural_unit_m_matches_rebuilt_poset(p):
+    m = natural_unit_m(p)
+    if m is None:
+        assert all(poset_from_hessenberg(v) != p for v in enumerate_hessenberg(p.n))
+    else:
+        assert poset_from_hessenberg(m) == p
 
 
 @given(st.integers(min_value=1, max_value=6), st.data())

@@ -21,6 +21,7 @@ from csflab.tableaux import (
     is_strong,
     rows_to_cols,
     rows_to_text,
+    standard_inv_counts,
     tab,
     tableau_to_text,
     text_to_rows,
@@ -45,6 +46,7 @@ from oracles import (
     shape_from_cols,
     tab_inverse,
 )
+from test_csf import relation_posets
 
 P5 = poset_from_hessenberg((0, 0, 1, 1, 3))
 P7 = poset_from_hessenberg((0, 0, 1, 1, 3, 4, 5))
@@ -425,6 +427,17 @@ def test_bitmask_word_kernels_match_on_every_injective_word(m):
         for w in itertools.permutations(range(1, p.n + 1), k):
             assert is_powersum_word(p, w) == is_powersum_word_by_less(p, w)
             assert inv_word(p, w) == inv_word_by_pairs(p, w)
+
+
+
+@settings(deadline=None)
+@given(relation_posets())
+def test_standard_inv_counts_match_monomial_sums(p):
+    for lam in partitions(p.n):
+        want = inv_sum_by_monomials(p, enumerate_standard_by_less(p, lam))
+        counts = standard_inv_counts(p, lam)
+        assert all(type(c) is int for c in counts)
+        assert tuple(counts) == want.coeffs, lam
 
 
 def test_enumerate_class_rejects_unknown():
