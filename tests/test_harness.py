@@ -459,7 +459,6 @@ def test_cold_pool_run_stores_one_file_per_vector(tmp_path):
         assert [r.task for r in _Cache(str(cache)).load(tasks)] == tasks
 
 
-
 def test_cold_sweep_leaves_a_flat_cache_directory(tmp_path):
     cache = tmp_path / "cache"
     run_verification("theorem-suite", 4, cache_dir=str(cache))

@@ -168,7 +168,6 @@ def test_natural_unit_roundtrip():
     assert natural_unit_m(poset_from_relations(4, [(1, 2), (3, 4)])) is None
 
 
-
 VECTORS_TO_6 = [m for n in range(7) for m in enumerate_hessenberg(n)]
 
 

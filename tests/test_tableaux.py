@@ -429,7 +429,6 @@ def test_bitmask_word_kernels_match_on_every_injective_word(m):
             assert inv_word(p, w) == inv_word_by_pairs(p, w)
 
 
-
 @settings(deadline=None)
 @given(relation_posets())
 def test_standard_inv_counts_match_monomial_sums(p):
