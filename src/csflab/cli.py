@@ -15,7 +15,9 @@ vectors, mismatched shapes) count as usage errors.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import logging
 import os
 import sys
 
@@ -55,6 +57,21 @@ def _shape(text, n):
     if sum(lam) != n:
         raise click.UsageError(f"shape {lam} does not have size {n}")
     return lam
+
+
+@contextlib.contextmanager
+def _info_to_stderr():
+    """While the block runs, send the csflab loggers' INFO records to stderr."""
+    logger, handler = logging.getLogger("csflab"), logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 def _echo_expansion(f, q_at=None):
@@ -158,17 +175,14 @@ def hikita(hessenberg, shape, stat):
               help="Result cache directory (CSFLAB_CACHE wins over this).")
 @click.option("--override-cap", is_flag=True,
               help="Raise the size cap from 8 to 10.")
-def verify(conjecture, max_n, jobs, report_path, cache_dir, override_cap):
+@click.option("-v", "--verbose", is_flag=True,
+              help="Log the sweep's INFO messages to stderr.")
+def verify(conjecture, max_n, jobs, report_path, cache_dir, override_cap, verbose):
     """Check one conjecture on every unit order with at most max-n elements."""
     cache_dir = os.environ.get("CSFLAB_CACHE") or cache_dir
-    reports = _usage(
-        run_verification,
-        conjecture,
-        max_n,
-        jobs,
-        cache_dir=cache_dir,
-        override_cap=override_cap,
-    )
+    with _info_to_stderr() if verbose else contextlib.nullcontext():
+        reports = _usage(run_verification, conjecture, max_n, jobs,
+                         cache_dir=cache_dir, override_cap=override_cap)
     if report_path:
         try:
             emit_report(reports, report_path)

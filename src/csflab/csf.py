@@ -298,23 +298,17 @@ def e_coeff(p, lam):
 
 
 @functools.lru_cache(maxsize=None)
-def _e_expansion_cached(m):
-    from .posets import poset_from_hessenberg
-
-    return to_elementary(csf_coloring_oracle(poset_from_hessenberg(m)))
-
-
 def chromatic_e_expansion(p):
-    """Full e-expansion of X for a natural unit interval order."""
-    m = natural_unit_m(p)
-    if p.n and m is None:
+    """Full e-expansion of X for a natural unit interval order, cached per
+    poset."""
+    if p.n and natural_unit_m(p) is None:
         raise ValueError(
             "symbolic e-expansion requires a natural unit interval order; "
             "specialize the oracle at q=1 for other posets"
         )
     if p.n == 0:
         return SymFunc("e", 0, {(): QPoly.one()})
-    return _e_expansion_cached(m)
+    return to_elementary(csf_coloring_oracle(p))
 
 
 # ---------------------------------------------------------------------------

@@ -27,25 +27,27 @@ The registry:
                            displacement shapes
 
 ``h-lower-bound`` decides each tableau on the unreduced integer margin
-floor*num - den, where num/den is h = prob/zeta as the hikita walk
+floor*num - den, where num/den is h = prob/zeta as the hikita growth
 multiplies it out.  den is a product of q-integers [j]_q with j >= 2,
 that is of cyclotomic factors Phi_d with d >= 2, each positive at every
 q >= 0; so floor*num - den has the sign of the reduced margin's num*den
-at every q >= 0 and the verdict is the same, with no gcd.  Only a failing
-unit builds the reduced QRat margin, which gives its witness and must
-agree that the unit fails.
+at every q >= 0 and the verdict is the same, with no gcd.  One pass per
+vector decides every shape, each tableau at most once.  Only a failing
+unit builds the reduced QRat margin, through the public ``h``, which
+gives its witness and must agree that the unit fails.
 
 A check that raises is reported with status ``error``, never as a
 counterexample, and is never stored in the cache.
 
 All checks are pure, so the worker pool needs no shared state.  The unit
 of work is one Hessenberg vector, largest vectors first, so each
-vector's cached work (its e-expansion, greedy shapes and insertion
-walks) is built once, in one process.  A report's ``seconds`` is still
-the time of its own (m, lam) check.  The cache holds one file per
-(conjecture, vector): the parent replays the vectors it finds there, and
-the process that computes a vector stores it at once, unless some unit
-of it raised.
+vector's cached work (its e-expansion, greedy shapes, insertion growth
+and h-lower-bound decision pass) is built once, in one process.  A
+report's ``seconds`` is the time of its own (m, lam) check, and a
+vector's cached work is charged to the first unit that needs it.  The
+cache holds one file per (conjecture, vector): the parent replays the
+vectors it finds there, and the process that computes a vector stores it
+at once, unless some unit of it raised.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ import time
 from fractions import Fraction
 
 from .csf import SIZE_CAP, e_coeff
-from .hikita import enumerate_hikita, h, h_unreduced
+from .hikita import enumerate_hikita, h, h_unreduced_by_shape
 from .posets import (
     check_hessenberg,
     enumerate_hessenberg,
@@ -111,14 +113,19 @@ class VerificationTask:
     def __post_init__(self):
         if self.conjecture not in CONJECTURES:
             raise ValueError(f"unknown conjecture id {self.conjecture!r}")
-        object.__setattr__(self, "m", check_hessenberg(self.m))
+        object.__setattr__(self, "m", _checked_vector(tuple(self.m)))
         if self.lam is not None:
-            lam = check_partition(self.lam)
+            lam = _checked_partition(tuple(self.lam))
             if sum(lam) != len(self.m):
                 raise ValueError(
                     f"partition {lam} does not match the {len(self.m)}-element poset"
                 )
             object.__setattr__(self, "lam", lam)
+
+
+# Checked once per vector and per partition; a bad one raises every time.
+_checked_vector = functools.lru_cache(maxsize=None)(check_hessenberg)
+_checked_partition = functools.lru_cache(maxsize=None)(check_partition)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -357,25 +364,39 @@ def _h_margin_nonneg(floor, num, den):
     return poly_nonneg_on_nonneg(QPoly(margin))[0]
 
 
+@functools.lru_cache(maxsize=None)
+def _h_failures(m):
+    """Each shape whose h margin goes negative somewhere on q >= 0 -> its
+    first such tableau in column-word order; a shape that holds is absent.
+    One pass per vector decides each reachable tableau at most once."""
+    out = {}
+    for lam, tabs in h_unreduced_by_shape(m).items():
+        floor = _row_factorials(lam)
+        for cols, (num, den) in tabs:
+            if not _h_margin_nonneg(floor, num, den):
+                out[lam] = cols
+                break
+    return out
+
+
 def _check_h_lower_bound(m, lam):
+    cols = _h_failures(m).get(lam)
+    if cols is None:
+        return "holds", None
     floor = _row_factorials(lam)
-    for cols in enumerate_hikita(m, lam):
-        if _h_margin_nonneg(floor, *h_unreduced(m, cols)):
-            continue
-        ht = h(m, cols)
-        margin = QRat(ht.num * QPoly(floor) - ht.den, ht.den)
-        ok, point = rat_nonneg_on_nonneg(margin)
-        if ok:
-            raise AssertionError(
-                f"the integer and the reduced h margin disagree at {cols}"
-            )
-        return "fails", {
-            "tableau": [list(c) for c in cols],
-            "q": str(point),
-            "margin_num": margin.num.json_coeffs(),
-            "margin_den": margin.den.json_coeffs(),
-        }
-    return "holds", None
+    ht = h(m, cols)
+    margin = QRat(ht.num * QPoly(floor) - ht.den, ht.den)
+    ok, point = rat_nonneg_on_nonneg(margin)
+    if ok:
+        raise AssertionError(
+            f"the integer and the reduced h margin disagree at {cols}"
+        )
+    return "fails", {
+        "tableau": [list(c) for c in cols],
+        "q": str(point),
+        "margin_num": margin.num.json_coeffs(),
+        "margin_den": margin.den.json_coeffs(),
+    }
 
 
 def _check_barbell(m, lam, gamma):
@@ -527,12 +548,12 @@ def tasks_for(conjecture, n_max):
         raise ValueError(f"unknown conjecture id {conjecture!r}")
     out = []
     for n in range(1, n_max + 1):
+        shapes = list(partitions(n))
         for m in enumerate_hessenberg(n):
             if conjecture == "barbell-powerful" and m not in _barbell_vectors(n):
                 out.append(VerificationTask(conjecture, m, None))
                 continue
-            for lam in partitions(n):
-                out.append(VerificationTask(conjecture, m, lam))
+            out.extend(VerificationTask(conjecture, m, lam) for lam in shapes)
     return out
 
 

@@ -8,23 +8,28 @@ n+1 at the bottom of an admissible column; which columns are admissible,
 and with what weight, is read off a binary column sequence.
 
 Each step's weight is q^(a_1 + ... + a_k) times a ratio of q-integers of
-run sums, so a whole insertion path is kept in factored form: a q-power
-and the net exponent of each [j]_q.  One cached walk per tableau serves
-``prob`` (the full product), ``zeta`` (the q-power alone) and ``h`` (the
-q-integer part, prob/zeta).  ``h_unreduced`` multiplies the q-integers out
-into an integer numerator and denominator with no gcd; ``prob`` and ``h``
-build their canonical QRat from that same product.
+run sums (Hikita, arXiv:2410.12758), kept factored: a q-power and the net
+exponent of each [j]_q.
 
-The reachable tableaux are grown once per vector: ``_reachable(m)``
-inserts 1..n along every admissible column, with no shape pruning, and
-buckets the results by shape.  Insertion only ever adds cells, so a
-tableau of shape lam is reached only through tableaux inside lam, and
-the buckets are exactly what a growth pruned to lam would return.
+The growth is shared across prefixes.  Every prefix of a Hessenberg
+vector is one, and a tableau reachable under m is one insertion step from
+a tableau reachable under m[:-1], so ``_grown(m)`` extends the cached
+``_grown(m[:-1])`` by every admissible step (``_steps``, cached with its
+weight) and adds the step's weight to its parent's.  The resulting map
+from each reachable tableau to the weight of its path serves ``prob``
+(the full product), ``zeta`` (the q-power alone) and ``h`` (the
+q-integer part, prob/zeta); a tableau it lacks has probability zero.
+``h_unreduced`` multiplies the q-integers out into an integer numerator
+and denominator with no gcd; ``prob`` and ``h`` build their canonical
+QRat from that same product.  ``enumerate_hikita`` buckets the map by
+shape, in column-word order; insertion only adds cells, so each bucket is
+what a growth pruned to its shape returns.
 
-The tests hold the second routes: ``enumerate_syt``, the entry-by-entry
-reachability test ``is_reachable`` and the shape-pruned growth
-``enumerate_hikita_by_pruning`` live in ``tests/oracles.py``, with the
-per-step weights ``phi`` and ``phi_tilde`` as unfactored rational functions.
+The tests hold the second routes in ``tests/oracles.py``:
+``enumerate_syt``, the entry-by-entry reachability test ``is_reachable``,
+the shape-pruned growth ``enumerate_hikita_by_pruning``, the path weight
+``walk_by_stripping`` found by removing the largest entry step by step,
+and the unfactored per-step weights ``phi`` and ``phi_tilde``.
 """
 
 from __future__ import annotations
@@ -45,22 +50,12 @@ def tableau_size(cols):
 def is_syt(cols):
     """Classical standardness: entries 1..n once, rows and columns increase."""
     n = tableau_size(cols)
-    entries = sorted(v for c in cols for v in c)
-    if entries != list(range(1, n + 1)):
+    if sorted(v for c in cols for v in c) != list(range(1, n + 1)) or not all(cols):
         return False
-    heights = [len(c) for c in cols]
-    if any(heights[i] < heights[i + 1] for i in range(len(heights) - 1)):
-        return False
-    if any(h == 0 for h in heights):
-        return False
-    for c in cols:
-        if any(c[i] >= c[i + 1] for i in range(len(c) - 1)):
-            return False
-    for j in range(len(cols) - 1):
-        for i in range(len(cols[j + 1])):
-            if cols[j][i] >= cols[j + 1][i]:
-                return False
-    return True
+    return all(c[i] < c[i + 1] for c in cols for i in range(len(c) - 1)) and all(
+        len(left) >= len(right) and all(x < y for x, y in zip(left, right))
+        for left, right in zip(cols, cols[1:])
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -78,14 +73,6 @@ class ColorSequence:
     @property
     def ell(self):
         return len(self.b) - 1
-
-    def sequence(self):
-        out = [1] * self.b[0]
-        for i in range(len(self.a)):
-            out.extend([0] * self.a[i])
-            if i + 1 < len(self.b):
-                out.extend([1] * self.b[i + 1])
-        return tuple(out)
 
     def insertion_columns(self):
         """c_k = 1 + a_1 + ... + a_k + b_0 + ... + b_k for 0 <= k <= l."""
@@ -129,12 +116,8 @@ def delta(cols, r):
     return ColorSequence(tuple(runs[0::2]), tuple(runs[1::2]))
 
 
-@functools.lru_cache(maxsize=None)
 def insert(cols, r, k):
-    """Grow the tableau by n+1 at the bottom of its k-th admissible column.
-
-    Cached: every (m, lam) sweep regrows the same small tableaux.
-    """
+    """Grow the tableau by n+1 at the bottom of its k-th admissible column."""
     cs = delta(cols, r)
     columns = cs.insertion_columns()
     if not 0 <= k < len(columns):
@@ -154,50 +137,32 @@ def insert(cols, r, k):
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=None)
+def _steps(cols, r):
+    """Every insertion step out of ``cols`` at threshold r, in column order:
+    (the grown tableau, the step's factored weight)."""
+    cs = delta(cols, r)
+    return tuple((insert(cols, r, k), cs.weight(k)) for k in range(cs.ell + 1))
+
+
 # ---------------------------------------------------------------------------
 # the insertion path and its three views
 # ---------------------------------------------------------------------------
 
-def _strip_max(cols):
-    """Remove the largest entry; returns (smaller tableau, its column)."""
-    n = tableau_size(cols)
-    for j, c in enumerate(cols):
-        if c and c[-1] == n:
-            shrunk = c[:-1]
-            if shrunk:
-                out = cols[:j] + (shrunk,) + cols[j + 1 :]
-            else:
-                if j != len(cols) - 1:
-                    raise ValueError("largest entry is not at a corner")
-                out = cols[:j]
-            return out, j + 1
-    raise ValueError("largest entry is not at the bottom of a column")
-
-
 @functools.lru_cache(maxsize=None)
-def _walk(m, cols):
-    """Weight of the insertion path that grows ``cols`` under ``m``.
-
-    None when some step lands in a column the sequence does not admit;
-    otherwise the factored product of the step weights (read-only: the
-    cache hands out the same dict again).
-    """
-    if not cols:
-        return 0, {}
-    n = tableau_size(cols)
-    smaller, col = _strip_max(cols)
-    cs = delta(smaller, m[n - 1])
-    columns = cs.insertion_columns()
-    if col not in columns:
-        return None
-    e, factors = cs.weight(columns.index(col))
-    rest = _walk(m[: n - 1], smaller)
-    if rest is None:
-        return None
-    net = dict(rest[1])
-    for j, x in factors.items():
-        net[j] = net.get(j, 0) + x
-    return rest[0] + e, {j: x for j, x in net.items() if x}
+def _grown(m):
+    """Each tableau reachable under m -> the factored weight (e, {j: x}) of
+    its one insertion path (read-only: the cache hands out the same dicts)."""
+    if not m:
+        return {(): (0, {})}
+    out = {}
+    for smaller, (e0, net0) in _grown(m[:-1]).items():
+        for cols, (e, factors) in _steps(smaller, m[-1]):
+            net = dict(net0)
+            for j, x in factors.items():
+                net[j] = net.get(j, 0) + x
+            out[cols] = e0 + e, {j: x for j, x in net.items() if x}
+    return out
 
 
 def _product(factors):
@@ -223,7 +188,7 @@ def _check_args(m, cols):
 
 def prob(m, cols):
     m, cols = _check_args(m, cols)
-    path = _walk(m, cols)
+    path = _grown(m).get(cols)
     if path is None:
         return QRat.zero()
     num, den = _product(path[1])
@@ -232,7 +197,7 @@ def prob(m, cols):
 
 def zeta(m, cols):
     m, cols = _check_args(m, cols)
-    path = _walk(m, cols)
+    path = _grown(m).get(cols)
     return QPoly.zero() if path is None else QPoly.monomial(path[0])
 
 
@@ -243,7 +208,7 @@ def h_unreduced(m, cols):
     at every q >= 0.  Only defined on tableaux the distribution can reach.
     """
     m, cols = _check_args(m, cols)
-    path = _walk(m, cols)
+    path = _grown(m).get(cols)
     if path is None or path[1].get(0, 0) > 0:
         raise ValueError("h is undefined: the tableau has probability zero")
     return _product(path[1])
@@ -260,14 +225,11 @@ def h(m, cols):
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _reachable(m):
-    """Every tableau reachable under m, bucketed by shape, each bucket a
-    tuple in column-word order."""
-    current = {()}
-    for r in m:
-        current = {insert(s, r, k) for s in current for k in range(delta(s, r).ell + 1)}
+def _by_shape(m):
+    """The tableaux of ``_grown(m)`` bucketed by shape, each bucket a tuple
+    in column-word order."""
     by_shape = {}
-    for cols in current:
+    for cols in _grown(m):
         by_shape.setdefault(conjugate([len(c) for c in cols]), []).append(cols)
     return {lam: tuple(sorted(tabs, key=colword)) for lam, tabs in by_shape.items()}
 
@@ -279,4 +241,13 @@ def enumerate_hikita(m, lam):
     lam = check_partition(lam)
     if sum(lam) != len(m):
         raise ValueError(f"shape {lam} does not match domain size {len(m)}")
-    return list(_reachable(m).get(lam, ()))
+    return list(_by_shape(m).get(lam, ()))
+
+
+def h_unreduced_by_shape(m):
+    """Each shape reachable under m -> [(cols, h_unreduced(m, cols)), ...]
+    in column-word order, for a sweep over vectors it made itself: nothing
+    is validated, and no step weight is zero, so every h is defined."""
+    grown = _grown(m)
+    return {lam: [(cols, _product(grown[cols][1])) for cols in tabs]
+            for lam, tabs in _by_shape(m).items()}

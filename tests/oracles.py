@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from csflab.csf import SymFunc, csf_coloring_oracle, e_to_m, to_elementary
 from csflab.harness import _by_vector, _Cache, evaluate_task, tasks_for
-from csflab.hikita import _strip_max, delta, insert, is_syt, tableau_size
+from csflab.hikita import delta, insert, is_syt, tableau_size
 from csflab.posets import (
     Poset,
     _bits,
@@ -558,6 +558,55 @@ def enumerate_syt(lam):
     return enumerate_standard(chain, lam)
 
 
+def color_sequence(cs):
+    """The binary column sequence that a ColorSequence run-length encodes."""
+    out = [1] * cs.b[0]
+    for i in range(len(cs.a)):
+        out.extend([0] * cs.a[i])
+        if i + 1 < len(cs.b):
+            out.extend([1] * cs.b[i + 1])
+    return tuple(out)
+
+
+def strip_max(cols):
+    """Remove the largest entry; returns (smaller tableau, its column)."""
+    n = tableau_size(cols)
+    for j, c in enumerate(cols):
+        if c and c[-1] == n:
+            shrunk = c[:-1]
+            if shrunk:
+                out = cols[:j] + (shrunk,) + cols[j + 1 :]
+            else:
+                if j != len(cols) - 1:
+                    raise ValueError("largest entry is not at a corner")
+                out = cols[:j]
+            return out, j + 1
+    raise ValueError("largest entry is not at the bottom of a column")
+
+
+def walk_by_stripping(m, cols):
+    """Factored weight (e, {j: x}) of the insertion path that grows
+    ``cols`` under ``m``, found by stripping the largest entry step by
+    step; None when some step lands in a column the sequence does not
+    admit."""
+    if not cols:
+        return 0, {}
+    n = tableau_size(cols)
+    smaller, col = strip_max(cols)
+    cs = delta(smaller, m[n - 1])
+    columns = cs.insertion_columns()
+    if col not in columns:
+        return None
+    e, factors = cs.weight(columns.index(col))
+    rest = walk_by_stripping(m[: n - 1], smaller)
+    if rest is None:
+        return None
+    net = dict(rest[1])
+    for j, x in factors.items():
+        net[j] = net.get(j, 0) + x
+    return rest[0] + e, {j: x for j, x in net.items() if x}
+
+
 def is_reachable(m, cols):
     """Direct test against the insertion conditions, entry by entry:
     the cell above the new entry must lie at or below the threshold, and the
@@ -571,7 +620,7 @@ def is_reachable(m, cols):
         if not is_syt(cols):
             return False
         r = m[n - 1]
-        smaller, col = _strip_max(cols)
+        smaller, col = strip_max(cols)
         height = len(cols[col - 1])
         if height > 1 and not cols[col - 1][height - 2] <= r:
             return False
@@ -647,7 +696,7 @@ def path_weights(m, cols):
     while cols:
         n = tableau_size(cols)
         r = m[n - 1]
-        smaller, col = _strip_max(cols)
+        smaller, col = strip_max(cols)
         columns = delta(smaller, r).insertion_columns()
         if col not in columns:
             return QRat.zero(), QPoly.zero()

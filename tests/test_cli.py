@@ -172,6 +172,20 @@ def test_verify_env_cache_wins(tmp_path):
     assert not flag_cache.exists()
 
 
+def test_verify_verbose_logs_to_stderr_and_keeps_the_report(tmp_path):
+    args = ("verify", "--conjecture", "bounds", "--max-n", "3",
+            "--cache", str(tmp_path / "cache"))
+    quiet_report, verbose_report = tmp_path / "quiet.jsonl", tmp_path / "verbose.jsonl"
+    quiet = run(*args, "--report", str(quiet_report))
+    verbose = run(*args, "--report", str(verbose_report), "-v")
+    assert quiet.exit_code == verbose.exit_code == 0
+    # the second run replays the first one's cache, timing included
+    assert verbose_report.read_bytes() == quiet_report.read_bytes()
+    assert verbose.stdout == quiet.stdout
+    assert "cache hits" not in quiet.stderr
+    assert "csflab.harness: cache hits: 20 of 20 tasks" in verbose.stderr
+
+
 def test_formula_matches_direct_expansion():
     direct = run("csf", "--hessenberg", "0,0,1", "--basis", "e")
     closed = run("formula", "--path", "3")

@@ -72,12 +72,15 @@ def test_registry_ids():
 def test_task_validation():
     task = VerificationTask("bounds", [0, 0, 1], [2, 1])
     assert task.m == (0, 0, 1) and task.lam == (2, 1)
-    with pytest.raises(ValueError):
-        VerificationTask("positivity", (0, 0), (2,))
-    with pytest.raises(ValueError):
-        VerificationTask("bounds", (0, 2), (2,))  # not a Hessenberg vector
-    with pytest.raises(ValueError):
-        VerificationTask("bounds", (0, 0, 1), (2, 2))  # wrong size
+    for _ in range(2):  # the cached checks raise again on a repeat
+        with pytest.raises(ValueError):
+            VerificationTask("positivity", (0, 0), (2,))
+        with pytest.raises(ValueError):
+            VerificationTask("bounds", (0, 2), (2,))  # not a Hessenberg vector
+        with pytest.raises(ValueError):
+            VerificationTask("bounds", (0, 0, 1), (2, 2))  # wrong size
+        with pytest.raises(ValueError):
+            VerificationTask("bounds", (0, 0, 1), (1, 2))  # not a partition
 
 
 def test_failing_report_needs_witness():

@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from csflab.csf import e_coeff
 from csflab.hikita import (
+    _grown,
     delta,
     enumerate_hikita,
     h,
@@ -25,6 +26,7 @@ from csflab.qcore import (
 from csflab.tableaux import enumerate_class, inv_p, text_to_tableau
 
 from oracles import (
+    color_sequence,
     enumerate_hikita_by_pruning,
     enumerate_syt,
     factored_value,
@@ -33,6 +35,7 @@ from oracles import (
     path_weights,
     phi,
     phi_tilde,
+    walk_by_stripping,
 )
 
 ONE = QRat(QPoly.one())
@@ -66,10 +69,10 @@ def test_syt_counts():
 
 
 def test_delta_examples():
-    assert delta((), 0).sequence() == (0,)
-    assert delta(((1,), (2,), (3,)), 0).sequence() == (1, 1, 1, 0)
+    assert color_sequence(delta((), 0)) == (0,)
+    assert color_sequence(delta(((1,), (2,), (3,)), 0)) == (1, 1, 1, 0)
     cs = delta(((1, 2, 3),), 2)
-    assert cs.sequence() == (1, 0, 0, 0)
+    assert color_sequence(cs) == (1, 0, 0, 0)
     assert cs.b == (1,) and cs.a == (3,) and cs.ell == 0
 
 
@@ -78,7 +81,7 @@ def test_delta_structure_small():
         for _, t in all_syt(n):
             for r in range(n + 1):
                 cs = delta(t, r)
-                seq = cs.sequence()
+                seq = color_sequence(cs)
                 assert len(seq) == n + 1
                 assert seq[-1] == 0
                 for i in range(1, n + 2):
@@ -334,6 +337,36 @@ def test_reachable_growth_matches_pruned_growth():
     tabs = enumerate_hikita((0, 0, 1), (2, 1))
     tabs.clear()
     assert enumerate_hikita((0, 0, 1), (2, 1))
+
+
+def _check_prefix_growth(m):
+    # the prefix growth holds exactly the SYT whose stripped walk exists,
+    # with the same factored weight; every other SYT has probability zero
+    walks = {}
+    for _, t in all_syt(len(m)):
+        walk = walk_by_stripping(m, t)
+        if walk is not None:
+            walks[t] = walk
+            continue
+        assert prob(m, t) == ZERO and zeta(m, t) == QPoly.zero()
+        with pytest.raises(ValueError):
+            h(m, t)
+    assert _grown(m) == walks
+    assert all(0 not in factors for _, factors in walks.values())  # no [0]_q step
+    for lam in partitions(len(m)):
+        assert enumerate_hikita(m, lam) == enumerate_hikita_by_pruning(m, lam)
+
+
+def test_prefix_growth_matches_walk_by_stripping():
+    for n in range(7):
+        for m in enumerate_hessenberg(n):
+            _check_prefix_growth(m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(list(enumerate_hessenberg(7))))
+def test_prefix_growth_matches_walk_by_stripping_at_seven(m):
+    _check_prefix_growth(m)
 
 
 def test_enumerate_hikita_examples():
