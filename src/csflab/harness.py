@@ -283,10 +283,6 @@ def rat_nonneg_on_nonneg(ratio):
 # per-unit checks
 # ---------------------------------------------------------------------------
 
-def _integer_nonneg(poly):
-    return poly.is_nonneg() and all(c.denominator == 1 for c in poly.coeffs)
-
-
 def _check_bounds(m, lam):
     p = poset_from_hessenberg(m)
     at_one = e_coeff(p, lam).eval_at(1)
@@ -301,22 +297,28 @@ def _check_bounds(m, lam):
     }
 
 
+def _integer_nonneg_verdict(margin):
+    """Holds when the margin has nonnegative integer coefficients; the
+    witness carries the margin unless it is zero on a unit that holds."""
+    if margin.is_nonneg() and all(c.denominator == 1 for c in margin.coeffs):
+        return "holds", {"discrepancy": margin.json_coeffs()} if margin else None
+    return "fails", {"discrepancy": margin.json_coeffs()}
+
+
+def _powerful_margin(m, lam):
+    """The powerful inversion sum minus c_lam."""
+    p = poset_from_hessenberg(m)
+    return inv_sum(p, enumerate_class(p, lam, "powerful")) - e_coeff(p, lam)
+
+
 def _check_undercount_q(m, lam):
     p = poset_from_hessenberg(m)
     margin = e_coeff(p, lam) - inv_sum(p, enumerate_class(p, lam, "strong"))
-    if _integer_nonneg(margin):
-        witness = {"discrepancy": margin.json_coeffs()} if margin else None
-        return "holds", witness
-    return "fails", {"discrepancy": margin.json_coeffs()}
+    return _integer_nonneg_verdict(margin)
 
 
 def _check_overcount_q(m, lam):
-    p = poset_from_hessenberg(m)
-    margin = inv_sum(p, enumerate_class(p, lam, "powerful")) - e_coeff(p, lam)
-    if _integer_nonneg(margin):
-        witness = {"discrepancy": margin.json_coeffs()} if margin else None
-        return "holds", witness
-    return "fails", {"discrepancy": margin.json_coeffs()}
+    return _integer_nonneg_verdict(_powerful_margin(m, lam))
 
 
 def _check_nonzero(m, lam):
@@ -400,8 +402,7 @@ def _check_h_lower_bound(m, lam):
 
 
 def _check_barbell(m, lam, gamma):
-    p = poset_from_hessenberg(m)
-    margin = inv_sum(p, enumerate_class(p, lam, "powerful")) - e_coeff(p, lam)
+    margin = _powerful_margin(m, lam)
     if not margin:
         return "holds", {"gamma": list(gamma)}
     return "fails", {"gamma": list(gamma), "discrepancy": margin.json_coeffs()}

@@ -82,7 +82,7 @@ class ColorSequence:
         """Transition weight for the k-th admissible column, factored as
         (e, {j: x}): q^(a_1 + ... + a_k) times the product of [j]_q^x.
 
-        The ratios are [A(i+1..k) + B(i..k)] / [A(1..k) + B(i..k)] for
+        The ratios are [A(i+1..k) + B(i..k)] / [A(i..k) + B(i..k)] for
         1 <= i <= k and [A(k+1..i) + B(k+1..i-1)] / [A(k+1..i) + B(k+1..i)]
         for k < i <= l, with A and B the run sums; [1]_q factors and zero
         exponents are dropped, and a [0]_q numerator stays (weight zero).
@@ -90,7 +90,7 @@ class ColorSequence:
         if not 0 <= k <= self.ell:
             raise ValueError(f"k={k} out of range; ell={self.ell}")
         a, b = self.a, self.b  # a[i - 1] holds a_i, b[i] holds b_i
-        ratios = [(sum(a[i:k]) + sum(b[i : k + 1]), sum(a[:k]) + sum(b[i : k + 1]))
+        ratios = [(sum(a[i:k]) + sum(b[i : k + 1]), sum(a[i - 1 : k]) + sum(b[i : k + 1]))
                   for i in range(1, k + 1)]
         ratios += [(sum(a[k:i]) + sum(b[k + 1 : i]), sum(a[k:i]) + sum(b[k + 1 : i + 1]))
                    for i in range(k + 1, self.ell + 1)]

@@ -5,14 +5,14 @@ the order i < j in P exactly when i <= m(j).  General posets built from
 explicit relations are supported as input; the heavy enumeration machinery
 only ever sees the unit-interval family.  Brute-force invariants used to
 cross-check the family (pattern classification, incomparability
-components, longest chains, the unit-interval construction) live in
+components, longest chains, the unit-interval construction, the
+exhaustive chain-partition search behind the greedy partition) live in
 ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
 
 def check_hessenberg(m):
@@ -73,20 +73,12 @@ class Poset:
     def incomparable(self, a, b):
         return a != b and not self.less(a, b) and not self.less(b, a)
 
-    def same_or_incomparable(self, a, b):
-        """The reflexive incomparability relation used by inversion counting."""
-        return not self.less(a, b) and not self.less(b, a)
-
     def above(self, a):
         """Bitmask of elements strictly above a."""
         return self._up[a]
 
     def below(self, a):
         return self._down[a]
-
-    def incomparables(self, a):
-        """Bitmask of elements incomparable to a."""
-        return self._inc[a]
 
     def elements(self):
         return range(1, self.n + 1)
@@ -158,79 +150,31 @@ def enumerate_hessenberg(n):
     return list(rec(1, 0))
 
 
-def _chain_partition_feasible(p, sizes):
-    """Can the elements be split into disjoint chains with these sizes?
-
-    Backtracking on the smallest unused element: enumerate every chain of the
-    requested size through it.  Memoized on (used-mask, remaining sizes).
-    """
-    n = p.n
-
-    @lru_cache(maxsize=None)
-    def chains_through(e, size, avail_mask):
-        """All chains (as masks) of `size` elements containing e, within avail."""
-        if size == 1:
-            return (1 << e,)
-        out = []
-        comparables = (p.above(e) | p.below(e)) & avail_mask
-        seen = set()
-        for f in _bits(comparables):
-            for sub in chains_through(f, size - 1, avail_mask & ~(1 << e)):
-                mask = sub | (1 << e)
-                if mask in seen:
-                    continue
-                if _mask_is_chain(p, mask):
-                    seen.add(mask)
-                    out.append(mask)
-        return tuple(out)
-
-    full = (1 << (n + 1)) - 2
-
-    @lru_cache(maxsize=None)
-    def solve(used, sizes_left):
-        if not sizes_left:
-            return used == full
-        rest = full & ~used
-        e = (rest & -rest).bit_length() - 1
-        tried = set()
-        for idx, s in enumerate(sizes_left):
-            if s in tried:
-                continue
-            tried.add(s)
-            nxt = sizes_left[:idx] + sizes_left[idx + 1 :]
-            for mask in chains_through(e, s, rest):
-                if solve(used | mask, nxt):
-                    return True
-        return False
-
-    return solve(0, tuple(sorted(sizes, reverse=True)))
-
-
-def _mask_is_chain(p, mask):
-    elems = list(_bits(mask))
-    return all(
-        p.less(a, b) or p.less(b, a)
-        for a, b in itertools.combinations(elems, 2)
-    )
-
-
-@lru_cache(maxsize=None)
 def greedy_partition(p):
     """The dominance-maximum partition of n into disjoint chain sizes.
 
-    Candidate shapes are scanned from the dominant end (reverse-lex refines
-    dominance), so the first feasible chain-size partition is the maximum.
-    Cached per poset, since every member of the greedy displacement family
-    starts from it.
+    Greedy chain peel: start a chain at the smallest unused element, step
+    to the smallest unused element above it until there is none, and
+    repeat; the chain sizes, sorted decreasing, are the partition (the
+    dominance maximum of Greene's theorem, C. Greene, JCTA 20, 1976).
+    Defined on natural unit interval orders only: it agrees with an
+    exhaustive chain-partition search on every vector with n <= 9, and the
+    tests check that on every vector with n <= 7.  Raises ValueError on any
+    other poset.
     """
-    from .qcore import partitions
-
-    if p.n == 0:
-        return ()
-    for nu in partitions(p.n):
-        if _chain_partition_feasible(p, nu):
-            return nu
-    raise AssertionError("singleton chains always work")  # pragma: no cover
+    if natural_unit_m(p) is None:
+        raise ValueError("greedy_partition needs a natural unit interval order")
+    free = (1 << (p.n + 1)) - 2
+    sizes = []
+    while free:
+        size, v = 0, free & -free
+        while v:
+            free ^= v
+            size += 1
+            above = free & p._up[v.bit_length() - 1]
+            v = above & -above
+        sizes.append(size)
+    return tuple(sorted(sizes, reverse=True))
 
 
 def natural_unit_m(p):

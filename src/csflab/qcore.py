@@ -243,14 +243,6 @@ class QRat:
     def __bool__(self):
         return bool(self.num)
 
-    def is_polynomial(self):
-        return self.den == QPoly.one()
-
-    def to_poly(self):
-        if not self.is_polynomial():
-            raise ValueError(f"not a polynomial: {self.text()}")
-        return self.num
-
     def __eq__(self, other):
         other = _coerce_rat(other)
         if other is NotImplemented:

@@ -23,7 +23,6 @@ from csflab.hikita import delta, insert, is_syt, tableau_size
 from csflab.posets import (
     Poset,
     _bits,
-    _chain_partition_feasible,
     check_hessenberg,
     natural_unit_m,
     path_hessenberg,
@@ -144,12 +143,17 @@ def classify(p):
     )
 
 
+def same_or_incomparable(p, a, b):
+    """The reflexive incomparability relation used by inversion counting."""
+    return not p.less(a, b) and not p.less(b, a)
+
+
 def incomparability_graph(p):
     """Edges {i, j} with i < j as integers, sorted."""
     return tuple(
         (a, b)
         for a in p.elements()
-        for b in _bits(p.incomparables(a))
+        for b in _bits(p._inc[a])
         if a < b
     )
 
@@ -167,7 +171,7 @@ def inc_components(p):
         while stack:
             v = stack.pop()
             comp.append(v)
-            for w in _bits(p.incomparables(v)):
+            for w in _bits(p._inc[v]):
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
@@ -195,6 +199,77 @@ def max_chain_length(p):
         return best
 
     return max(rec(v) for v in p.elements())
+
+
+def _chain_partition_feasible(p, sizes):
+    """Can the elements be split into disjoint chains with these sizes?
+
+    Backtracking on the smallest unused element: enumerate every chain of the
+    requested size through it.  Memoized on (used-mask, remaining sizes).
+    """
+    n = p.n
+
+    @functools.lru_cache(maxsize=None)
+    def chains_through(e, size, avail_mask):
+        """All chains (as masks) of `size` elements containing e, within avail."""
+        if size == 1:
+            return (1 << e,)
+        out = []
+        comparables = (p.above(e) | p.below(e)) & avail_mask
+        seen = set()
+        for f in _bits(comparables):
+            for sub in chains_through(f, size - 1, avail_mask & ~(1 << e)):
+                mask = sub | (1 << e)
+                if mask in seen:
+                    continue
+                if _mask_is_chain(p, mask):
+                    seen.add(mask)
+                    out.append(mask)
+        return tuple(out)
+
+    full = (1 << (n + 1)) - 2
+
+    @functools.lru_cache(maxsize=None)
+    def solve(used, sizes_left):
+        if not sizes_left:
+            return used == full
+        rest = full & ~used
+        e = (rest & -rest).bit_length() - 1
+        tried = set()
+        for idx, s in enumerate(sizes_left):
+            if s in tried:
+                continue
+            tried.add(s)
+            nxt = sizes_left[:idx] + sizes_left[idx + 1 :]
+            for mask in chains_through(e, s, rest):
+                if solve(used | mask, nxt):
+                    return True
+        return False
+
+    return solve(0, tuple(sorted(sizes, reverse=True)))
+
+
+def _mask_is_chain(p, mask):
+    elems = list(_bits(mask))
+    return all(
+        p.less(a, b) or p.less(b, a)
+        for a, b in itertools.combinations(elems, 2)
+    )
+
+
+def greedy_partition_by_search(p):
+    """The dominance-maximum chain-size partition by exhaustive search: the
+    reference for the greedy chain peel in ``csflab.posets.greedy_partition``.
+
+    Candidate shapes are scanned from the dominant end (reverse-lex refines
+    dominance), so the first feasible chain-size partition is the maximum.
+    """
+    if p.n == 0:
+        return ()
+    for nu in partitions(p.n):
+        if _chain_partition_feasible(p, nu):
+            return nu
+    raise AssertionError("singleton chains always work")  # pragma: no cover
 
 
 def injective_chain_shapes(p):
@@ -312,7 +387,7 @@ def is_strong_by_matching(p, cols):
 
         def try_assign(ridx, seen):
             for lidx, lval in enumerate(left):
-                if lidx in seen or not p.same_or_incomparable(right[ridx], lval):
+                if lidx in seen or not same_or_incomparable(p, right[ridx], lval):
                     continue
                 seen.add(lidx)
                 if match.get(lidx) is None or try_assign(match[lidx], seen):
@@ -378,7 +453,7 @@ def inv_word_by_pairs(p, w):
         1
         for s in range(len(w))
         for t in range(s + 1, len(w))
-        if w[s] > w[t] and p.same_or_incomparable(w[s], w[t])
+        if w[s] > w[t] and same_or_incomparable(p, w[s], w[t])
     )
 
 
@@ -667,7 +742,7 @@ def phi(cols, r, k):
     result = QRat(QPoly.monomial(sum(a(i) for i in range(1, k + 1))))
     for i in range(1, k + 1):
         num = q_int(sum(a(j) for j in range(i + 1, k + 1)) + sum(b(j) for j in range(i, k + 1)))
-        den = q_int(sum(a(j) for j in range(1, k + 1)) + sum(b(j) for j in range(i, k + 1)))
+        den = q_int(sum(a(j) for j in range(i, k + 1)) + sum(b(j) for j in range(i, k + 1)))
         if not den:
             raise AssertionError("zero denominator in transition weight")
         result = result * QRat(num, den)

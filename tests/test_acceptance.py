@@ -24,7 +24,7 @@ from csflab.csf import (
     to_elementary,
 )
 from csflab.harness import _greedy_shapes, run_verification, summarize
-from csflab.hikita import delta, enumerate_hikita, prob, zeta
+from csflab.hikita import delta, enumerate_hikita, h_unreduced, zeta
 from csflab.posets import (
     enumerate_hessenberg,
     kchain_hessenberg,
@@ -35,8 +35,8 @@ from csflab.posets import (
 from csflab.qcore import (
     QPoly,
     QRat,
+    int_poly_mul,
     partitions,
-    q_factorial,
     sort_desc,
 )
 from csflab.structural import K_set
@@ -192,25 +192,46 @@ def test_criterion_05_route_equivalence():
     assert time.perf_counter() - started < 300.0
 
 
+def reach_total(m, lam):
+    """The sum of prob(T) over the tableaux of the shape reachable under m,
+    as an integer pair (num, den): each prob is zeta times h, and the
+    terms are added over their distinct h denominators, a/b + c/d =
+    (ad + cb)/bd, so no gcd is taken."""
+    by_den = {}
+    for t in enumerate_hikita(m, lam):
+        num, den = h_unreduced(m, t)
+        term = [0] * zeta(m, t).degree + num
+        by_den[tuple(den)] = add_int_polys(by_den.get(tuple(den), []), term)
+    total_num, total_den = [], [1]
+    for den, num in by_den.items():
+        total_num = add_int_polys(int_poly_mul(total_num, den), int_poly_mul(num, total_den))
+        total_den = int_poly_mul(total_den, den)
+    return total_num, total_den
+
+
+def add_int_polys(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    return [x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)]
+
+
 def test_criterion_06_insertion_identities():
-    # distribution total: sum of reach probabilities against the
-    # elementary coefficient, cross-multiplied to avoid division
-    for n in range(1, 6):
+    # distribution total: q^star prod [lam_i]_q! sum_T prob(T) = q^|m| c_lam
+    # on every unit with n <= 7, cross-multiplied to avoid division
+    for n in range(1, 8):
         for m in enumerate_hessenberg(n):
             p = poset_from_hessenberg(m)
             for lam in partitions(n):
-                total = ZERO
-                for t in enumerate_syt(lam):
-                    total = total + prob(m, t)
-                fact = QPoly.one()
+                num, den = reach_total(m, lam)
                 for part in lam:
-                    fact = fact * q_factorial(part)
-                star = pairwise_part_products(lam)
-                lhs = total * QRat(QPoly.monomial(star) * fact)
-                assert lhs == QRat(QPoly.monomial(sum(m)) * e_coeff(p, lam))
+                    for j in range(2, part + 1):
+                        num = int_poly_mul(num, [1] * j)
+                lhs = [0] * pairwise_part_products(lam) + num
+                rhs = [0] * sum(m) + int_poly_mul(list(e_coeff(p, lam).coeffs), den)
+                assert QPoly(lhs) == QPoly(rhs), (m, lam)
 
     # each insertion step is a probability distribution over landing columns
-    for size in range(6):
+    for size in range(8):
         for lam in partitions(size):
             for t in enumerate_syt(lam):
                 for r in range(size + 1):

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from csflab.csf import e_coeff
 from csflab.hikita import (
+    ColorSequence,
     _grown,
+    _product,
     delta,
     enumerate_hikita,
     h,
@@ -140,6 +143,39 @@ def test_phi_sums_to_one():
                     assert phi_tilde(t, r, k).eval_at(1) == 1
                     total = total + phi(t, r, k)
                 assert total == ONE
+
+
+def step_weights_sum_to_one(cs):
+    """Whether the factored step weights of a sequence add up to exactly 1,
+    over the common denominator prod [j]_q^d_j, d_j the largest power of
+    [j]_q that any one weight divides by, so no gcd is taken."""
+    weights = [cs.weight(k) for k in range(cs.ell + 1)]
+    common = {}
+    for _, factors in weights:
+        for j, x in factors.items():
+            common[j] = max(common.get(j, 0), -x)
+    total = QPoly.zero()
+    for e, factors in weights:
+        exponents = dict(common)
+        for j, x in factors.items():
+            exponents[j] = exponents.get(j, 0) + x
+        total = total + QPoly([0] * e + _product(exponents)[0])
+    return total == QPoly(_product(common)[0])
+
+
+def test_step_weights_sum_to_one_on_every_small_sequence():
+    # every run-length sequence with l <= 4 and runs of 1 or 2 (b_0 may be
+    # 0), straight from the factored weights: l >= 2 needs the first
+    # product's denominator to be A(i..k) + B(i..k)
+    runs = (1, 2)
+    checked = 0
+    for ell in range(5):
+        for b in itertools.product((0,) + runs, *[runs] * ell):
+            for a in itertools.product(runs, repeat=ell + 1):
+                cs = ColorSequence(b, a)
+                assert step_weights_sum_to_one(cs), cs
+                checked += 1
+    assert checked == 3 * (2 + 8 + 32 + 128 + 512)
 
 
 def test_factored_weights_match_reference():

@@ -14,12 +14,14 @@ from csflab.posets import (
 
 from oracles import (
     classify,
+    greedy_partition_by_search,
     inc_components,
     inc_is_connected,
     incomparability_graph,
     injective_chain_shapes,
     max_chain_length,
     poset_from_units,
+    same_or_incomparable,
 )
 from test_csf import relation_posets
 
@@ -38,7 +40,7 @@ def test_example_poset_relations():
     assert p.less(1, 5)
     assert not p.less(5, 1)
     assert p.incomparable(3, 4)
-    assert p.same_or_incomparable(2, 2)
+    assert same_or_incomparable(p, 2, 2)
 
 
 def test_units_match_hessenberg_example():
@@ -148,6 +150,22 @@ def test_greedy_partition_first_part_is_max_chain():
                 assert lam == ()
             else:
                 assert lam[0] == max_chain_length(p)
+
+
+def test_greedy_peel_matches_search():
+    # the peel against the exhaustive chain-partition search, every vector
+    for n in range(8):
+        for m in enumerate_hessenberg(n):
+            p = poset_from_hessenberg(m)
+            assert greedy_partition(p) == greedy_partition_by_search(p), m
+
+
+def test_greedy_partition_needs_a_unit_order():
+    # 2+2 is not an interval order, so natural_unit_m rejects it
+    two_plus_two = poset_from_relations(4, [(1, 2), (3, 4)])
+    assert greedy_partition_by_search(two_plus_two) == (2, 2)
+    with pytest.raises(ValueError):
+        greedy_partition(two_plus_two)
 
 
 def test_injective_shapes_prefix_dominated_by_greedy():

@@ -43,6 +43,7 @@ from oracles import (
     is_strong_by_matching,
     ladder_swap,
     ladders,
+    same_or_incomparable,
     shape_from_cols,
     tab_inverse,
 )
@@ -143,7 +144,7 @@ def inv_by_cell_pairs(p, cols):
         1
         for a, i in enumerate(vals)
         for j in vals[a + 1 :]
-        if p.same_or_incomparable(i, j) and column_of[i] > column_of[j]
+        if same_or_incomparable(p, i, j) and column_of[i] > column_of[j]
     )
 
 
