@@ -18,7 +18,6 @@ from __future__ import annotations
 import contextlib
 import json
 import logging
-import os
 import sys
 
 from fractions import Fraction
@@ -172,14 +171,13 @@ def hikita(hessenberg, shape, stat):
 @click.option("--report", "report_path", metavar="PATH", default=None,
               help="Write the sorted JSON-lines report here.")
 @click.option("--cache", "cache_dir", metavar="DIR", default=None,
-              help="Result cache directory (CSFLAB_CACHE wins over this).")
+              help="Result cache directory.")
 @click.option("--override-cap", is_flag=True,
               help="Raise the size cap from 8 to 10.")
 @click.option("-v", "--verbose", is_flag=True,
               help="Log the sweep's INFO messages to stderr.")
 def verify(conjecture, max_n, jobs, report_path, cache_dir, override_cap, verbose):
     """Check one conjecture on every unit order with at most max-n elements."""
-    cache_dir = os.environ.get("CSFLAB_CACHE") or cache_dir
     with _info_to_stderr() if verbose else contextlib.nullcontext():
         reports = _usage(run_verification, conjecture, max_n, jobs,
                          cache_dir=cache_dir, override_cap=override_cap)

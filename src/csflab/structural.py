@@ -13,22 +13,25 @@ machinery:
   distinguished family K(n-2, 2) sitting between the strong and powerful
   standard tableaux.
 
-The paper's other constructions (concatenation, full-column extension at
-the longest chain, peak vectors over the path order, the tableau-side
-test for the gluing image, monomial structure coefficients) are second
-routes to quantities computed here or in ``csf``; they live in the tests
-(``tests/oracles.py``), which check them against these.
+The missed pairs are computed from the five relation patterns alone.
+The paper's other constructions (the factorization itself and the
+complement of its image, concatenation, full-column extension at the
+longest chain, peak vectors over the path order, the tableau-side test for
+the gluing image, monomial structure coefficients) are second routes to
+quantities computed here or in ``csf``; they live in the tests
+(``tests/oracles.py``), which check them against these: the image
+complement must equal the pattern route on every unit order with n <= 7,
+and with n = 8 when ``CSFLAB_ACCEPT_N8=1`` is set.
 
 Everything is exact.  Identities that the construction is supposed to
-guarantee (case exclusivity, powersum outputs, inversion preservation,
-injectivity, dual-route agreement) are re-checked at runtime and raise
-RuntimeError when violated, so a breach is loud rather than silent.
+guarantee (pattern exclusivity, inversion preservation, injectivity) are
+re-checked at runtime and raise RuntimeError when violated, so a breach is
+loud rather than silent.
 """
 import itertools
-from dataclasses import dataclass
 
 from .qcore import check_partition, conjugate
-from .posets import greedy_partition
+from .posets import greedy_partition, natural_unit_m
 from .tableaux import colword, inv_word, is_powersum_word, tab
 
 
@@ -81,19 +84,8 @@ def greedy_shape_family(p, cuts, weights):
 
 
 # ---------------------------------------------------------------------------
-# powersum word factorization
+# powersum words and the pairs the factorization misses
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FactorPair:
-    """A 2-letter and a (k-2)-letter powersum word, kept in order."""
-
-    a: tuple
-    b: tuple
-
-    def __iter__(self):
-        return iter((self.a, self.b))
-
 
 def r_index(p, w):
     """Least position whose letter is incomparable to its right neighbour."""
@@ -112,45 +104,6 @@ def powersum_words(p, length):
             if is_powersum_word(p, word):
                 out.append(word)
     return out
-
-
-def factorize(p, w):
-    """Split a powersum word of length k > 2 into a 2 + (k-2) pair.
-
-    The split swaps only comparable adjacent letters, so the inversion count
-    of the concatenated pair matches the input; that and the powersum-ness of
-    both halves are re-checked on every call.
-    """
-    w = tuple(w)
-    if len(w) <= 2:
-        raise ValueError(f"need at least 3 letters, got {len(w)}")
-    if not is_powersum_word(p, w):
-        raise ValueError(f"not a powersum word: {w!r}")
-    r = r_index(p, w)
-
-    if r == 1:
-        a, b = w[:2], w[2:]
-    elif p.less(w[r - 2], w[r]):
-        a, b = (w[r - 1], w[r]), w[: r - 1] + w[r + 1 :]
-    elif p.incomparable(w[r - 2], w[r]):
-        if any(not p.less(w[r - 2], w[j]) for j in range(r + 1, len(w))):
-            a, b = (w[r], w[r - 1]), w[: r - 1] + w[r + 1 :]
-        else:
-            if r != 2:
-                raise RuntimeError(
-                    f"blocked split should only happen at position 2, got {r}"
-                )
-            a, b = (w[2], w[0]), (w[1],) + w[3:]
-    else:
-        raise RuntimeError(
-            f"letter below its second-left neighbour in powersum word {w!r}"
-        )
-
-    if not is_powersum_word(p, a) or not is_powersum_word(p, b):
-        raise RuntimeError(f"split of {w!r} produced a non-powersum half")
-    if inv_word(p, a + b) != inv_word(p, w):
-        raise RuntimeError(f"split of {w!r} changed the inversion count")
-    return FactorPair(a, b)
 
 
 def _missed_pattern(p, a, b):
@@ -179,32 +132,26 @@ def _missed_pattern(p, a, b):
     return hits[0] if hits else 0
 
 
-def complemented_set(p, k):
-    """Disjoint-support word pairs missed by the length-k factorization.
+def complemented_set(p):
+    """The (2, n-2) powersum word pairs missed by the factorization.
 
-    Computed twice — as the literal set complement of the factorization
-    image inside all disjoint-support (2, k-2) powersum pairs, and directly
-    from the five relation patterns — and the two answers must agree.
+    Each pair (a, b) uses every element of p once; it is kept exactly when
+    one of the five relation patterns matches.  Defined on natural unit
+    interval orders with n > 4 only, the orders on which the patterns are
+    checked against the factorization image; raises ValueError on any other
+    poset.
     """
-    if k <= 4:
-        raise ValueError(f"need k > 4, got {k}")
-    universe = set()
-    tails = powersum_words(p, k - 2)
+    if natural_unit_m(p) is None:
+        raise ValueError("complemented_set needs a natural unit interval order")
+    if p.n <= 4:
+        raise ValueError(f"need n > 4, got {p.n}")
+    missed = set()
     for a in powersum_words(p, 2):
-        sa = set(a)
-        for b in tails:
-            if sa.isdisjoint(b):
-                universe.add(FactorPair(a, tuple(b)))
-
-    image = {factorize(p, w) for w in powersum_words(p, k)}
-    by_image = universe - image
-    by_pattern = {fp for fp in universe if _missed_pattern(p, fp.a, fp.b)}
-    if by_image != by_pattern:
-        diff = by_image.symmetric_difference(by_pattern)
-        raise RuntimeError(
-            f"complement routes disagree on {len(diff)} pairs, e.g. {next(iter(diff))}"
-        )
-    return by_image
+        rest = [x for x in p.elements() if x not in a]
+        for b in itertools.permutations(rest):
+            if is_powersum_word(p, b) and _missed_pattern(p, a, b):
+                missed.add((a, b))
+    return missed
 
 
 # ---------------------------------------------------------------------------
@@ -254,13 +201,15 @@ def K_set(p):
     Image of the full complemented set under the gluing map; since the word
     pairs use every element once, each image tableau is standard.  The sum
     of q^inv over this set is the elementary coefficient of (n-2, 2), and
-    the set sits between the strong and powerful standard tableaux.
+    the set sits between the strong and powerful standard tableaux.  Takes
+    natural unit interval orders only and raises ValueError on any other
+    poset.
     """
     n = p.n
     if n <= 4:
         raise ValueError(f"shape (n-2, 2) needs n > 4, got {n}")
-    missed = complemented_set(p, n)
-    out = {mult_map(p, fp) for fp in missed}
+    missed = complemented_set(p)
+    out = {mult_map(p, pair) for pair in missed}
     if len(out) != len(missed):
         raise RuntimeError("gluing map collided on distinct pairs")
     return out

@@ -37,7 +37,7 @@ from csflab.qcore import (
     partitions,
     q_int,
 )
-from csflab.structural import r_index
+from csflab.structural import powersum_words, r_index
 from csflab.tableaux import (
     colword,
     enumerate_standard,
@@ -950,6 +950,76 @@ def concat(s_cols, t_cols):
     decides which predicate the result must satisfy.
     """
     return tuple(tuple(c) for c in s_cols) + tuple(tuple(c) for c in t_cols)
+
+
+@dataclass(frozen=True)
+class FactorPair:
+    """A 2-letter and a (k-2)-letter powersum word, kept in order."""
+
+    a: tuple
+    b: tuple
+
+    def __iter__(self):
+        return iter((self.a, self.b))
+
+
+def factorize(p, w):
+    """Split a powersum word of length k > 2 into a 2 + (k-2) pair.
+
+    The split swaps only comparable adjacent letters, so the inversion count
+    of the concatenated pair matches the input; that and the powersum-ness of
+    both halves are re-checked on every call.
+    """
+    w = tuple(w)
+    if len(w) <= 2:
+        raise ValueError(f"need at least 3 letters, got {len(w)}")
+    if not is_powersum_word(p, w):
+        raise ValueError(f"not a powersum word: {w!r}")
+    r = r_index(p, w)
+
+    if r == 1:
+        a, b = w[:2], w[2:]
+    elif p.less(w[r - 2], w[r]):
+        a, b = (w[r - 1], w[r]), w[: r - 1] + w[r + 1 :]
+    elif p.incomparable(w[r - 2], w[r]):
+        if any(not p.less(w[r - 2], w[j]) for j in range(r + 1, len(w))):
+            a, b = (w[r], w[r - 1]), w[: r - 1] + w[r + 1 :]
+        else:
+            if r != 2:
+                raise RuntimeError(
+                    f"blocked split should only happen at position 2, got {r}"
+                )
+            a, b = (w[2], w[0]), (w[1],) + w[3:]
+    else:
+        raise RuntimeError(
+            f"letter below its second-left neighbour in powersum word {w!r}"
+        )
+
+    if not is_powersum_word(p, a) or not is_powersum_word(p, b):
+        raise RuntimeError(f"split of {w!r} produced a non-powersum half")
+    if inv_word(p, a + b) != inv_word(p, w):
+        raise RuntimeError(f"split of {w!r} changed the inversion count")
+    return FactorPair(a, b)
+
+
+def complement_of_factorization_image(p, k):
+    """Disjoint-support (2, k-2) powersum word pairs that no length-k
+    powersum word factorizes into, as plain ``(a, b)`` tuples.
+
+    The literal set complement of the factorization image: the reference
+    for ``structural.complemented_set``, which reads the same pairs off the
+    five relation patterns.
+    """
+    universe = set()
+    tails = powersum_words(p, k - 2)
+    for a in powersum_words(p, 2):
+        sa = set(a)
+        for b in tails:
+            if sa.isdisjoint(b):
+                universe.add(FactorPair(a, tuple(b)))
+
+    image = {factorize(p, w) for w in powersum_words(p, k)}
+    return {(fp.a, fp.b) for fp in universe - image}
 
 
 def in_mult_image(p, cols):

@@ -161,17 +161,6 @@ def test_verify_usage_errors():
     assert run("verify", "--conjecture", "positivity", "--max-n", "3").exit_code == 2
 
 
-def test_verify_env_cache_wins(tmp_path):
-    env_cache = tmp_path / "from-env"
-    flag_cache = tmp_path / "from-flag"
-    result = run("verify", "--conjecture", "bounds", "--max-n", "2",
-                 "--cache", str(flag_cache),
-                 env={"CSFLAB_CACHE": str(env_cache)})
-    assert result.exit_code == 0
-    assert list(env_cache.rglob("*.json"))
-    assert not flag_cache.exists()
-
-
 def test_verify_verbose_logs_to_stderr_and_keeps_the_report(tmp_path):
     args = ("verify", "--conjecture", "bounds", "--max-n", "3",
             "--cache", str(tmp_path / "cache"))
