@@ -1,13 +1,18 @@
 """Chromatic symmetric function of an incomparability graph, with exact
 q-coefficients, computed by independent routes:
 
+* Hikita's identity c_lam = prod_i [lam_i]_q! * sum_T q^inv(T) h(T) over
+  the insertion-reachable tableaux for elementary coefficients, summed
+  over one common product of q-integers and divided by it exactly on
+  integer coefficient lists,
 * a dynamic program over proper colorings giving monomial coefficients,
 * summing q^inv over standard tableaux for Schur coefficients,
 * closed q-integer formulas for paths and chains of complete graphs,
 
-plus exact change of basis into elementary symmetric functions.  All
-expansions live in exactly n variables, which determines a degree-n
-symmetric function completely.
+plus exact change of basis from monomial into elementary symmetric
+functions, which the tests use as the second e-route.  All expansions live
+in exactly n variables, which determines a degree-n symmetric function
+completely.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import functools
 import itertools
 import warnings
 
+from .hikita import e_coefficients_by_shape
 from .posets import natural_unit_m
 from .qcore import (
     QPoly,
@@ -33,9 +39,9 @@ from .tableaux import enumerate_standard, inv_p, standard_inv_counts
 
 BASES = ("m", "e", "s")
 
-#: Largest poset the coloring oracle accepts, and the harness's extended
-#: sweep cap.  The oracle takes well under a second at n = 10; the cap
-#: bounds the size of a sweep over every vector and tableau.
+#: Largest poset the coloring oracle and the e-expansion accept, and the
+#: harness's extended sweep cap.  Either takes well under a second at
+#: n = 10; the cap bounds the size of a sweep over every vector and tableau.
 SIZE_CAP = 10
 
 
@@ -300,15 +306,26 @@ def e_coeff(p, lam):
 @functools.lru_cache(maxsize=None)
 def chromatic_e_expansion(p):
     """Full e-expansion of X for a natural unit interval order, cached per
-    poset."""
-    if p.n and natural_unit_m(p) is None:
+    poset.
+
+    Read off Hikita's identity c_lam = prod_i [lam_i]_q! * sum_T q^inv(T)
+    h(T) over the tableaux T of shape lam reachable under the order's
+    Hessenberg vector m (``hikita.e_coefficients_by_shape``): the terms
+    are brought over one product of q-integers, summed as integer lists,
+    and divided exactly by that monic product.  The coloring oracle with
+    ``to_elementary`` is the second route the tests compare it against.
+    """
+    if p.n > SIZE_CAP:
+        raise ValueError(f"n={p.n} exceeds the size cap {SIZE_CAP}")
+    m = natural_unit_m(p)
+    if m is None:
         raise ValueError(
             "symbolic e-expansion requires a natural unit interval order; "
             "specialize the oracle at q=1 for other posets"
         )
     if p.n == 0:
         return SymFunc("e", 0, {(): QPoly.one()})
-    return to_elementary(csf_coloring_oracle(p))
+    return SymFunc("e", p.n, {lam: QPoly(c) for lam, c in e_coefficients_by_shape(m).items()})
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,13 @@ from each reachable tableau to the weight of its path serves ``prob``
 (the full product), ``zeta`` (the q-power alone) and ``h`` (the
 q-integer part, prob/zeta); a tableau it lacks has probability zero.
 ``h_unreduced`` multiplies the q-integers out into an integer numerator
-and denominator with no gcd; ``prob`` and ``h`` build their canonical
-QRat from that same product.  ``enumerate_hikita`` buckets the map by
-shape, in column-word order; insertion only adds cells, so each bucket is
-what a growth pruned to its shape returns.
+and denominator with no gcd (``qcore.q_int_product``, once per
+factorization); ``prob`` and ``h`` build their canonical QRat from that
+same product.  ``enumerate_hikita`` buckets the map by shape, in
+column-word order; insertion only adds cells, so each bucket is what a
+growth pruned to its shape returns.  ``e_coefficients_by_shape`` sums each
+bucket into the elementary coefficients of the chromatic function through
+Hikita's identity; ``csf.chromatic_e_expansion`` reads them.
 
 The tests hold the second routes in ``tests/oracles.py``:
 ``enumerate_syt``, the entry-by-entry reachability test ``is_reachable``,
@@ -39,7 +42,7 @@ import itertools
 from dataclasses import dataclass
 
 from .posets import check_hessenberg
-from .qcore import QPoly, QRat, check_partition, conjugate, int_poly_mul
+from .qcore import QPoly, QRat, check_partition, conjugate, int_poly_divexact, q_int_product
 from .tableaux import colword
 
 
@@ -166,14 +169,9 @@ def _grown(m):
 
 
 def _product(factors):
-    """The product of [j]_q^x as integer coefficient lists (num, den)."""
-    num, den = [1], [1]
-    for j, x in factors.items():
-        for _ in range(x):
-            num = int_poly_mul(num, [1] * j)
-        for _ in range(-x):
-            den = int_poly_mul(den, [1] * j)
-    return num, den
+    """The product of [j]_q^x as integer coefficient tuples (num, den)."""
+    return (q_int_product(tuple(sorted((j, x) for j, x in factors.items() if x > 0))),
+            q_int_product(tuple(sorted((j, -x) for j, x in factors.items() if x < 0))))
 
 
 def _check_args(m, cols):
@@ -251,3 +249,49 @@ def h_unreduced_by_shape(m):
     grown = _grown(m)
     return {lam: [(cols, _product(grown[cols][1])) for cols in tabs]
             for lam, tabs in _by_shape(m).items()}
+
+
+def e_coefficients_by_shape(m):
+    """Each shape reachable under m -> the e-coefficient c_lam of the
+    chromatic function of m, as an integer coefficient list, from Hikita's
+    identity c_lam = prod_i [lam_i]_q! * sum_T q^inv(T) h(T) over the
+    reachable tableaux T of shape lam, where inv(T) = e_T + star - |m|,
+    q^e_T = zeta(T) and star = sum_{i<j} lam_i lam_j.
+
+    Each term is q^e_T times a product of [j]_q^x, the factorials folded
+    in.  With need_j the largest negative exponent of [j]_q over the
+    shape, every term times prod [j]_q^need_j is an integer polynomial;
+    their sum is divided exactly by that monic product.  Integers only: no
+    Fraction and no gcd, and an inexact division raises ArithmeticError.
+    Nothing is validated: m must be a Hessenberg vector.
+    """
+    grown = _grown(m)
+    out = {}
+    for lam, tabs in _by_shape(m).items():
+        shift = (len(m) ** 2 - sum(part * part for part in lam)) // 2 - sum(m)
+        floor = {}
+        for part in lam:
+            for j in range(2, part + 1):
+                floor[j] = floor.get(j, 0) + 1
+        terms, need = [], {}
+        for cols in tabs:
+            e, factors = grown[cols]
+            expo = dict(floor)
+            for j, x in factors.items():
+                expo[j] = expo.get(j, 0) + x
+            for j, x in expo.items():
+                if x < -need.get(j, 0):
+                    need[j] = -x
+            terms.append((e + shift, expo))
+        total = []
+        for offset, expo in terms:
+            if offset < 0:
+                raise ArithmeticError(f"negative inversion count at shape {lam}")
+            for j, x in need.items():
+                expo[j] = expo.get(j, 0) + x
+            num = q_int_product(tuple(sorted((j, x) for j, x in expo.items() if x)))
+            total.extend([0] * (offset + len(num) - len(total)))
+            for i, c in enumerate(num, offset):
+                total[i] += c
+        out[lam] = int_poly_divexact(total, q_int_product(tuple(sorted(need.items()))))
+    return out

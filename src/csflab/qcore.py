@@ -17,6 +17,7 @@ the underlying combinatorics.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 
@@ -329,6 +330,40 @@ def int_poly_mul(a, b):
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return out
+
+
+def int_poly_divexact(a, d):
+    """Quotient of the integer coefficient list a by the monic integer list
+    d (top coefficient 1), as a list; a nonzero remainder raises
+    ArithmeticError, so an inexact division aborts loudly rather than
+    returning a truncation."""
+    if not d or d[-1] != 1:
+        raise ValueError(f"divisor {list(d)} is not monic")
+    rest = list(a)
+    k = len(d) - 1
+    low = d[:-1]
+    quot = [0] * max(len(rest) - k, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        c = rest[i + k]
+        if c:
+            quot[i] = c
+            for t, y in enumerate(low, i):
+                rest[t] -= c * y
+    if any(rest[:k]):  # the remainder; rest[k:] holds spent top terms
+        raise ArithmeticError(f"{list(d)} does not divide {list(a)}")
+    return quot
+
+
+@functools.lru_cache(maxsize=None)
+def q_int_product(factors):
+    """The product of [j]_q^x over the sorted (j, x) pairs, x > 0, as an
+    integer coefficient tuple.  Cached, so each factorization is multiplied
+    out once; the tuple keeps callers from changing a cached value."""
+    out = [1]
+    for j, x in factors:
+        for _ in range(x):
+            out = int_poly_mul(out, [1] * j)
+    return tuple(out)
 
 
 def q_int(n):

@@ -8,12 +8,14 @@ machinery:
   tableaux;
 * the two-row factorization/multiplication machinery: every powersum word of
   length k splits into a 2-letter and a (k-2)-letter word, the pairs missed
-  by that splitting are characterized by five mutually exclusive relation
+  by that splitting are characterized by mutually exclusive relation
   patterns, and gluing each missed pair back into a two-row array yields the
   distinguished family K(n-2, 2) sitting between the strong and powerful
   standard tableaux.
 
-The missed pairs are computed from the five relation patterns alone.
+The missed pairs are computed from the relation patterns alone: of the
+construction's five, patterns 1, 2, 4 and 5 (pattern 3 never matches on a
+natural unit interval order).
 The paper's other constructions (the factorization itself and the
 complement of its image, concatenation, full-column extension at the
 longest chain, peak vectors over the path order, the tableau-side test for
@@ -107,11 +109,18 @@ def powersum_words(p, length):
 
 
 def _missed_pattern(p, a, b):
-    """Which of the five relation patterns (1..5) the pair matches, or 0.
+    """Which of the relation patterns 1, 2, 4 and 5 the pair matches, or 0.
 
     A pair of powersum words lies outside the factorization image exactly
     when one pattern matches.  The patterns are pairwise exclusive for any
     pair at all, so more than one match means the relation data is corrupt.
+
+    The construction's pattern 3 (b[0] || a[0], b[0] < a[1] and
+    a[0] < b[j] for every j >= 1) is left out: it never matches on a
+    natural unit interval order.  The 2-letter powersum word a has
+    a[0] || a[1], so 2+2-freeness applied to b[0] < a[1] and a[0] < b[j]
+    forces b[0] < b[j] for every j >= 1; b[0] then sits below everything to
+    its right without being last, and b is not a powersum word.
     """
     r = r_index(p, b)
     below_all = all(p.less(a[1], x) for x in b)
@@ -121,8 +130,6 @@ def _missed_pattern(p, a, b):
         hits.append(1)
     if below_all and p.incomparable(a[0], b[0]) and tail_up:
         hits.append(2)
-    if p.incomparable(b[0], a[0]) and p.less(b[0], a[1]) and tail_up:
-        hits.append(3)
     if p.less(b[r - 1], a[0]) and p.less(b[r - 1], a[1]) and p.less(b[r], a[1]):
         hits.append(4)
     if p.incomparable(b[r - 1], a[0]) and p.less(b[r - 1], a[1]) and p.less(b[r], a[0]):
@@ -136,7 +143,7 @@ def complemented_set(p):
     """The (2, n-2) powersum word pairs missed by the factorization.
 
     Each pair (a, b) uses every element of p once; it is kept exactly when
-    one of the five relation patterns matches.  Defined on natural unit
+    one of the relation patterns matches.  Defined on natural unit
     interval orders with n > 4 only, the orders on which the patterns are
     checked against the factorization image; raises ValueError on any other
     poset.
@@ -164,7 +171,9 @@ def mult_map(p, pair):
     The row arrangement is dictated by which relation pattern the pair
     matches; a pair matching none (i.e. one that the factorization does hit)
     is rejected.  The result always evaluates like the concatenated pair:
-    its column word has the same inversion count.
+    its column word has the same inversion count.  Defined on natural unit
+    interval orders, the only posets whose missed pairs the patterns
+    characterize; ``K_set``, its one caller, refuses any other poset.
     """
     a, b = pair
     a, b = tuple(a), tuple(b)
@@ -181,8 +190,6 @@ def mult_map(p, pair):
         rows = (a, b)
     elif pattern == 2:
         rows = ((a[1], a[0]), b)
-    elif pattern == 3:
-        rows = ((b[0], a[0]), (a[1],) + b[1:])
     elif pattern == 4:
         rows = (b, a)
     else:

@@ -1008,7 +1008,7 @@ def complement_of_factorization_image(p, k):
 
     The literal set complement of the factorization image: the reference
     for ``structural.complemented_set``, which reads the same pairs off the
-    five relation patterns.
+    relation patterns.
     """
     universe = set()
     tails = powersum_words(p, k - 2)

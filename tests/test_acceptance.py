@@ -9,6 +9,7 @@ second routes in oracles.py.
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 
@@ -18,7 +19,6 @@ from csflab.csf import (
     chromatic_e_expansion,
     csf_coloring_oracle,
     csf_schur,
-    e_coeff,
     kchain_formula,
     path_formula,
     to_elementary,
@@ -192,6 +192,36 @@ def test_criterion_05_route_equivalence():
     assert time.perf_counter() - started < 300.0
 
 
+@functools.lru_cache(maxsize=None)
+def coloring_e_expansion(m):
+    """The second e-route: the coloring oracle's m-expansion peeled into
+    the e basis."""
+    return to_elementary(csf_coloring_oracle(poset_from_hessenberg(m)))
+
+
+def e_routes_disagree(sizes):
+    """The vectors of the given sizes whose production e-expansion (the
+    Hikita identity) differs from the coloring route."""
+    return [
+        m
+        for n in sizes
+        for m in enumerate_hessenberg(n)
+        if chromatic_e_expansion(poset_from_hessenberg(m)) != coloring_e_expansion(m)
+    ]
+
+
+def test_e_expansion_matches_the_coloring_route():
+    assert e_routes_disagree(range(8)) == []
+
+
+@pytest.mark.skipif(
+    not os.environ.get("CSFLAB_ACCEPT_N8"),
+    reason="set CSFLAB_ACCEPT_N8=1 to compare the two e-routes at n=8",
+)
+def test_e_expansion_matches_the_coloring_route_at_n8():
+    assert e_routes_disagree([8]) == []
+
+
 def reach_total(m, lam):
     """The sum of prob(T) over the tableaux of the shape reachable under m,
     as an integer pair (num, den): each prob is zeta times h, and the
@@ -200,7 +230,7 @@ def reach_total(m, lam):
     by_den = {}
     for t in enumerate_hikita(m, lam):
         num, den = h_unreduced(m, t)
-        term = [0] * zeta(m, t).degree + num
+        term = [0] * zeta(m, t).degree + list(num)
         by_den[tuple(den)] = add_int_polys(by_den.get(tuple(den), []), term)
     total_num, total_den = [], [1]
     for den, num in by_den.items():
@@ -217,17 +247,19 @@ def add_int_polys(a, b):
 
 def test_criterion_06_insertion_identities():
     # distribution total: q^star prod [lam_i]_q! sum_T prob(T) = q^|m| c_lam
-    # on every unit with n <= 7, cross-multiplied to avoid division
+    # on every unit with n <= 7, cross-multiplied to avoid division; c_lam
+    # comes from the coloring route, since the production e-expansion is
+    # computed from this identity
     for n in range(1, 8):
         for m in enumerate_hessenberg(n):
-            p = poset_from_hessenberg(m)
+            expansion = coloring_e_expansion(m)
             for lam in partitions(n):
                 num, den = reach_total(m, lam)
                 for part in lam:
                     for j in range(2, part + 1):
                         num = int_poly_mul(num, [1] * j)
                 lhs = [0] * pairwise_part_products(lam) + num
-                rhs = [0] * sum(m) + int_poly_mul(list(e_coeff(p, lam).coeffs), den)
+                rhs = [0] * sum(m) + int_poly_mul(list(expansion.coeff(lam).coeffs), den)
                 assert QPoly(lhs) == QPoly(rhs), (m, lam)
 
     # each insertion step is a probability distribution over landing columns

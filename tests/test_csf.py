@@ -295,10 +295,13 @@ def test_e_expansion_at_one_off_unit_orders():
 
 
 def test_oracle_bound():
-    # the extended sweep cap and the coloring oracle's cap are one constant
+    # the extended sweep cap and the cap of the coloring oracle and the
+    # e-expansion are one constant
     assert harness.SIZE_CAP == csf.SIZE_CAP == 10
     with pytest.raises(ValueError):
         csf_coloring_oracle(poset_from_hessenberg((0,) * 11))
+    with pytest.raises(ValueError):
+        chromatic_e_expansion(poset_from_hessenberg((0,) * 11))
     # K10: every coloring uses all ten colours; the expansion is [10]_q! e_10
     k10 = (0,) * 10
     assert chromatic_e_expansion(poset_from_hessenberg(k10)).coeffs == {

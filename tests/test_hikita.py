@@ -159,7 +159,7 @@ def step_weights_sum_to_one(cs):
         exponents = dict(common)
         for j, x in factors.items():
             exponents[j] = exponents.get(j, 0) + x
-        total = total + QPoly([0] * e + _product(exponents)[0])
+        total = total + QPoly((0,) * e + _product(exponents)[0])
     return total == QPoly(_product(common)[0])
 
 

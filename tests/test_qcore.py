@@ -11,11 +11,14 @@ from csflab.qcore import (
     compositions,
     compositions_with_sort,
     conjugate,
+    int_poly_divexact,
+    int_poly_mul,
     parse_int_tuple,
     partitions,
     poly_gcd,
     q_factorial,
     q_int,
+    q_int_product,
     sort_desc,
 )
 
@@ -174,6 +177,36 @@ def test_compositions_with_sort():
         for lam in partitions(n):
             assert compositions_with_sort(lam) == sorted(set(itertools.permutations(lam)), reverse=True)
     assert compositions_with_sort((1,) * 10) == [(1,) * 10]
+
+
+def test_q_int_product_is_cached_and_immutable():
+    assert q_int_product(()) == (1,)
+    assert q_int_product(((2, 1), (3, 2))) == tuple(
+        (q_int(2) * q_int(3) * q_int(3)).coeffs
+    )
+    assert q_int_product(((0, 1),)) == ()  # [0]_q = 0
+    assert q_int_product(((4, 3),)) is q_int_product(((4, 3),))
+
+
+def test_int_poly_divexact():
+    # products of q-integers divide exactly, factor by factor
+    a = [3, 0, -2, 5]
+    for factors in (((2, 1),), ((2, 2), (3, 1)), ((5, 1), (4, 2), (2, 3))):
+        d = q_int_product(factors)
+        assert int_poly_divexact(int_poly_mul(a, d), d) == a
+        assert int_poly_divexact(d, d) == [1]
+    assert int_poly_divexact([], (1, 1)) == []
+    assert int_poly_divexact([0, 0, 7], (1,)) == [0, 0, 7]
+    # 1 + q^3 = (1 + q)(1 - q + q^2)
+    assert int_poly_divexact([1, 0, 0, 1], (1, 1)) == [1, -1, 1]
+    # a nonzero remainder aborts: 1 + q^2 is 2 at q = -1, and a lower
+    # degree than the divisor leaves everything over
+    for a, d in (([1, 0, 1], (1, 1)), ([1, 2, 2, 1, 1], (1, 1, 1)), ([1], (1, 1))):
+        with pytest.raises(ArithmeticError):
+            int_poly_divexact(a, d)
+    # only a monic divisor is accepted
+    with pytest.raises(ValueError):
+        int_poly_divexact([2, 2], (1, 2))
 
 
 def test_compositions_of_n():

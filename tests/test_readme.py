@@ -1,0 +1,44 @@
+"""The README's worked examples, run against the library and the CLI.
+
+The quick tour's commented results and the ``csflab csf --basis e``
+session pin the documented e-values to the production e-route.
+"""
+
+from __future__ import annotations
+
+import pathlib
+import shlex
+
+from click.testing import CliRunner
+
+import csflab
+from csflab.cli import main
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _block(lang, first_line):
+    """The lines of the fenced ``lang`` block whose first line is given."""
+    lines = README.read_text().splitlines()
+    start = lines.index(f"```{lang}") + 1
+    while lines[start] != first_line:
+        start = lines.index(f"```{lang}", start) + 1
+    return lines[start : lines.index("```", start)]
+
+
+def test_quick_tour_e_coefficient():
+    tour = _block("python", "from csflab import (")
+    scope = vars(csflab).copy()
+    exec(next(line for line in tour if line.startswith("p = ")), scope)
+    line = next(line for line in tour if line.startswith("chromatic_e_expansion(p)"))
+    code, _, shown = line.partition("#")
+    assert repr(eval(code, scope)) == shown.strip()
+
+
+def test_csf_elementary_session():
+    command, *shown = _block("text", "$ csflab csf --hessenberg 0,0,1,1,3 --basis e")
+    args = shlex.split(command)[2:]
+    result = CliRunner().invoke(main, args, catch_exceptions=False)
+    assert result.exit_code == 0
+    assert len(shown) == 4
+    assert result.output.splitlines() == shown
