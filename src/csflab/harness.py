@@ -40,14 +40,14 @@ A check that raises is reported with status ``error``, never as a
 counterexample, and is never stored in the cache.
 
 All checks are pure, so the worker pool needs no shared state.  The unit
-of work is one Hessenberg vector, largest vectors first, so each
-vector's cached work (its e-expansion, greedy shapes, insertion growth
-and h-lower-bound decision pass) is built once, in one process.  A
-report's ``seconds`` is the time of its own (m, lam) check, and a
-vector's cached work is charged to the first unit that needs it.  The
-cache holds one file per (conjecture, vector): the parent replays the
-vectors it finds there, and the process that computes a vector stores it
-at once, unless some unit of it raised.
+of work is one Hessenberg vector, largest vectors first, so each vector's
+cached work (its Poset, e-expansion, greedy base and the shapes displaced
+from it, insertion growth and h-lower-bound decision pass) is built once,
+in one process.  A report's ``seconds`` is the time of its own (m, lam)
+check, and a vector's cached work is charged to the first unit that needs
+it.  The cache holds one file per (conjecture, vector): the parent replays
+the vectors it finds there, and the process that computes a vector stores
+it at once, unless some unit of it raised.
 """
 
 from __future__ import annotations
@@ -73,9 +73,9 @@ from .posets import (
     poset_from_hessenberg,
 )
 from .qcore import QPoly, QRat, check_partition, int_poly_mul, partitions, q_factorial
-from .structural import K_set, greedy_shape_family
-# inv_p is not called here; bench/spans.py looks up harness.inv_p by name.
-from .tableaux import enumerate_class, inv_p, inv_sum
+# Not called here: bench/spans.py wraps harness.greedy_shape_family and .inv_p.
+from .structural import K_set, displaced_shape, greedy_shape_family
+from .tableaux import enumerate_class, inv_p, inv_sum, is_strong
 
 log = logging.getLogger("csflab.harness")
 
@@ -354,6 +354,7 @@ def _row_factorials(lam):
     return tuple(int(c) for c in floor.coeffs)
 
 
+@functools.lru_cache(maxsize=None)
 def _h_margin_nonneg(floor, num, den):
     """floor*num - den >= 0 at every q >= 0, on integer coefficients; the
     Sturm decision runs only when some coefficient is negative."""
@@ -420,14 +421,13 @@ def _greedy_shapes(m):
     """Every shape the greedy displacement family produces for this poset."""
     from .posets import greedy_partition
 
-    p = poset_from_hessenberg(m)
-    base = greedy_partition(p)
+    base = greedy_partition(poset_from_hessenberg(m))
     shapes = set()
     for cuts in _nonadjacent_subsets(range(1, len(base) + 1)):
         ranges = [range(1, base[i - 1] + 1) for i in cuts]
         for ks in itertools.product(*ranges):
             try:
-                shapes.add(greedy_shape_family(p, cuts, dict(zip(cuts, ks))))
+                shapes.add(displaced_shape(base, cuts, dict(zip(cuts, ks))))
             except ValueError:
                 continue
     return frozenset(shapes)
@@ -453,9 +453,9 @@ def _check_theorem_suite(m, lam):
     ran = []
 
     hikita = set(enumerate_hikita(m, lam))
-    strong = enumerate_class(p, lam, "strong")
-    powerful = enumerate_class(p, lam, "powerful")
     standard = enumerate_class(p, lam, "standard")
+    strong = [t for t in standard if is_strong(p, t)]
+    powerful = enumerate_class(p, lam, "powerful")
     if not hikita <= set(strong):
         return "fails", {
             "check": "inclusions",

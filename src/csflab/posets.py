@@ -12,6 +12,7 @@ exhaustive chain-partition search behind the greedy partition) live in
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 
@@ -125,7 +126,11 @@ def poset_from_relations(n, pairs):
 
 
 def poset_from_hessenberg(m):
-    m = check_hessenberg(m)
+    return _hessenberg_poset(check_hessenberg(m))
+
+
+@functools.lru_cache(maxsize=None)
+def _hessenberg_poset(m):
     n = len(m)
     rels = [(i, j) for j in range(1, n + 1) for i in range(1, m[j - 1] + 1)]
     return Poset(n, rels)

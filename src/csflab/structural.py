@@ -30,9 +30,7 @@ guarantee (pattern exclusivity, inversion preservation, injectivity) are
 re-checked at runtime and raise RuntimeError when violated, so a breach is
 loud rather than silent.
 """
-import itertools
-
-from .qcore import check_partition, conjugate
+from .qcore import conjugate, is_partition
 from .posets import greedy_partition, natural_unit_m
 from .tableaux import colword, inv_word, is_powersum_word, tab
 
@@ -63,26 +61,21 @@ def greedy_shape_family(p, cuts, weights):
     for i, w in weights.items():
         if not isinstance(w, int) or w <= 0:
             raise ValueError(f"displacement at {i} must be a positive integer")
+    return displaced_shape(gr, cuts, weights)
 
-    top = max([len(gr)] + [i + 1 for i in cuts])
-    parts = []
-    for i in range(1, top + 1):
-        size = gr[i - 1] if i <= len(gr) else 0
-        if i in cuts:
-            size -= weights[i]
-        if i - 1 in cuts:
-            size += weights[i - 1]
-        parts.append(size)
+
+def displaced_shape(gr, cuts, weights):
+    """`greedy_shape_family` for the greedy partition ``gr`` and cuts and
+    weights already checked."""
+    parts = list(gr) + [0] * (max([len(gr)] + [i + 1 for i in cuts]) - len(gr))
+    for i in cuts:
+        parts[i - 1] -= weights[i]
+        parts[i] += weights[i]
     while parts and parts[-1] == 0:
         parts.pop()
-    mu = tuple(parts)
-    try:
-        mu = check_partition(mu)
-    except ValueError:
-        raise ValueError(
-            f"displaced rows {mu} do not form a partition"
-        ) from None
-    return conjugate(mu)
+    if not is_partition(parts):
+        raise ValueError(f"displaced rows {tuple(parts)} do not form a partition")
+    return conjugate(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -98,13 +91,32 @@ def r_index(p, w):
 
 
 def powersum_words(p, length):
-    """All injective powersum words of the given length: words draw
-    distinct elements of the poset in any order."""
-    out = []
-    for combo in itertools.combinations(p.elements(), length):
-        for word in itertools.permutations(combo):
-            if is_powersum_word(p, word):
-                out.append(word)
+    """All injective powersum words of the given length, in lexicographic
+    order: words draw distinct elements of the poset in any order."""
+    return _powersum_words(p, (1 << (p.n + 1)) - 2, length)
+
+
+def _powersum_words(p, letters, length):
+    """The same on the letters of a bitmask, grown as the powerful row fill
+    grows a row: no letter sits below its left neighbour, and the last must
+    clear ``pending``, the letters so far below everything after them."""
+    if not length:
+        return [()]
+    down = p._down
+    out, word, last = [], [0] * length, length - 1
+
+    def grow(pos, free, allowed, pending):
+        cand = free & allowed
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            v = word[pos] = low.bit_length() - 1
+            if pos < last:
+                grow(pos + 1, free ^ low, ~down[v], (pending & down[v]) | low)
+            elif not pending & down[v]:
+                out.append(tuple(word))
+
+    grow(0, letters, -1, 0)
     return out
 
 
@@ -152,12 +164,12 @@ def complemented_set(p):
         raise ValueError("complemented_set needs a natural unit interval order")
     if p.n <= 4:
         raise ValueError(f"need n > 4, got {p.n}")
-    missed = set()
+    missed, tails = set(), {}
     for a in powersum_words(p, 2):
-        rest = [x for x in p.elements() if x not in a]
-        for b in itertools.permutations(rest):
-            if is_powersum_word(p, b) and _missed_pattern(p, a, b):
-                missed.add((a, b))
+        rest = (1 << (p.n + 1)) - 2 - (1 << a[0]) - (1 << a[1])
+        if rest not in tails:
+            tails[rest] = _powersum_words(p, rest, p.n - 2)
+        missed.update((a, b) for b in tails[rest] if _missed_pattern(p, a, b))
     return missed
 
 

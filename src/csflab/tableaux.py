@@ -19,6 +19,8 @@ replaced are kept in ``tests/oracles.py`` and checked against them.
 
 from __future__ import annotations
 
+import functools
+
 from .qcore import QPoly, check_partition, compositions_with_sort, conjugate
 
 
@@ -326,20 +328,24 @@ def enumerate_powerful_arrays(p, lam):
 
         fill(0, free, -1, 0)
 
-    for alpha in compositions_with_sort(lam):
-        # need[r][pos]: cells of later rows that must sit above row r's
-        # entry at pos (the same column, and every column from there on
-        # when pos is the row's last)
-        need = [
-            [
-                sum(max(0, part - pos) if pos + 1 == alpha[r] else part > pos
-                    for part in alpha[r + 1 :])
-                for pos in range(alpha[r])
-            ]
-            for r in range(len(alpha))
-        ]
+    for alpha, need in _powerful_plan(lam):
         fill_row(alpha, need, [], full)
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _powerful_plan(lam):
+    """Each ordering alpha of lam's parts with its table need[r][pos]: the
+    cells of later rows that must sit above row r's entry at pos (the same
+    column, and every column from there on when pos is the row's last)."""
+    return tuple(
+        (alpha, tuple(
+            tuple(sum(max(0, part - pos) if pos + 1 == width else part > pos
+                      for part in alpha[r + 1 :]) for pos in range(width))
+            for r, width in enumerate(alpha)
+        ))
+        for alpha in compositions_with_sort(lam)
+    )
 
 
 def enumerate_class(p, lam, which):

@@ -571,6 +571,17 @@ def is_powersum_word_by_less(p, w):
     return True
 
 
+def powersum_words_by_filter(p, letters, length):
+    """The orderings of ``length`` of the given letters that pass
+    ``is_powersum_word``, in lexicographic order: the permutation filter
+    that the DFS kernel behind ``structural.powersum_words`` and
+    ``complemented_set`` replaced."""
+    return [
+        w for w in itertools.permutations(sorted(letters), length)
+        if is_powersum_word(p, w)
+    ]
+
+
 def enumerate_powerful_arrays_by_less(p, lam):
     """All row-shaped powerful arrays using 1..n once, over every ordering
     of lam's parts.  Returned as (row_shape, rows) pairs."""

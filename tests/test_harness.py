@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from csflab import tableaux
 from csflab.harness import (
     CONJECTURES,
     Report,
@@ -27,7 +28,7 @@ from csflab.harness import (
     tasks_for,
 )
 from csflab.hikita import enumerate_hikita, h, h_unreduced
-from csflab.posets import enumerate_hessenberg
+from csflab.posets import enumerate_hessenberg, natural_unit_m
 from csflab.qcore import QPoly, QRat, partitions
 from csflab.tableaux import text_to_tableau
 from oracles import audit_cache
@@ -295,6 +296,20 @@ def test_theorem_suite_to_five():
         if r.task.m == (0, 0, 1, 1, 3) and "greedy-identity" in r.witness["checks"]
     }
     assert {(3, 1, 1), (3, 2)} <= example
+
+
+def test_theorem_suite_walks_standard_tableaux_once_per_unit(monkeypatch):
+    walks = []
+    walk = tableaux._walk_standard
+
+    def counted(p, lam, leaf):
+        walks.append((natural_unit_m(p), lam))
+        return walk(p, lam, leaf)
+
+    monkeypatch.setattr(tableaux, "_walk_standard", counted)
+    reports = run_verification("theorem-suite", 5)
+    assert len(reports) == 384
+    assert sorted(walks) == sorted((r.task.m, r.task.lam) for r in reports)
 
 
 def test_check_panic_becomes_error_report(monkeypatch, tmp_path):

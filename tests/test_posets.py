@@ -34,6 +34,13 @@ def test_antichain_has_no_relations():
     assert p.incomparable(1, 2)
 
 
+def test_hessenberg_poset_is_shared_and_still_checked():
+    assert poset_from_hessenberg([0, 0, 1]) is poset_from_hessenberg((0, 0, 1))
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            poset_from_hessenberg((0, 2))
+
+
 def test_example_poset_relations():
     p = poset_from_hessenberg((0, 0, 1, 1, 3))
     assert set(p.relations()) == {(1, 3), (1, 4), (1, 5), (2, 5), (3, 5)}

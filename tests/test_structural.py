@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from csflab.csf import csf_schur, e_coeff, path_formula
+from csflab.harness import _greedy_shapes
 from csflab.posets import (
     enumerate_hessenberg,
     greedy_partition,
@@ -25,6 +26,7 @@ from csflab.qcore import (
 )
 from csflab.structural import (
     K_set,
+    _powersum_words,
     complemented_set,
     greedy_shape_family,
     mult_map,
@@ -59,9 +61,11 @@ from oracles import (
     maxchain_extend,
     peak,
     peak_inversions,
+    powersum_words_by_filter,
     remove_first_column,
     tab_inverse,
 )
+from test_csf import VECTORS_TO_7, relation_posets
 
 P5 = poset_from_hessenberg((0, 0, 1, 1, 3))
 P6 = poset_from_hessenberg((0, 0, 1, 1, 2, 4))
@@ -217,6 +221,27 @@ def test_greedy_family_members_sum_over_strong():
                     assert e_coeff(p, lam) == inv_sum(p, strong)
 
 
+def test_greedy_shapes_from_one_peel_match_public_family():
+    # the sweep displaces one peel per vector; the public function peels on
+    # every call and checks its input: the same shape set for every vector
+    # with n <= 7, every weight up to n tried
+    for n in range(1, 8):
+        for m in enumerate_hessenberg(n):
+            p = poset_from_hessenberg(m)
+            top = len(greedy_partition(p))
+            shapes = set()
+            for r in range(top + 1):
+                for cuts in itertools.combinations(range(1, top + 1), r):
+                    if any(b - a == 1 for a, b in zip(cuts, cuts[1:])):
+                        continue
+                    for ws in itertools.product(range(1, n + 1), repeat=r):
+                        try:
+                            shapes.add(greedy_shape_family(p, cuts, dict(zip(cuts, ws))))
+                        except ValueError:
+                            continue
+            assert _greedy_shapes(m) == shapes
+
+
 # -- factorization -------------------------------------------------------------
 
 def test_r_index():
@@ -256,6 +281,36 @@ def test_powersum_words_match_single_row_arrays():
     for p in all_posets(4):
         rows = {w for alpha, r in enumerate_powerful_arrays(p, (4,)) for w in r}
         assert set(powersum_words(p, 4)) == rows
+
+
+def test_powersum_kernel_matches_permutation_filter():
+    # every letter subset of every unit order with n <= 7: the DFS kernel
+    # gives the filtered orderings in the same order, and powersum_words
+    # their union for each length, sorted
+    for n in range(1, 8):
+        for p in all_posets(n):
+            by_length = [[] for _ in range(n + 1)]
+            for k in range(n + 1):
+                for letters in itertools.combinations(p.elements(), k):
+                    words = powersum_words_by_filter(p, letters, k)
+                    assert _powersum_words(p, sum(1 << v for v in letters), k) == words
+                    by_length[k] += words
+            for k, words in enumerate(by_length):
+                assert powersum_words(p, k) == sorted(words)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_powersum_kernel_property(data):
+    # any poset, any letter subset, words shorter than the subset too
+    p = data.draw(
+        st.one_of(relation_posets(), st.sampled_from(VECTORS_TO_7).map(poset_from_hessenberg))
+    )
+    letters = data.draw(st.sets(st.integers(1, max(p.n, 1)), max_size=p.n))
+    length = data.draw(st.integers(0, len(letters)))
+    assert _powersum_words(p, sum(1 << v for v in letters), length) == (
+        powersum_words_by_filter(p, letters, length)
+    )
 
 
 # -- the complemented set ------------------------------------------------------
