@@ -6,13 +6,15 @@ q-coefficients, computed by independent routes:
   over one common product of q-integers and divided by it exactly on
   integer coefficient lists,
 * a dynamic program over proper colorings giving monomial coefficients,
-* summing q^inv over standard tableaux for Schur coefficients,
+* the e-expansion times the integer table e_mu = sum_nu K_{nu' mu} s_nu
+  (dual Pieri rule) for Schur coefficients,
 * closed q-integer formulas for paths and chains of complete graphs,
 
 plus exact change of basis from monomial into elementary symmetric
-functions, which the tests use as the second e-route.  All expansions live
-in exactly n variables, which determines a degree-n symmetric function
-completely.
+functions, which the tests use as the second e-route.  Summing q^inv over
+the P-tableaux of each shape is the Schur route's test oracle.  All
+expansions live in exactly n variables, which determines a degree-n
+symmetric function completely.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .qcore import (
 )
 # enumerate_standard and inv_p are not called here; bench/spans.py looks
 # up csf.enumerate_standard and csf.inv_p by name.
-from .tableaux import enumerate_standard, inv_p, standard_inv_counts
+from .tableaux import enumerate_standard, inv_p
 
 BASES = ("m", "e", "s")
 
@@ -188,21 +190,40 @@ def csf_coloring_oracle(p):
 # Schur route
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _e_in_s(mu):
+    """Schur expansion of e_mu as {nu: K_{nu' mu}}, by the dual Pieri rule:
+    each part k of mu adds a vertical strip of k cells, at most one per
+    row, to every shape so far."""
+    if not mu:
+        return {(): 1}
+    k, out = mu[-1], {}
+    for nu, c in _e_in_s(mu[:-1]).items():
+        rows = nu + (0,) * k
+        for hit in itertools.combinations(range(len(rows)), k):
+            grown = list(rows)
+            for i in hit:
+                grown[i] += 1
+            if all(a >= b for a, b in zip(grown, grown[1:])):
+                key = tuple(x for x in grown if x)
+                out[key] = out.get(key, 0) + c
+    return out
+
+
 def csf_schur(p):
-    """Schur expansion: the coefficient of s_lam sums q^inv over standard
-    tableaux of the conjugate shape."""
-    if p.n and natural_unit_m(p) is None:
-        warnings.warn(
-            "q-refined Schur coefficients are only established for natural "
-            "unit interval orders; use q=1 otherwise",
-            stacklevel=2,
-        )
-    coeffs = {}
-    for lam in partitions(p.n):
-        counts = standard_inv_counts(p, conjugate(lam))
-        if counts:
-            coeffs[lam] = QPoly(counts)
-    return SymFunc("s", p.n, coeffs)
+    """Schur expansion of X for a natural unit interval order with at most
+    ``SIZE_CAP`` elements: [s_nu] = sum_mu c_mu(q) K_{nu' mu} over the
+    cached e-expansion, summed on coefficient lists.  Raises ValueError on
+    any other poset, as ``chromatic_e_expansion`` does."""
+    sums = {}
+    for mu, poly in chromatic_e_expansion(p).coeffs.items():
+        c = [int(x) if x.denominator == 1 else x for x in poly.coeffs]
+        for nu, k in _e_in_s(mu).items():
+            acc = sums.setdefault(nu, [])
+            acc.extend([0] * (len(c) - len(acc)))
+            for i, x in enumerate(c):
+                acc[i] += k * x
+    return SymFunc("s", p.n, {nu: QPoly(acc) for nu, acc in sums.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -172,20 +172,6 @@ def enumerate_standard(p, lam):
     return out
 
 
-def standard_inv_counts(p, lam):
-    """Sum of q^inv over the tableaux of `enumerate_standard`, as an integer
-    coefficient list without trailing zeros."""
-    counts = [0] * (p.n * (p.n - 1) // 2 + 1)
-
-    def leaf(grid, inv):
-        counts[inv] += 1
-
-    _walk_standard(p, lam, leaf)
-    while counts and not counts[-1]:
-        counts.pop()
-    return counts
-
-
 # ---------------------------------------------------------------------------
 # strength
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from csflab.qcore import (
 )
 from csflab.structural import powersum_words, r_index
 from csflab.tableaux import (
+    _walk_standard,
     colword,
     enumerate_standard,
     inv_p,
@@ -863,8 +864,37 @@ def e_expansion_at_one(p):
 
 
 # ---------------------------------------------------------------------------
-# basis changes (from csf): the Schur route into m, and the QPoly m->e peel
+# basis changes (from csf): the P-tableau Schur sum, the Schur route into
+# m, and the QPoly m->e peel
 # ---------------------------------------------------------------------------
+
+def standard_inv_counts(p, lam):
+    """Sum of q^inv over the tableaux of `enumerate_standard`, as an integer
+    coefficient list without trailing zeros."""
+    counts = [0] * (p.n * (p.n - 1) // 2 + 1)
+
+    def leaf(grid, inv):
+        counts[inv] += 1
+
+    _walk_standard(p, lam, leaf)
+    while counts and not counts[-1]:
+        counts.pop()
+    return counts
+
+
+def schur_by_p_tableaux(p):
+    """The Schur expansion that ``csf_schur`` reads off the e-expansion,
+    summed the Shareshian-Wachs / Gasharov way: the coefficient of s_lam
+    sums q^inv over the P-tableaux of the conjugate shape.  Defined on any
+    poset; its q-values are only established on natural unit interval
+    orders."""
+    coeffs = {}
+    for lam in partitions(p.n):
+        counts = standard_inv_counts(p, conjugate(lam))
+        if counts:
+            coeffs[lam] = QPoly(counts)
+    return SymFunc("s", p.n, coeffs)
+
 
 @functools.lru_cache(maxsize=None)
 def kostka(lam, mu):

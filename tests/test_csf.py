@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial, prod
@@ -32,6 +33,7 @@ from oracles import (
     e_expansion_at_one,
     incomparability_graph,
     kostka,
+    schur_by_p_tableaux,
     schur_to_monomial,
     to_elementary_by_qpoly,
 )
@@ -104,6 +106,42 @@ def test_kostka_values():
     assert kostka((3,), (1, 1, 1)) == 1
     assert kostka((2, 2), (2, 1, 1)) == 1
     assert kostka((2, 2), (1, 1, 1, 1)) == 2
+
+
+def test_e_in_s_is_the_transposed_kostka_table():
+    # e_mu = sum_nu K_{nu' mu} s_nu, with no zero entries stored
+    for n in range(9):
+        for mu in partitions(n):
+            want = {}
+            for nu in partitions(n):
+                k = kostka(conjugate(nu), mu)
+                if k:
+                    want[nu] = k
+            assert csf._e_in_s(mu) == want, mu
+
+
+def schur_routes_disagree(sizes):
+    """The vectors of the given sizes whose Schur expansion, read off the
+    e-expansion, is not byte-identical to the P-tableau sum."""
+    out = []
+    for n in sizes:
+        for m in enumerate_hessenberg(n):
+            p = poset_from_hessenberg(m)
+            if csf_schur(p).to_json_dict() != schur_by_p_tableaux(p).to_json_dict():
+                out.append(m)
+    return out
+
+
+def test_schur_expansion_matches_the_p_tableau_sum():
+    assert schur_routes_disagree(range(8)) == []
+
+
+@pytest.mark.skipif(
+    not os.environ.get("CSFLAB_ACCEPT_N8"),
+    reason="set CSFLAB_ACCEPT_N8=1 to compare the two Schur routes at n=8",
+)
+def test_schur_expansion_matches_the_p_tableau_sum_at_n8():
+    assert schur_routes_disagree([8]) == []
 
 
 def test_routes_agree_small():
@@ -278,7 +316,8 @@ TWO_PLUS_TWO = poset_from_relations(4, [(1, 2), (3, 4)])
 def test_oracle_warns_off_unit_orders():
     with pytest.warns(UserWarning):
         csf_coloring_oracle(TWO_PLUS_TWO)
-    with pytest.warns(UserWarning):
+    # the Schur route reads the e-expansion, which refuses non-unit orders
+    with pytest.raises(ValueError):
         csf_schur(TWO_PLUS_TWO)
 
 
@@ -302,6 +341,8 @@ def test_oracle_bound():
         csf_coloring_oracle(poset_from_hessenberg((0,) * 11))
     with pytest.raises(ValueError):
         chromatic_e_expansion(poset_from_hessenberg((0,) * 11))
+    with pytest.raises(ValueError):
+        csf_schur(poset_from_hessenberg((0,) * 11))
     # K10: every coloring uses all ten colours; the expansion is [10]_q! e_10
     k10 = (0,) * 10
     assert chromatic_e_expansion(poset_from_hessenberg(k10)).coeffs == {

@@ -1,7 +1,8 @@
 """The README's worked examples, run against the library and the CLI.
 
-The quick tour's commented results and the ``csflab csf --basis e``
-session pin the documented e-values to the production e-route.
+The quick tour's commented results and the ``csflab csf --basis e`` and
+``--basis s`` sessions pin the documented e- and s-values to the
+production routes.
 """
 
 from __future__ import annotations
@@ -35,10 +36,18 @@ def test_quick_tour_e_coefficient():
     assert repr(eval(code, scope)) == shown.strip()
 
 
-def test_csf_elementary_session():
-    command, *shown = _block("text", "$ csflab csf --hessenberg 0,0,1,1,3 --basis e")
+def _check_session(command_line):
+    command, *shown = _block("text", command_line)
     args = shlex.split(command)[2:]
     result = CliRunner().invoke(main, args, catch_exceptions=False)
     assert result.exit_code == 0
     assert len(shown) == 4
     assert result.output.splitlines() == shown
+
+
+def test_csf_elementary_session():
+    _check_session("$ csflab csf --hessenberg 0,0,1,1,3 --basis e")
+
+
+def test_csf_schur_session():
+    _check_session("$ csflab csf --hessenberg 0,0,1,1,3 --basis s")

@@ -21,7 +21,6 @@ from csflab.tableaux import (
     is_strong,
     rows_to_cols,
     rows_to_text,
-    standard_inv_counts,
     tab,
     tableau_to_text,
     text_to_rows,
@@ -45,6 +44,7 @@ from oracles import (
     ladders,
     same_or_incomparable,
     shape_from_cols,
+    standard_inv_counts,
     tab_inverse,
 )
 from test_csf import relation_posets
