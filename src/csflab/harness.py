@@ -48,6 +48,13 @@ check, and a vector's cached work is charged to the first unit that needs
 it.  The cache holds one file per (conjecture, vector): the parent replays
 the vectors it finds there, and the process that computes a vector stores
 it at once, unless some unit of it raised.
+
+With more than one worker the pending vectors are dealt round-robin into
+``_SHARES_PER_WORKER`` shares per worker (never more shares than vectors,
+never more workers than shares).  A share is many vectors in one message,
+largest first within the share, and the dealing gives every share a like
+mix of large and small vectors, so no share straggles.  Results, and so
+any progress the caller sees, come back one whole share at a time.
 """
 
 from __future__ import annotations
@@ -576,6 +583,27 @@ def _evaluate_vector(tasks, cache):
     return reports
 
 
+#: Shares dealt per worker on the pool path: the parent reads a few
+#: messages rather than one per vector, and a worker that finishes early
+#: still finds shares left to take.  ``Pool.map`` uses the same factor for
+#: its default chunk size.
+_SHARES_PER_WORKER = 4
+
+
+def _shares(pending, parallelism):
+    """The pending vectors dealt round-robin into at most
+    ``_SHARES_PER_WORKER * parallelism`` nonempty shares; each share keeps
+    the largest-first order of ``pending``."""
+    k = min(_SHARES_PER_WORKER * parallelism, len(pending))
+    return [pending[i::k] for i in range(k)]
+
+
+def _evaluate_share(groups, cache):
+    """One pool message: each vector of the share by ``_evaluate_vector``,
+    in order, with all of their reports returned together."""
+    return [report for tasks in groups for report in _evaluate_vector(tasks, cache)]
+
+
 def run_verification(
     conjecture,
     n_max,
@@ -609,13 +637,14 @@ def run_verification(
             reports.extend(cached)
     hits = len(reports)
 
-    unit = functools.partial(_evaluate_vector, cache=cache)
     if parallelism == 1 or len(pending) <= 1:
-        fresh = map(unit, pending)
+        fresh = map(functools.partial(_evaluate_vector, cache=cache), pending)
     else:
+        shares = _shares(pending, parallelism)
+        share = functools.partial(_evaluate_share, cache=cache)
         context = multiprocessing.get_context("fork")
-        with context.Pool(parallelism) as pool:
-            fresh = list(pool.imap_unordered(unit, pending, chunksize=1))
+        with context.Pool(min(parallelism, len(shares))) as pool:
+            fresh = list(pool.imap_unordered(share, shares))
     for group in fresh:
         reports.extend(group)
 

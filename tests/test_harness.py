@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import logging
+import multiprocessing
 import os
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from csflab import tableaux
+from csflab.csf import e_coeff
 from csflab.harness import (
     CONJECTURES,
     Report,
@@ -18,6 +21,7 @@ from csflab.harness import (
     _Cache,
     _h_margin_nonneg,
     _row_factorials,
+    _shares,
     code_version,
     emit_report,
     evaluate_task,
@@ -28,9 +32,16 @@ from csflab.harness import (
     tasks_for,
 )
 from csflab.hikita import enumerate_hikita, h, h_unreduced
-from csflab.posets import enumerate_hessenberg, natural_unit_m
+from csflab.posets import enumerate_hessenberg, natural_unit_m, poset_from_hessenberg
 from csflab.qcore import QPoly, QRat, partitions
-from csflab.tableaux import text_to_tableau
+from csflab.tableaux import (
+    enumerate_class,
+    enumerate_powerful_arrays,
+    inv_sum,
+    is_powerful_array,
+    rows_to_cols,
+    text_to_tableau,
+)
 from oracles import audit_cache
 
 JOBS = min(4, os.cpu_count() or 1)
@@ -139,6 +150,28 @@ def test_overcount_sweep_to_six_frozen_row():
         ((m, lam), poly) for m, lam, poly in nonzero_discrepancies(reports)
     )
     assert gaps[((0, 0, 1, 1, 1, 3), (4, 2))] == [0, 0, 0, 0, 1, 2, 1]
+
+
+def test_overcount_fails_at_the_n8_unit_by_brute_force():
+    m, lam = (0, 0, 1, 1, 2, 3, 4, 6), (4, 4)
+    report = evaluate_task(VerificationTask("overcount-q", m, lam))
+    assert report.status == "fails"
+    assert report.witness == {"discrepancy": [0, 0, 0, 0, 0, -1, 1, 1]}
+    # every filling of the two rows, through the element-level definition
+    p = poset_from_hessenberg(m)
+    brute = set()
+    for word in itertools.permutations(range(1, 9)):
+        rows = (word[:4], word[4:])
+        if is_powerful_array(p, rows):
+            brute.add(rows)
+    kernel = [rows for _, rows in enumerate_powerful_arrays(p, lam)]
+    assert len(brute) == len(kernel) == 33
+    assert brute == {tuple(map(tuple, rows)) for rows in kernel}
+    images = {rows_to_cols(rows) for rows in brute}
+    assert len(images) == 33
+    powerful = inv_sum(p, enumerate_class(p, lam, "powerful"))
+    assert powerful.json_coeffs() == [0, 0, 0, 2, 6, 7, 9, 7, 2]
+    assert e_coeff(p, lam).json_coeffs() == [0, 0, 0, 2, 6, 8, 8, 6, 2]
 
 
 def test_bounds_hold_to_six():
@@ -366,9 +399,9 @@ def test_parallel_runs_match_serial(tmp_path):
 
 
 def test_vector_dispatch_matches_serial_theorem_suite():
-    serial = run_verification("theorem-suite", 5)
-    parallel = run_verification("theorem-suite", 5, parallelism=2)
-    assert without_seconds(parallel) == without_seconds(serial)
+    serial = without_seconds(run_verification("theorem-suite", 5))
+    for jobs in (2, 3):  # an odd worker count deals uneven shares
+        assert without_seconds(run_verification("theorem-suite", 5, parallelism=jobs)) == serial
 
 
 def test_vector_dispatch_matches_serial_h_lower_bound():
@@ -399,6 +432,53 @@ def test_vector_dispatch_on_half_warm_cache(tmp_path):
     # the n <= 4 units are replays: they keep the timing of the run that stored them
     replayed = [r.to_json_dict()["seconds"] for r in mixed if len(r.task.m) <= 4]
     assert replayed == [r.to_json_dict()["seconds"] for r in warm]
+
+
+@pytest.mark.parametrize("parallelism", [2, 3, 4, 5])
+@pytest.mark.parametrize("n_max", [2, 3, 4, 5, 6])
+def test_shares_partition_pending_in_order(parallelism, n_max):
+    pending = _by_vector(tasks_for("theorem-suite", n_max))
+    position = {group[0].m: i for i, group in enumerate(pending)}
+    shares = _shares(pending, parallelism)
+    assert len(shares) == min(4 * parallelism, len(pending))
+    assert all(shares)
+    # dealt, not sliced: the largest vectors lead the shares, one each
+    assert [share[0] for share in shares] == pending[: len(shares)]
+    dealt = sorted(position[group[0].m] for share in shares for group in share)
+    assert dealt == list(range(len(pending)))
+    for share in shares:
+        order = [position[group[0].m] for group in share]
+        assert order == sorted(order)
+
+
+class _InlinePool:
+    """A stand-in for a fork Pool that runs its work in this process."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap_unordered(self, fn, iterable):
+        return map(fn, iterable)
+
+
+def test_pool_has_no_more_workers_than_shares(monkeypatch):
+    sizes = []
+
+    def recording_pool(processes):
+        sizes.append(processes)
+        return _InlinePool()
+
+    monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", recording_pool)
+    serial = run_verification("bounds", 3)
+    assert len(_by_vector(tasks_for("bounds", 3))) == 8
+    for jobs, workers in ((64, 8), (5, 5), (2, 2)):
+        reports = run_verification("bounds", 3, parallelism=jobs)
+        assert sizes.pop() == workers
+        assert without_seconds(reports) == without_seconds(serial)
+    assert not sizes
 
 
 def test_pool_workers_call_evaluate_task_by_module_name(monkeypatch):
