@@ -41,13 +41,14 @@ counterexample, and is never stored in the cache.
 
 All checks are pure, so the worker pool needs no shared state.  The unit
 of work is one Hessenberg vector, largest vectors first, so each vector's
-cached work (its Poset, e-expansion, greedy base and the shapes displaced
-from it, insertion growth and h-lower-bound decision pass) is built once,
-in one process.  A report's ``seconds`` is the time of its own (m, lam)
+cached work (``_PER_VECTOR_CACHES``) is built once, in one process, and
+dropped once the vector is done; ``hikita._grown``, which longer vectors
+extend, stays.  A report's ``seconds`` is the time of its own (m, lam)
 check, and a vector's cached work is charged to the first unit that needs
 it.  The cache holds one file per (conjecture, vector): the parent replays
 the vectors it finds there, and the process that computes a vector stores
-it at once, unless some unit of it raised.
+it at once, unless some unit of it raised.  Only the cache imports
+``hashlib``, only the pool ``multiprocessing``; ``emit_report`` streams.
 
 With more than one worker the pending vectors are dealt round-robin into
 ``_SHARES_PER_WORKER`` shares per worker (never more shares than vectors,
@@ -61,18 +62,17 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import hashlib
 import itertools
 import json
 import logging
-import multiprocessing
 import os
 import time
 from fractions import Fraction
 
-from .csf import SIZE_CAP, e_coeff
-from .hikita import enumerate_hikita, h, h_unreduced_by_shape
+from .csf import SIZE_CAP, chromatic_e_expansion, e_coeff
+from .hikita import _by_shape, enumerate_hikita, h, h_unreduced_by_shape
 from .posets import (
+    _hessenberg_poset,
     check_hessenberg,
     enumerate_hessenberg,
     kchain_hessenberg,
@@ -108,7 +108,7 @@ DEFAULT_CAP = 8
 # task and report records
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class VerificationTask:
     """One unit of work: a conjecture id, a reverse Hessenberg vector,
     and the partition it is checked at (None only for whole-poset skips)."""
@@ -129,13 +129,16 @@ class VerificationTask:
                 )
             object.__setattr__(self, "lam", lam)
 
+    def __reduce__(self):  # pickled as its fields, far faster than slot state
+        return VerificationTask, (self.conjecture, self.m, self.lam)
+
 
 # Checked once per vector and per partition; a bad one raises every time.
 _checked_vector = functools.lru_cache(maxsize=None)(check_hessenberg)
 _checked_partition = functools.lru_cache(maxsize=None)(check_partition)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class Report:
     task: VerificationTask
     status: str
@@ -147,6 +150,9 @@ class Report:
             raise ValueError(f"unknown status {self.status!r}")
         if self.status in ("fails", "error") and not self.witness:
             raise ValueError(f"a {self.status} report must carry a witness")
+
+    def __reduce__(self):
+        return Report, (self.task, self.status, self.witness, self.seconds)
 
     def to_json_dict(self):
         return {
@@ -440,6 +446,10 @@ def _greedy_shapes(m):
     return frozenset(shapes)
 
 
+_PER_VECTOR_CACHES = (  # one vector's work; an lru_cache cannot drop a single key
+    _h_failures, _greedy_shapes, chromatic_e_expansion, _by_shape, _hessenberg_poset)
+
+
 @functools.lru_cache(maxsize=None)
 def _barbell_vectors(n):
     """Hessenberg vectors of chains (a, 2, 2, ..., 2, b), keyed to shape."""
@@ -575,11 +585,13 @@ def _by_vector(tasks):
 
 
 def _evaluate_vector(tasks, cache):
-    """One unit of work: every task of one vector, each timed on its own
-    by ``evaluate_task``, stored by the process that computed them."""
+    """One unit of work: every task of one vector, each timed on its own by
+    ``evaluate_task`` and stored here; then the vector's caches are cleared."""
     reports = [evaluate_task(task) for task in tasks]
     if cache:
         cache.store(reports)
+    for cached in _PER_VECTOR_CACHES:
+        cached.cache_clear()
     return reports
 
 
@@ -640,6 +652,7 @@ def run_verification(
     if parallelism == 1 or len(pending) <= 1:
         fresh = map(functools.partial(_evaluate_vector, cache=cache), pending)
     else:
+        import multiprocessing
         shares = _shares(pending, parallelism)
         share = functools.partial(_evaluate_share, cache=cache)
         context = multiprocessing.get_context("fork")
@@ -657,11 +670,10 @@ def run_verification(
 def emit_report(reports, path):
     """Write reports as JSON-lines with a fixed field order, sorted the
     same way run_verification sorts, one report per line."""
-    lines = [json.dumps(r.to_json_dict()) for r in sorted(reports, key=_report_key)]
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            for line in lines:
-                fh.write(line + "\n")
+            for report in sorted(reports, key=_report_key):
+                fh.write(json.dumps(report.to_json_dict()) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write report file {path}: {exc}") from exc
     return path
@@ -674,6 +686,7 @@ def emit_report(reports, path):
 @functools.lru_cache(maxsize=None)
 def code_version():
     """Digest of the package sources; any edit invalidates the cache."""
+    import hashlib
     digest = hashlib.sha256()
     root = os.path.dirname(__file__)
     for name in sorted(os.listdir(root)):
@@ -694,6 +707,7 @@ class _Cache:
         os.makedirs(root, exist_ok=True)
 
     def _path(self, task):
+        import hashlib
         key = json.dumps([self.version, task.conjecture, list(task.m)])
         digest = hashlib.sha256(key.encode()).hexdigest()
         return os.path.join(self.root, digest + ".json")

@@ -85,7 +85,7 @@ def displaced_shape(gr, cuts, weights):
 def r_index(p, w):
     """Least position whose letter is incomparable to its right neighbour."""
     for i in range(len(w) - 1):
-        if p.incomparable(w[i], w[i + 1]):
+        if (p._inc[w[i]] >> w[i + 1]) & 1:
             return i + 1
     raise ValueError(f"no incomparable adjacent letters in {w!r}")
 
@@ -120,8 +120,9 @@ def _powersum_words(p, letters, length):
     return out
 
 
-def _missed_pattern(p, a, b):
-    """Which of the relation patterns 1, 2, 4 and 5 the pair matches, or 0.
+def _missed_pattern(p, a, b, letters):
+    """Which relation pattern, 1, 2, 4 or 5, the pair matches, or 0;
+    ``letters`` is the bitmask of b's letters.
 
     A pair of powersum words lies outside the factorization image exactly
     when one pattern matches.  The patterns are pairwise exclusive for any
@@ -134,17 +135,17 @@ def _missed_pattern(p, a, b):
     forces b[0] < b[j] for every j >= 1; b[0] then sits below everything to
     its right without being last, and b is not a powersum word.
     """
+    up, inc, (a0, a1) = p._up, p._inc, a
     r = r_index(p, b)
-    below_all = all(p.less(a[1], x) for x in b)
-    tail_up = all(p.less(a[0], b[j]) for j in range(1, len(b)))
+    below_all = up[a1] & letters == letters
     hits = []
-    if below_all and p.less(a[0], b[0]):
+    if below_all and (up[a0] >> b[0]) & 1:
         hits.append(1)
-    if below_all and p.incomparable(a[0], b[0]) and tail_up:
+    if below_all and (inc[a0] >> b[0]) & 1 and (up[a0] | 1 << b[0]) & letters == letters:
         hits.append(2)
-    if p.less(b[r - 1], a[0]) and p.less(b[r - 1], a[1]) and p.less(b[r], a[1]):
+    if (up[b[r - 1]] >> a0) & 1 and (up[b[r - 1]] >> a1) & 1 and (up[b[r]] >> a1) & 1:
         hits.append(4)
-    if p.incomparable(b[r - 1], a[0]) and p.less(b[r - 1], a[1]) and p.less(b[r], a[0]):
+    if (inc[b[r - 1]] >> a0) & 1 and (up[b[r - 1]] >> a1) & 1 and (up[b[r]] >> a0) & 1:
         hits.append(5)
     if len(hits) > 1:
         raise RuntimeError(f"patterns {hits} overlap on pair ({a!r}, {b!r})")
@@ -169,7 +170,7 @@ def complemented_set(p):
         rest = (1 << (p.n + 1)) - 2 - (1 << a[0]) - (1 << a[1])
         if rest not in tails:
             tails[rest] = _powersum_words(p, rest, p.n - 2)
-        missed.update((a, b) for b in tails[rest] if _missed_pattern(p, a, b))
+        missed.update((a, b) for b in tails[rest] if _missed_pattern(p, a, b, rest))
     return missed
 
 
@@ -194,7 +195,7 @@ def mult_map(p, pair):
             raise ValueError(f"not a powersum word: {half!r}")
     if len(a) != 2 or len(b) < 3:
         raise ValueError("expected a 2-letter and a (k-2)-letter word, k > 4")
-    pattern = _missed_pattern(p, a, b)
+    pattern = _missed_pattern(p, a, b, sum(1 << v for v in set(b)))
     if pattern == 0:
         raise ValueError(f"pair ({a!r}, {b!r}) is in the factorization image")
 

@@ -1063,6 +1063,27 @@ def complement_of_factorization_image(p, k):
     return {(fp.a, fp.b) for fp in universe - image}
 
 
+def missed_pattern_by_less(p, a, b):
+    """``structural._missed_pattern`` letter by letter through ``p.less``
+    and ``p.incomparable``: the relation pattern 1, 2, 4 or 5 that the
+    pair (a, b) matches, or 0."""
+    r = next(i + 1 for i in range(len(b) - 1) if p.incomparable(b[i], b[i + 1]))
+    below_all = all(p.less(a[1], x) for x in b)
+    tail_up = all(p.less(a[0], b[j]) for j in range(1, len(b)))
+    hits = []
+    if below_all and p.less(a[0], b[0]):
+        hits.append(1)
+    if below_all and p.incomparable(a[0], b[0]) and tail_up:
+        hits.append(2)
+    if p.less(b[r - 1], a[0]) and p.less(b[r - 1], a[1]) and p.less(b[r], a[1]):
+        hits.append(4)
+    if p.incomparable(b[r - 1], a[0]) and p.less(b[r - 1], a[1]) and p.less(b[r], a[0]):
+        hits.append(5)
+    if len(hits) > 1:
+        raise RuntimeError(f"patterns {hits} overlap on pair ({a!r}, {b!r})")
+    return hits[0] if hits else 0
+
+
 def in_mult_image(p, cols):
     """Whether a powerful (k-2, 2) tableau is glued from some missed pair.
 

@@ -6,6 +6,9 @@ import json
 import logging
 import multiprocessing
 import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -152,26 +155,45 @@ def test_overcount_sweep_to_six_frozen_row():
     assert gaps[((0, 0, 1, 1, 1, 3), (4, 2))] == [0, 0, 0, 0, 1, 2, 1]
 
 
-def test_overcount_fails_at_the_n8_unit_by_brute_force():
-    m, lam = (0, 0, 1, 1, 2, 3, 4, 6), (4, 4)
+def _overcount_fails_by_brute_force(m, lam, discrepancy, arrays, powerful, coefficient):
+    """overcount-q fails at the two-row unit (m, lam) with this witness, and
+    every filling of the rows, in both orders of the parts, through the
+    element-level definition gives exactly the kernel's arrays, with
+    distinct images."""
     report = evaluate_task(VerificationTask("overcount-q", m, lam))
     assert report.status == "fails"
-    assert report.witness == {"discrepancy": [0, 0, 0, 0, 0, -1, 1, 1]}
-    # every filling of the two rows, through the element-level definition
+    assert report.witness == {"discrepancy": discrepancy}
     p = poset_from_hessenberg(m)
     brute = set()
-    for word in itertools.permutations(range(1, 9)):
-        rows = (word[:4], word[4:])
-        if is_powerful_array(p, rows):
-            brute.add(rows)
+    for word in itertools.permutations(range(1, len(m) + 1)):
+        for cut in set(lam):
+            rows = (word[:cut], word[cut:])
+            if is_powerful_array(p, rows):
+                brute.add(rows)
     kernel = [rows for _, rows in enumerate_powerful_arrays(p, lam)]
-    assert len(brute) == len(kernel) == 33
+    assert len(brute) == len(kernel) == arrays
     assert brute == {tuple(map(tuple, rows)) for rows in kernel}
     images = {rows_to_cols(rows) for rows in brute}
-    assert len(images) == 33
-    powerful = inv_sum(p, enumerate_class(p, lam, "powerful"))
-    assert powerful.json_coeffs() == [0, 0, 0, 2, 6, 7, 9, 7, 2]
-    assert e_coeff(p, lam).json_coeffs() == [0, 0, 0, 2, 6, 8, 8, 6, 2]
+    assert len(images) == arrays
+    assert inv_sum(p, enumerate_class(p, lam, "powerful")).json_coeffs() == powerful
+    assert e_coeff(p, lam).json_coeffs() == coefficient
+
+
+def test_overcount_fails_at_the_n8_unit_by_brute_force():
+    _overcount_fails_by_brute_force(
+        (0, 0, 1, 1, 2, 3, 4, 6), (4, 4), [0, 0, 0, 0, 0, -1, 1, 1], 33,
+        powerful=[0, 0, 0, 2, 6, 7, 9, 7, 2], coefficient=[0, 0, 0, 2, 6, 8, 8, 6, 2],
+    )
+
+
+def test_overcount_fails_at_the_n9_unit_by_brute_force():
+    # the second primitive failure, not the n = 8 unit with a point added;
+    # 2 * 9! fillings
+    _overcount_fails_by_brute_force(
+        (0, 0, 1, 1, 2, 3, 4, 4, 6), (5, 4), [0, 0, 0, 0, 0, 0, -1, 1, 5, 4, 1], 346,
+        powerful=[0, 0, 0, 1, 9, 30, 55, 73, 77, 60, 31, 9, 1],
+        coefficient=[0, 0, 0, 1, 9, 30, 56, 72, 72, 56, 30, 9, 1],
+    )
 
 
 def test_bounds_hold_to_six():
@@ -492,6 +514,72 @@ def test_pool_workers_call_evaluate_task_by_module_name(monkeypatch):
     monkeypatch.setattr(harness, "evaluate_task", marked)
     reports = run_verification("bounds", 4, parallelism=2)
     assert reports and all(r.seconds == -1.0 for r in reports)
+
+
+def test_sweep_holds_one_vectors_cached_work_at_a_time(monkeypatch):
+    import csflab.harness as harness
+    from csflab.hikita import _grown
+
+    plain = harness.evaluate_task
+    held = []
+
+    def recorded(task):
+        held.append(max(c.cache_info().currsize for c in harness._PER_VECTOR_CACHES))
+        return plain(task)
+
+    monkeypatch.setattr(harness, "evaluate_task", recorded)
+    for cached in harness._PER_VECTOR_CACHES:  # whatever earlier tests left
+        cached.cache_clear()
+    for conjecture in ("theorem-suite", "h-lower-bound"):
+        reports = run_verification(conjecture, 5)
+        assert summarize(reports) == {"holds": 384, "fails": 0, "skipped": 0}
+    assert len(held) == 2 * 384 and max(held) == 1
+    assert all(c.cache_info().currsize == 0 for c in harness._PER_VECTOR_CACHES)
+    # the prefix growth is shared between vectors and is kept
+    assert _grown.cache_info().currsize >= 64
+
+
+def test_records_are_slotted_and_pickle_by_fields():
+    task = VerificationTask("overcount-q", (0, 0, 1), (2, 1))
+    report = evaluate_task(task)
+    for record in (task, report):
+        assert not hasattr(record, "__dict__")
+        assert pickle.loads(pickle.dumps(record)) == record
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.status = "fails"
+
+
+_LEAN_IMPORTS = """
+import json, sys, tempfile
+before = set(sys.modules)
+from csflab.cli import main
+from csflab.csf import csf_schur
+from csflab.harness import run_verification
+from csflab.posets import poset_from_hessenberg
+
+main(["verify", "--conjecture", "theorem-suite", "--max-n", "4", "--jobs", "1"],
+     standalone_mode=False)
+csf_schur(poset_from_hessenberg((0, 0, 1, 2)))
+lean = sorted(set(sys.modules) - before)
+with tempfile.TemporaryDirectory() as cache_dir:
+    run_verification("theorem-suite", 3, cache_dir=cache_dir)
+cached = sorted(set(sys.modules) - before)
+print(json.dumps({"before": sorted(before), "lean": lean, "cached": cached}))
+"""
+
+
+def test_serial_sweep_and_expansions_load_no_pool_or_hashing():
+    import csflab
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(csflab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", _LEAN_IMPORTS], env=env,
+                         capture_output=True, text=True, check=True)
+    seen = json.loads(run.stdout.splitlines()[-1])
+    heavy = {"multiprocessing", "hashlib"}
+    assert not heavy & set(seen["lean"]), seen["lean"]
+    assert "hashlib" in set(seen["cached"]) | set(seen["before"])
+    assert "multiprocessing" not in seen["cached"]
 
 
 def test_warm_cache_replays_bytes_and_logs_hits(tmp_path, caplog):

@@ -26,6 +26,7 @@ from csflab.qcore import (
 )
 from csflab.structural import (
     K_set,
+    _missed_pattern,
     _powersum_words,
     complemented_set,
     greedy_shape_family,
@@ -59,6 +60,7 @@ from oracles import (
     m_product_coeffs,
     max_chain_length,
     maxchain_extend,
+    missed_pattern_by_less,
     peak,
     peak_inversions,
     powersum_words_by_filter,
@@ -348,6 +350,21 @@ def test_complemented_set_routes_agree_everywhere():
     # factorization image, on every unit order with 5 <= n <= 7
     for n in (5, 6, 7):
         assert _routes_disagree(n) == []
+
+
+def test_pattern_masks_match_letter_tests():
+    # the bitmask pattern tests against the letter-by-letter ones, on every
+    # (2, n-2) pair of powersum words using all of p (82,360 pairs at n = 7)
+    for n, pairs in ((5, 600), (6, 6416), (7, 82360)):
+        seen = 0
+        for m in enumerate_hessenberg(n):
+            p = poset_from_hessenberg(m)
+            for a in powersum_words(p, 2):
+                rest = (1 << (n + 1)) - 2 - (1 << a[0]) - (1 << a[1])
+                for b in _powersum_words(p, rest, n - 2):
+                    seen += 1
+                    assert _missed_pattern(p, a, b, rest) == missed_pattern_by_less(p, a, b), (m, a, b)
+        assert seen == pairs, n
 
 
 @pytest.mark.skipif(
