@@ -39,7 +39,8 @@ from .posets import (
 )
 from .qcore import QPoly, QRat, partitions, q_factorial, q_int
 from .structural import K_set, greedy_shape_family
-from .tableaux import enumerate_class, inv_p, is_strong, text_to_tableau
+from .tableaux import enumerate_class, enumerate_powerful_arrays, inv_p, is_strong
+from .tableaux import text_to_tableau
 
 __version__ = "0.1.0"
 
@@ -61,6 +62,7 @@ __all__ = [
     "enumerate_class",
     "enumerate_hessenberg",
     "enumerate_hikita",
+    "enumerate_powerful_arrays",
     "greedy_shape_family",
     "h",
     "inv_p",

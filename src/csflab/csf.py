@@ -35,8 +35,7 @@ from .qcore import (
     q_int,
     sort_desc,
 )
-# enumerate_standard and inv_p are not called here; bench/spans.py looks
-# up csf.enumerate_standard and csf.inv_p by name.
+# Not called here: bench/spans.py wraps csf.enumerate_standard and csf.inv_p.
 from .tableaux import enumerate_standard, inv_p
 
 BASES = ("m", "e", "s")

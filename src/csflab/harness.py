@@ -55,7 +55,8 @@ With more than one worker the pending vectors are dealt round-robin into
 never more workers than shares).  A share is many vectors in one message,
 largest first within the share, and the dealing gives every share a like
 mix of large and small vectors, so no share straggles.  Results, and so
-any progress the caller sees, come back one whole share at a time.
+any progress the caller sees, come back one whole share at a time, as its
+index and (status, witness, seconds) rows: the parent holds the tasks.
 """
 
 from __future__ import annotations
@@ -80,9 +81,11 @@ from .posets import (
     poset_from_hessenberg,
 )
 from .qcore import QPoly, QRat, check_partition, int_poly_mul, partitions, q_factorial
-# Not called here: bench/spans.py wraps harness.greedy_shape_family and .inv_p.
+# Not called here: bench/spans.py wraps harness.enumerate_class, .greedy_shape_family
+# and .inv_p.
 from .structural import K_set, displaced_shape, greedy_shape_family
-from .tableaux import enumerate_class, inv_p, inv_sum, is_strong
+from .tableaux import enumerate_class, inv_p, inv_sum, powerful_classes, q_count
+from .tableaux import standard_classes, tableau_key
 
 log = logging.getLogger("csflab.harness")
 
@@ -299,8 +302,8 @@ def rat_nonneg_on_nonneg(ratio):
 def _check_bounds(m, lam):
     p = poset_from_hessenberg(m)
     at_one = e_coeff(p, lam).eval_at(1)
-    n_strong = len(enumerate_class(p, lam, "strong"))
-    n_powerful = len(enumerate_class(p, lam, "powerful"))
+    n_strong = len(standard_classes(p, lam)[1])
+    n_powerful = len(powerful_classes(p, lam))
     if n_strong <= at_one <= n_powerful:
         return "holds", None
     return "fails", {
@@ -321,12 +324,12 @@ def _integer_nonneg_verdict(margin):
 def _powerful_margin(m, lam):
     """The powerful inversion sum minus c_lam."""
     p = poset_from_hessenberg(m)
-    return inv_sum(p, enumerate_class(p, lam, "powerful")) - e_coeff(p, lam)
+    return q_count(powerful_classes(p, lam).values()) - e_coeff(p, lam)
 
 
 def _check_undercount_q(m, lam):
     p = poset_from_hessenberg(m)
-    margin = e_coeff(p, lam) - inv_sum(p, enumerate_class(p, lam, "strong"))
+    margin = e_coeff(p, lam) - q_count(standard_classes(p, lam)[1].values())
     return _integer_nonneg_verdict(margin)
 
 
@@ -336,7 +339,7 @@ def _check_overcount_q(m, lam):
 
 def _check_nonzero(m, lam):
     p = poset_from_hessenberg(m)
-    if enumerate_class(p, lam, "strong"):
+    if standard_classes(p, lam)[1]:
         return "holds", None
     at_one = e_coeff(p, lam).eval_at(1)
     if at_one == 0:
@@ -350,7 +353,7 @@ def _check_nonzero(m, lam):
 
 def _check_strong_iff_hikita(m, lam):
     p = poset_from_hessenberg(m)
-    n_strong = len(enumerate_class(p, lam, "strong"))
+    n_strong = len(standard_classes(p, lam)[1])
     n_hikita = len(enumerate_hikita(m, lam))
     if bool(n_strong) == bool(n_hikita):
         return "holds", None
@@ -469,17 +472,16 @@ def _check_theorem_suite(m, lam):
     n = len(m)
     ran = []
 
-    hikita = set(enumerate_hikita(m, lam))
-    standard = enumerate_class(p, lam, "standard")
-    strong = [t for t in standard if is_strong(p, t)]
-    powerful = enumerate_class(p, lam, "powerful")
-    if not hikita <= set(strong):
+    hikita = {tableau_key(p, cols): cols for cols in enumerate_hikita(m, lam)}
+    standard, strong = standard_classes(p, lam)
+    powerful = powerful_classes(p, lam)
+    if not hikita.keys() <= strong.keys():
         return "fails", {
             "check": "inclusions",
             "detail": "a reachable insertion tableau is not strong",
-            "extra": sorted([list(c) for c in hikita - set(strong)]),
+            "extra": sorted([list(c) for k, c in hikita.items() if k not in strong]),
         }
-    if not set(strong) <= set(powerful) or not set(powerful) <= set(standard):
+    if not strong.keys() <= powerful.keys() <= standard.keys():
         return "fails", {
             "check": "inclusions",
             "detail": "class containment broken",
@@ -500,19 +502,19 @@ def _check_theorem_suite(m, lam):
         ran.append("k2-identity")
 
     if m == path_hessenberg(n):
-        if inv_sum(p, powerful) != coeff:
+        if q_count(powerful.values()) != coeff:
             return "fails", {
                 "check": "path-identity",
-                "powerful_sum": inv_sum(p, powerful).json_coeffs(),
+                "powerful_sum": q_count(powerful.values()).json_coeffs(),
                 "coefficient": coeff.json_coeffs(),
             }
         ran.append("path-identity")
 
     if lam in _greedy_shapes(m):
-        if inv_sum(p, strong) != coeff:
+        if q_count(strong.values()) != coeff:
             return "fails", {
                 "check": "greedy-identity",
-                "strong_sum": inv_sum(p, strong).json_coeffs(),
+                "strong_sum": q_count(strong.values()).json_coeffs(),
                 "coefficient": coeff.json_coeffs(),
             }
         ran.append("greedy-identity")
@@ -610,10 +612,13 @@ def _shares(pending, parallelism):
     return [pending[i::k] for i in range(k)]
 
 
-def _evaluate_share(groups, cache):
-    """One pool message: each vector of the share by ``_evaluate_vector``,
-    in order, with all of their reports returned together."""
-    return [report for tasks in groups for report in _evaluate_vector(tasks, cache)]
+def _evaluate_share(share, cache):
+    """One pool message, (index, vectors): each vector by ``_evaluate_vector``,
+    in order, returned as the index and one (status, witness, seconds) row
+    per report; the parent holds the tasks."""
+    index, groups = share
+    reports = [r for tasks in groups for r in _evaluate_vector(tasks, cache)]
+    return index, [(r.status, r.witness, r.seconds) for r in reports]
 
 
 def run_verification(
@@ -650,16 +655,17 @@ def run_verification(
     hits = len(reports)
 
     if parallelism == 1 or len(pending) <= 1:
-        fresh = map(functools.partial(_evaluate_vector, cache=cache), pending)
+        for group in pending:
+            reports.extend(_evaluate_vector(group, cache))
     else:
         import multiprocessing
         shares = _shares(pending, parallelism)
         share = functools.partial(_evaluate_share, cache=cache)
         context = multiprocessing.get_context("fork")
         with context.Pool(min(parallelism, len(shares))) as pool:
-            fresh = list(pool.imap_unordered(share, shares))
-    for group in fresh:
-        reports.extend(group)
+            for index, rows in pool.imap_unordered(share, enumerate(shares)):
+                tasks = (task for group in shares[index] for task in group)
+                reports.extend(Report(task, *row) for task, row in zip(tasks, rows))
 
     if cache:
         log.info("cache hits: %d of %d tasks", hits, len(reports))

@@ -15,6 +15,11 @@ The hot kernels read the poset's bitmasks (``_up``, ``_down``, ``_inc``:
 bit b of ``_up[a]`` is set when a < b) into locals once per call and work
 on sets of entries as integers.  The element-by-element versions they
 replaced are kept in ``tests/oracles.py`` and checked against them.
+
+The class kernels name a tableau by its key (`tableau_key`): the column
+word in one int, ``n.bit_length()`` bits per entry, comparable only within
+one shape.  Over column layouts, `enumerate_class` (it decodes sorted
+keys), `is_strong`, `inv_p` and `enumerate_powerful_arrays` stay public.
 """
 
 from __future__ import annotations
@@ -100,9 +105,13 @@ def inv_p(p, x):
 
 def inv_sum(p, tableaux):
     """Sum of q^inv over a collection of tableaux (or words)."""
+    return q_count(inv_p(p, x) for x in tableaux)
+
+
+def q_count(invs):
+    """Sum of q^k over the inversion counts k."""
     counts = {}
-    for x in tableaux:
-        k = inv_p(p, x)
+    for k in invs:
         counts[k] = counts.get(k, 0) + 1
     if not counts:
         return QPoly.zero()
@@ -110,28 +119,49 @@ def inv_sum(p, tableaux):
 
 
 # ---------------------------------------------------------------------------
-# enumeration of standard tableaux
+# keys, standard tableaux and strength
 # ---------------------------------------------------------------------------
 
+def tableau_key(p, cols):
+    """The column word packed into one int, ``p.n.bit_length()`` bits per
+    entry, first letter highest: within one shape, key order is column-word
+    order, and key and tableau determine each other."""
+    width, key = p.n.bit_length(), 0
+    for c in cols:
+        for v in reversed(c):
+            key = key << width | v
+    return key
+
+
+def key_to_tableau(p, key, lam):
+    """The column layout of a key of shape lam (see `tableau_key`)."""
+    width, cols = p.n.bit_length(), []
+    mask = (1 << width) - 1
+    for height in reversed(conjugate(lam)):
+        cols.append(tuple(key >> width * i & mask for i in range(height)))
+        key >>= width * height
+    return tuple(reversed(cols))
+
+
 def _walk_standard(p, lam, leaf):
-    """Call ``leaf(grid, inv)`` on every tableau of the given row shape
-    using each of 1..n once; ``grid`` is the column layout as lists, valid
-    only during the call, and ``inv`` is its inversion count.
+    """Call ``leaf(key, inv, strong)`` on every tableau of the given row
+    shape using each of 1..n once: its `tableau_key`, its inversion count
+    and whether it is strong (see `is_strong`).
 
     Cells are filled along the column word (leftmost column bottom-to-top
-    first) trying small values first, so tableaux come sorted by column
-    word.  A cell takes the unused values below the cell under it and not
-    below the cell to its left.  The fill order is the reading order of
-    `inv_word`, so each entry adds the larger incomparable entries already
-    placed.
+    first) trying small values first, so keys come in increasing order.  A
+    cell takes the unused values below the cell under it and not below the
+    cell to its left.  The fill order is the reading order of `inv_word`,
+    so each entry adds the larger incomparable entries already placed, and
+    a column pair's ladders are tested when its right column is complete.
     """
     lam = check_partition(lam)
     if sum(lam) != p.n:
         raise ValueError(f"shape {lam} does not use {p.n} entries")
     if not lam:
-        leaf([], 0)
+        leaf(0, 0, True)
         return
-    down, inc = p._down, p._inc
+    down, inc, width = p._down, p._inc, p.n.bit_length()
     hi = [inc[v] & ~((2 << v) - 1) for v in range(p.n + 1)]
     heights = conjugate(lam)
     # (column, row, has a cell below, has a cell to the left) in fill order
@@ -142,8 +172,9 @@ def _walk_standard(p, lam, leaf):
     ]
     last = len(cells) - 1
     grid = [[0] * height for height in heights]
+    done = [0] * lam[0]  # the entries of each completed column, as a mask
 
-    def place(idx, free, inv):
+    def place(idx, free, inv, key, col, strong):
         j, i, below, left = cells[idx]
         cand = free
         if below:
@@ -156,25 +187,40 @@ def _walk_standard(p, lam, leaf):
             cand ^= low
             v = column[i] = low.bit_length() - 1
             now = inv + (hi[v] & ~free).bit_count()
+            code = key << width | v
+            if i:
+                place(idx + 1, free ^ low, now, code, col | low, strong)
+                continue
+            full = col | low
+            ok = strong and (not left or _pair_strong(inc, done[j - 1], full))
             if idx == last:
-                leaf(grid, now)
+                leaf(code, now, ok)
             else:
-                place(idx + 1, free ^ low, now)
+                done[j] = full
+                place(idx + 1, free ^ low, now, code, 0, ok)
 
-    place(0, (1 << (p.n + 1)) - 2, 0)
+    place(0, (1 << (p.n + 1)) - 2, 0, 0, 0, True)
+
+
+def standard_classes(p, lam):
+    """The standard tableaux of a shape as ``{key: inv}`` in key order, and
+    the strong ones the same way (see `_walk_standard`)."""
+    standard, strong = {}, {}
+
+    def leaf(key, inv, flag):
+        standard[key] = inv
+        if flag:
+            strong[key] = inv
+
+    _walk_standard(p, lam, leaf)
+    return standard, strong
 
 
 def enumerate_standard(p, lam):
     """All tableaux of the given row shape using each of 1..n once, in
     column layout, sorted by column word (see `_walk_standard`)."""
-    out = []
-    _walk_standard(p, lam, lambda grid, inv: out.append(tuple(map(tuple, grid))))
-    return out
+    return [key_to_tableau(p, key, lam) for key in standard_classes(p, lam)[0]]
 
-
-# ---------------------------------------------------------------------------
-# strength
-# ---------------------------------------------------------------------------
 
 def _reach(inc, mask):
     """Every element incomparable to some element of the mask."""
@@ -186,33 +232,31 @@ def _reach(inc, mask):
     return out
 
 
-def is_strong(p, cols):
-    """No adjacent column pair carries a right-unbalanced ladder.
-
-    A ladder is one component of the incomparability graph between the two
-    columns; each one that meets the right column is grown from a seed
-    there and must hold at least as many left entries as right ones.
-    """
-    inc = p._inc
-    for j in range(1, len(cols)):
-        left_col = right_col = 0
-        for v in cols[j - 1]:
-            left_col |= 1 << v
-        for v in cols[j]:
-            right_col |= 1 << v
-        rest = right_col
-        while rest:
-            right = grow = rest & -rest
-            left = 0
-            while grow:
-                new_left = _reach(inc, grow) & left_col & ~left
-                left |= new_left
-                grow = _reach(inc, new_left) & rest & ~right
-                right |= grow
-            if right.bit_count() > left.bit_count():
-                return False
-            rest &= ~right
+@functools.lru_cache(maxsize=4096)  # the walk meets each column pair often
+def _pair_strong(inc, left_col, right_col):
+    """No ladder between two adjacent columns, given as masks, holds more
+    right entries than left ones.  A ladder is one component of the
+    incomparability graph between the columns; each one that meets the
+    right column is grown from a seed there."""
+    rest = right_col
+    while rest:
+        right = grow = rest & -rest
+        left = 0
+        while grow:
+            new_left = _reach(inc, grow) & left_col & ~left
+            left |= new_left
+            grow = _reach(inc, new_left) & rest & ~right
+            right |= grow
+        if right.bit_count() > left.bit_count():
+            return False
+        rest &= ~right
     return True
+
+
+def is_strong(p, cols):
+    """No adjacent column pair carries a right-unbalanced ladder."""
+    masks = [sum(1 << v for v in c) for c in cols]
+    return all(_pair_strong(p._inc, a, b) for a, b in zip(masks, masks[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +306,11 @@ def tab(p, rows):
     return rows_to_cols(rows)
 
 
-def enumerate_powerful_arrays(p, lam):
-    """All row-shaped powerful arrays using 1..n once, over every ordering
-    of lam's parts.  Returned as (row_shape, rows) pairs.
+def _fill_powerful(p, lam, leaf):
+    """Call ``leaf(alpha, rows, image)`` on every row-shaped powerful array
+    using 1..n once, over every ordering alpha of lam's parts; ``rows`` is
+    valid only during the call, and ``image`` lists its (row, position)
+    cells in the column word of the top-justified image (see `tab`).
 
     Rows are filled left to right trying small values first.  A value may
     not step down from its left neighbour and must sit above the anchor of
@@ -279,12 +325,12 @@ def enumerate_powerful_arrays(p, lam):
     if sum(lam) != p.n:
         raise ValueError(f"shape {lam} does not use {p.n} entries")
     if not lam:
-        return [((), ())]
+        leaf((), [], ())
+        return
     up, down = p._up, p._down
     full = (1 << (p.n + 1)) - 2
-    out = []
 
-    def fill_row(alpha, need, rows, free):
+    def fill_row(alpha, need, image, rows, free):
         width, wanted = alpha[len(rows)], need[len(rows)]
         anchored = [full] * width
         for prev in rows:
@@ -303,45 +349,77 @@ def enumerate_powerful_arrays(p, lam):
                 if (rest & up[v]).bit_count() < wanted[pos]:
                     continue
                 if not last:
-                    fill(pos + 1, rest, ~down[v], (pending & down[v]) | low)
+                    if rest & ~up[v]:  # else v would sit below all of the row after it
+                        fill(pos + 1, rest, ~down[v], (pending & down[v]) | low)
                 elif not pending & down[v]:
                     rows.append(tuple(row))
                     if len(rows) == len(alpha):
-                        out.append((alpha, tuple(rows)))
+                        leaf(alpha, rows, image)
                     else:
-                        fill_row(alpha, need, rows, rest)
+                        fill_row(alpha, need, image, rows, rest)
                     rows.pop()
 
         fill(0, free, -1, 0)
 
-    for alpha, need in _powerful_plan(lam):
-        fill_row(alpha, need, [], full)
+    for alpha, need, image in _powerful_plan(lam):
+        fill_row(alpha, need, image, [], full)
+
+
+def enumerate_powerful_arrays(p, lam):
+    """All row-shaped powerful arrays using 1..n once, over every ordering
+    of lam's parts, as (row_shape, rows) pairs (see `_fill_powerful`)."""
+    out = []
+    _fill_powerful(p, lam, lambda alpha, rows, image: out.append((alpha, tuple(rows))))
     return out
+
+
+def powerful_classes(p, lam):
+    """The top-justified images of the powerful arrays as ``{key: inv}``."""
+    width, inc = p.n.bit_length(), p._inc
+    hi = [inc[v] & ~((2 << v) - 1) for v in range(p.n + 1)]
+    images = {}
+
+    def leaf(alpha, rows, image):
+        key = seen = inv = 0
+        for r, pos in image:
+            v = rows[r][pos]
+            key = key << width | v
+            inv += (seen & hi[v]).bit_count()
+            seen |= 1 << v
+        images[key] = inv
+
+    _fill_powerful(p, lam, leaf)
+    return images
 
 
 @functools.lru_cache(maxsize=None)
 def _powerful_plan(lam):
     """Each ordering alpha of lam's parts with its table need[r][pos]: the
     cells of later rows that must sit above row r's entry at pos (the same
-    column, and every column from there on when pos is the row's last)."""
+    column, and every column from there on when pos is the row's last);
+    and the (r, pos) cells in the column word of the top-justified image."""
     return tuple(
         (alpha, tuple(
             tuple(sum(max(0, part - pos) if pos + 1 == width else part > pos
                       for part in alpha[r + 1 :]) for pos in range(width))
             for r, width in enumerate(alpha)
+        ), tuple(
+            (r, pos) for pos in range(lam[0])
+            for r in range(len(alpha) - 1, -1, -1) if alpha[r] > pos
         ))
         for alpha in compositions_with_sort(lam)
     )
 
 
 def enumerate_class(p, lam, which):
-    """Standard tableaux of a shape, optionally filtered to the strong ones
-    or replaced by the image of the powerful arrays."""
+    """The standard tableaux of a shape, the strong ones, or the image of
+    the powerful arrays, in column layout sorted by column word."""
     if which == "standard":
         return enumerate_standard(p, lam)
     if which == "strong":
-        return [t for t in enumerate_standard(p, lam) if is_strong(p, t)]
-    if which == "powerful":
-        images = {rows_to_cols(rows) for _, rows in enumerate_powerful_arrays(p, lam)}
-        return sorted(images, key=colword)
-    raise ValueError(f"unknown tableau class {which!r}")
+        keys = standard_classes(p, lam)[1]
+    elif which == "powerful":
+        keys = sorted(powerful_classes(p, lam))
+    else:
+        raise ValueError(f"unknown tableau class {which!r}")
+    return [key_to_tableau(p, key, lam) for key in keys]

@@ -873,7 +873,7 @@ def standard_inv_counts(p, lam):
     coefficient list without trailing zeros."""
     counts = [0] * (p.n * (p.n - 1) // 2 + 1)
 
-    def leaf(grid, inv):
+    def leaf(key, inv, strong):
         counts[inv] += 1
 
     _walk_standard(p, lam, leaf)

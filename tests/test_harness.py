@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import logging
@@ -199,6 +200,27 @@ def test_overcount_fails_at_the_n9_unit_by_brute_force():
 def test_bounds_hold_to_six():
     reports = run_verification("bounds", 6, parallelism=JOBS)
     assert summarize(reports) == {"holds": 1836, "fails": 0, "skipped": 0}
+
+
+# sha256 of each n <= 6 report's JSON-lines with ``seconds`` dropped, as
+# bench/run.py digests suite-n6 (theorem-suite, pinned there); taken before
+# the class kernels moved to column-word keys.
+CLASS_REPORT_DIGESTS_TO_SIX = {
+    "bounds": "e5cece92c2172b3077599a7ca3ff3d7f7f7a51c7b108572632ecad803869b3e1",
+    "undercount-q": "b611da768f2376f3bd2d9b4eb43670b9da4d12bfc56f935b509f9b25a9c70b8b",
+    "overcount-q": "dc53ee3dfcf142537170c7f9489256385f3ebe96b359e4f6f0a7b888be3489f4",
+    "nonzero": "b2d9d5259da2492343d4f814f0df4c46800c9363e857da344dc3f8de2bb532b3",
+    "strong-iff-hikita": "983d8c3ca7fad1f62d27528a94ed07149d3128e83c70fec655af34f5cf8dbc84",
+    "barbell-powerful": "8cb5074d04d1ad0d83c7609df95658dda0cee4aeec26db0807d0088b134b022a",
+}
+
+
+@pytest.mark.parametrize("conjecture", sorted(CLASS_REPORT_DIGESTS_TO_SIX))
+def test_class_conjecture_reports_pinned_to_six(conjecture):
+    digest = hashlib.sha256()
+    for row in without_seconds(run_verification(conjecture, 6, parallelism=JOBS)):
+        digest.update(json.dumps(row).encode() + b"\n")
+    assert digest.hexdigest() == CLASS_REPORT_DIGESTS_TO_SIX[conjecture]
 
 
 def test_small_sweeps_hold():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,9 +20,13 @@ from csflab.tableaux import (
     is_powerful_array,
     is_powersum_word,
     is_strong,
+    key_to_tableau,
+    powerful_classes,
     rows_to_cols,
     rows_to_text,
+    standard_classes,
     tab,
+    tableau_key,
     tableau_to_text,
     text_to_rows,
     text_to_tableau,
@@ -418,6 +423,72 @@ def test_bitmask_enumerations_match_less_kernels(m):
         assert enumerate_powerful_arrays(p, lam) == enumerate_powerful_arrays_by_less(p, lam)
         for t in standard:
             assert is_strong(p, t) == is_strong_by_ladders(p, t)
+
+
+# -- keyed class kernels against the P.less oracles ----------------------------
+
+def _packed(t, width):
+    """The column word of t packed here, ``width`` bits per letter, first
+    letter highest: the key format, independent of ``tableau_key``."""
+    return sum(v << width * k for k, v in enumerate(reversed(colword(t))))
+
+
+def _keyed_classes_match_oracles(m):
+    """On every shape: the walk's keys decode to the oracle's standard
+    tableaux in the same order, with the oracle's inv and strong flags; the
+    powerful keys are the top-justified images of the oracle's arrays, with
+    their inv.  Keys are packed at n.bit_length() bits per entry."""
+    p = poset_from_hessenberg(m)
+    width = p.n.bit_length()
+    for lam in partitions(p.n):
+        standard, strong = standard_classes(p, lam)
+        tableaux = enumerate_standard_by_less(p, lam)
+        assert [key_to_tableau(p, key, lam) for key in standard] == tableaux
+        want = {_packed(t, width): inv_word_by_pairs(p, colword(t)) for t in tableaux}
+        assert list(standard.items()) == list(want.items())
+        assert strong == {
+            _packed(t, width): want[_packed(t, width)]
+            for t in tableaux if is_strong_by_ladders(p, t)
+        }
+        images = {rows_to_cols(rows) for _, rows in enumerate_powerful_arrays_by_less(p, lam)}
+        assert powerful_classes(p, lam) == {
+            _packed(t, width): inv_word_by_pairs(p, colword(t)) for t in images
+        }
+
+
+VECTORS_TO_6 = [m for m in VECTORS_TO_7 if len(m) <= 6]
+VECTORS_7 = [m for m in VECTORS_TO_7 if len(m) == 7]
+
+
+def test_keyed_classes_match_oracles_to_six():
+    for m in VECTORS_TO_6:
+        _keyed_classes_match_oracles(m)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.sampled_from(VECTORS_7))
+def test_keyed_classes_match_oracles_at_seven_sampled(m):
+    _keyed_classes_match_oracles(m)
+
+
+@pytest.mark.skipif(
+    not os.environ.get("CSFLAB_KERNELS_N7"),
+    reason="set CSFLAB_KERNELS_N7=1 to check every unit order with n=7",
+)
+def test_keyed_classes_match_oracles_at_seven_in_full():
+    for m in VECTORS_7:
+        _keyed_classes_match_oracles(m)
+
+
+def test_tableau_keys_roundtrip_in_column_word_order():
+    width = P7.n.bit_length()
+    for lam in partitions(7):
+        tableaux = enumerate_standard(P7, lam)
+        keys = [tableau_key(P7, t) for t in tableaux]
+        assert keys == [_packed(t, width) for t in tableaux] == sorted(set(keys))
+        assert [key_to_tableau(P7, k, lam) for k in keys] == tableaux
+    empty = poset_from_hessenberg(())
+    assert tableau_key(empty, ()) == 0 and key_to_tableau(empty, 0, ()) == ()
 
 
 @settings(max_examples=10, deadline=None)
