@@ -55,8 +55,7 @@ With more than one worker the pending vectors are dealt round-robin into
 never more workers than shares).  A share is many vectors in one message,
 largest first within the share, and the dealing gives every share a like
 mix of large and small vectors, so no share straggles.  Results, and so
-any progress the caller sees, come back one whole share at a time, as its
-index and (status, witness, seconds) rows: the parent holds the tasks.
+any progress the caller sees, come back one whole share at a time.
 """
 
 from __future__ import annotations
@@ -81,11 +80,10 @@ from .posets import (
     poset_from_hessenberg,
 )
 from .qcore import QPoly, QRat, check_partition, int_poly_mul, partitions, q_factorial
-# Not called here: bench/spans.py wraps harness.enumerate_class, .greedy_shape_family
-# and .inv_p.
+# Not called here: bench/spans.py wraps harness.enumerate_class, .greedy_shape_family, .inv_p.
 from .structural import K_set, displaced_shape, greedy_shape_family
-from .tableaux import enumerate_class, inv_p, inv_sum, powerful_classes, q_count
-from .tableaux import standard_classes, tableau_key
+from .tableaux import colword, enumerate_class, inv_p, inv_sum, powerful_classes
+from .tableaux import q_count, standard_classes, word_key
 
 log = logging.getLogger("csflab.harness")
 
@@ -472,7 +470,7 @@ def _check_theorem_suite(m, lam):
     n = len(m)
     ran = []
 
-    hikita = {tableau_key(p, cols): cols for cols in enumerate_hikita(m, lam)}
+    hikita = {word_key(p, colword(cols)): cols for cols in enumerate_hikita(m, lam)}
     standard, strong = standard_classes(p, lam)
     powerful = powerful_classes(p, lam)
     if not hikita.keys() <= strong.keys():
@@ -613,9 +611,8 @@ def _shares(pending, parallelism):
 
 
 def _evaluate_share(share, cache):
-    """One pool message, (index, vectors): each vector by ``_evaluate_vector``,
-    in order, returned as the index and one (status, witness, seconds) row
-    per report; the parent holds the tasks."""
+    """One pool message (index, vectors), each vector by ``_evaluate_vector``
+    in order: the index and a (status, witness, seconds) row per report."""
     index, groups = share
     reports = [r for tasks in groups for r in _evaluate_vector(tasks, cache)]
     return index, [(r.status, r.witness, r.seconds) for r in reports]

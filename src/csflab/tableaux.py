@@ -16,15 +16,16 @@ bit b of ``_up[a]`` is set when a < b) into locals once per call and work
 on sets of entries as integers.  The element-by-element versions they
 replaced are kept in ``tests/oracles.py`` and checked against them.
 
-The class kernels name a tableau by its key (`tableau_key`): the column
-word in one int, ``n.bit_length()`` bits per entry, comparable only within
-one shape.  Over column layouts, `enumerate_class` (it decodes sorted
-keys), `is_strong`, `inv_p` and `enumerate_powerful_arrays` stay public.
+The class kernels name a tableau by its key: its column word packed at
+``n.bit_length()`` bits per entry (`word_key`), comparable only within one
+shape.  `enumerate_class` decodes sorted keys; it, `is_strong`, `inv_p`
+and `enumerate_powerful_arrays` stay public.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import Counter
 
 from .qcore import QPoly, check_partition, compositions_with_sort, conjugate
 
@@ -42,13 +43,7 @@ def cols_to_rows(cols):
     )
 
 
-def rows_to_cols(rows):
-    if not rows:
-        return ()
-    ncols = max(len(r) for r in rows)
-    return tuple(
-        tuple(r[j] for r in rows if len(r) > j) for j in range(ncols)
-    )
+rows_to_cols = cols_to_rows  # the same transpose of a justified layout
 
 
 def rows_to_text(rows):
@@ -110,58 +105,47 @@ def inv_sum(p, tableaux):
 
 def q_count(invs):
     """Sum of q^k over the inversion counts k."""
-    counts = {}
-    for k in invs:
-        counts[k] = counts.get(k, 0) + 1
-    if not counts:
-        return QPoly.zero()
-    return QPoly(tuple(counts.get(i, 0) for i in range(max(counts) + 1)))
+    counts = Counter(invs)
+    return QPoly([counts[i] for i in range(max(counts, default=-1) + 1)])
 
 
 # ---------------------------------------------------------------------------
 # keys, standard tableaux and strength
 # ---------------------------------------------------------------------------
 
-def tableau_key(p, cols):
-    """The column word packed into one int, ``p.n.bit_length()`` bits per
-    entry, first letter highest: within one shape, key order is column-word
-    order, and key and tableau determine each other."""
-    width, key = p.n.bit_length(), 0
-    for c in cols:
-        for v in reversed(c):
-            key = key << width | v
-    return key
+def word_key(p, word):
+    """The word in one int, ``p.n.bit_length()`` bits per letter, first letter
+    highest: over one shape's column words, key order is column-word order."""
+    width = p.n.bit_length()
+    return sum(v << width * k for k, v in enumerate(reversed(word)))
 
 
 def key_to_tableau(p, key, lam):
-    """The column layout of a key of shape lam (see `tableau_key`)."""
+    """The column layout of a key of shape lam (see `word_key`)."""
     width, cols = p.n.bit_length(), []
-    mask = (1 << width) - 1
     for height in reversed(conjugate(lam)):
-        cols.append(tuple(key >> width * i & mask for i in range(height)))
+        cols.append(tuple(key >> width * i & (1 << width) - 1 for i in range(height)))
         key >>= width * height
     return tuple(reversed(cols))
 
 
-def _walk_standard(p, lam, leaf):
-    """Call ``leaf(key, inv, strong)`` on every tableau of the given row
-    shape using each of 1..n once: its `tableau_key`, its inversion count
-    and whether it is strong (see `is_strong`).
+def standard_classes(p, lam):
+    """The tableaux of the given row shape using each of 1..n once, and the
+    strong ones (see `is_strong`), as ``{key: inv}`` in key order.
 
     Cells are filled along the column word (leftmost column bottom-to-top
     first) trying small values first, so keys come in increasing order.  A
     cell takes the unused values below the cell under it and not below the
-    cell to its left.  The fill order is the reading order of `inv_word`,
-    so each entry adds the larger incomparable entries already placed, and
-    a column pair's ladders are tested when its right column is complete.
+    cell to its left.  Each entry adds the larger incomparable entries
+    already placed (`inv_word`), and a column pair is tested once complete.
     """
     lam = check_partition(lam)
     if sum(lam) != p.n:
         raise ValueError(f"shape {lam} does not use {p.n} entries")
     if not lam:
-        leaf(0, 0, True)
-        return
+        return {0: 0}, {0: 0}
     down, inc, width = p._down, p._inc, p.n.bit_length()
+    pair_strong = _pair_test(inc)
     hi = [inc[v] & ~((2 << v) - 1) for v in range(p.n + 1)]
     heights = conjugate(lam)
     # (column, row, has a cell below, has a cell to the left) in fill order
@@ -173,8 +157,9 @@ def _walk_standard(p, lam, leaf):
     last = len(cells) - 1
     grid = [[0] * height for height in heights]
     done = [0] * lam[0]  # the entries of each completed column, as a mask
+    standard, strong = {}, {}
 
-    def place(idx, free, inv, key, col, strong):
+    def place(idx, free, inv, key, col, ok):
         j, i, below, left = cells[idx]
         cand = free
         if below:
@@ -189,36 +174,25 @@ def _walk_standard(p, lam, leaf):
             now = inv + (hi[v] & ~free).bit_count()
             code = key << width | v
             if i:
-                place(idx + 1, free ^ low, now, code, col | low, strong)
+                place(idx + 1, free ^ low, now, code, col | low, ok)
                 continue
             full = col | low
-            ok = strong and (not left or _pair_strong(inc, done[j - 1], full))
-            if idx == last:
-                leaf(code, now, ok)
-            else:
+            pair = ok and (not left or pair_strong(done[j - 1], full))
+            if idx < last:
                 done[j] = full
-                place(idx + 1, free ^ low, now, code, 0, ok)
+                place(idx + 1, free ^ low, now, code, 0, pair)
+            else:
+                standard[code] = now
+                if pair:
+                    strong[code] = now
 
     place(0, (1 << (p.n + 1)) - 2, 0, 0, 0, True)
-
-
-def standard_classes(p, lam):
-    """The standard tableaux of a shape as ``{key: inv}`` in key order, and
-    the strong ones the same way (see `_walk_standard`)."""
-    standard, strong = {}, {}
-
-    def leaf(key, inv, flag):
-        standard[key] = inv
-        if flag:
-            strong[key] = inv
-
-    _walk_standard(p, lam, leaf)
     return standard, strong
 
 
 def enumerate_standard(p, lam):
     """All tableaux of the given row shape using each of 1..n once, in
-    column layout, sorted by column word (see `_walk_standard`)."""
+    column layout, sorted by column word (see `standard_classes`)."""
     return [key_to_tableau(p, key, lam) for key in standard_classes(p, lam)[0]]
 
 
@@ -232,31 +206,33 @@ def _reach(inc, mask):
     return out
 
 
-@functools.lru_cache(maxsize=4096)  # the walk meets each column pair often
-def _pair_strong(inc, left_col, right_col):
-    """No ladder between two adjacent columns, given as masks, holds more
-    right entries than left ones.  A ladder is one component of the
-    incomparability graph between the columns; each one that meets the
-    right column is grown from a seed there."""
-    rest = right_col
-    while rest:
-        right = grow = rest & -rest
-        left = 0
-        while grow:
-            new_left = _reach(inc, grow) & left_col & ~left
-            left |= new_left
-            grow = _reach(inc, new_left) & rest & ~right
-            right |= grow
-        if right.bit_count() > left.bit_count():
-            return False
-        rest &= ~right
-    return True
+@functools.lru_cache(maxsize=1)  # the pairs of one poset, so of one vector in a sweep
+def _pair_test(inc):
+    """The memoized test of two adjacent columns, as masks, of the poset: no
+    ladder (a component of the incomparability graph between the columns,
+    grown from a seed in the right one) holds more right entries than left."""
+    @functools.lru_cache(maxsize=None)
+    def pair_strong(left_col, right_col):
+        rest = right_col
+        while rest:
+            right = grow = rest & -rest
+            left = 0
+            while grow:
+                new_left = _reach(inc, grow) & left_col & ~left
+                left |= new_left
+                grow = _reach(inc, new_left) & rest & ~right
+                right |= grow
+            if right.bit_count() > left.bit_count():
+                return False
+            rest &= ~right
+        return True
+    return pair_strong
 
 
 def is_strong(p, cols):
     """No adjacent column pair carries a right-unbalanced ladder."""
     masks = [sum(1 << v for v in c) for c in cols]
-    return all(_pair_strong(p._inc, a, b) for a, b in zip(masks, masks[1:]))
+    return all(map(_pair_test(p._inc), masks, masks[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -277,25 +253,15 @@ def is_powersum_word(p, w):
 
 
 def is_powerful_array(p, rows):
-    if not all(rows) or not rows:
+    """Nonempty powersum-word rows, each entry above its anchor in every
+    earlier row: that row's entry in the same column, or its last entry
+    when the row is shorter."""
+    if not rows or not all(rows) or not all(is_powersum_word(p, r) for r in rows):
         return False
-    for row in rows:
-        if not is_powersum_word(p, row):
-            return False
-    ncols = max(len(r) for r in rows)
-    for t in range(ncols):
-        present = [r for r in range(len(rows)) if len(rows[r]) > t]
-        for a in range(len(present)):
-            for b in range(a + 1, len(present)):
-                if not p.less(rows[present[a]][t], rows[present[b]][t]):
-                    return False
-    for r in range(len(rows)):
-        last = rows[r][-1]
-        for s in range(r + 1, len(rows)):
-            for t in range(len(rows[r]), len(rows[s])):
-                if not p.less(last, rows[s][t]):
-                    return False
-    return True
+    return all(
+        p.less(row[min(t, len(row) - 1)], v)
+        for r, row in enumerate(rows) for later in rows[r + 1 :] for t, v in enumerate(later)
+    )
 
 
 def tab(p, rows):
@@ -309,8 +275,7 @@ def tab(p, rows):
 def _fill_powerful(p, lam, leaf):
     """Call ``leaf(alpha, rows, image)`` on every row-shaped powerful array
     using 1..n once, over every ordering alpha of lam's parts; ``rows`` is
-    valid only during the call, and ``image`` lists its (row, position)
-    cells in the column word of the top-justified image (see `tab`).
+    valid only during the call, and ``image`` comes from `_powerful_plan`.
 
     Rows are filled left to right trying small values first.  A value may
     not step down from its left neighbour and must sit above the anchor of
@@ -324,13 +289,13 @@ def _fill_powerful(p, lam, leaf):
     lam = check_partition(lam)
     if sum(lam) != p.n:
         raise ValueError(f"shape {lam} does not use {p.n} entries")
-    if not lam:
-        leaf((), [], ())
-        return
     up, down = p._up, p._down
     full = (1 << (p.n + 1)) - 2
 
     def fill_row(alpha, need, image, rows, free):
+        if len(rows) == len(alpha):
+            leaf(alpha, rows, image)
+            return
         width, wanted = alpha[len(rows)], need[len(rows)]
         anchored = [full] * width
         for prev in rows:
@@ -348,15 +313,11 @@ def _fill_powerful(p, lam, leaf):
                 rest = free ^ low
                 if (rest & up[v]).bit_count() < wanted[pos]:
                     continue
-                if not last:
-                    if rest & ~up[v]:  # else v would sit below all of the row after it
-                        fill(pos + 1, rest, ~down[v], (pending & down[v]) | low)
-                elif not pending & down[v]:
+                if not last and rest & ~up[v]:  # else v sits below the rest of its row
+                    fill(pos + 1, rest, ~down[v], (pending & down[v]) | low)
+                elif last and not pending & down[v]:
                     rows.append(tuple(row))
-                    if len(rows) == len(alpha):
-                        leaf(alpha, rows, image)
-                    else:
-                        fill_row(alpha, need, image, rows, rest)
+                    fill_row(alpha, need, image, rows, rest)
                     rows.pop()
 
         fill(0, free, -1, 0)
@@ -366,8 +327,7 @@ def _fill_powerful(p, lam, leaf):
 
 
 def enumerate_powerful_arrays(p, lam):
-    """All row-shaped powerful arrays using 1..n once, over every ordering
-    of lam's parts, as (row_shape, rows) pairs (see `_fill_powerful`)."""
+    """The (row_shape, rows) pairs of `_fill_powerful`, in its order."""
     out = []
     _fill_powerful(p, lam, lambda alpha, rows, image: out.append((alpha, tuple(rows))))
     return out
@@ -397,16 +357,14 @@ def _powerful_plan(lam):
     """Each ordering alpha of lam's parts with its table need[r][pos]: the
     cells of later rows that must sit above row r's entry at pos (the same
     column, and every column from there on when pos is the row's last);
-    and the (r, pos) cells in the column word of the top-justified image."""
+    and its image: the (r, pos) cells in the column word of `tab`'s result."""
     return tuple(
         (alpha, tuple(
             tuple(sum(max(0, part - pos) if pos + 1 == width else part > pos
                       for part in alpha[r + 1 :]) for pos in range(width))
             for r, width in enumerate(alpha)
-        ), tuple(
-            (r, pos) for pos in range(lam[0])
-            for r in range(len(alpha) - 1, -1, -1) if alpha[r] > pos
-        ))
+        ), tuple((r, pos) for pos in range(max(alpha, default=0))
+                 for r in reversed(range(len(alpha))) if alpha[r] > pos))
         for alpha in compositions_with_sort(lam)
     )
 

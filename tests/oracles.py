@@ -39,7 +39,6 @@ from csflab.qcore import (
 )
 from csflab.structural import powersum_words, r_index
 from csflab.tableaux import (
-    _walk_standard,
     colword,
     enumerate_standard,
     inv_p,
@@ -47,6 +46,7 @@ from csflab.tableaux import (
     is_powersum_word,
     is_powerful_array,
     rows_to_cols,
+    standard_classes,
 )
 
 
@@ -872,11 +872,8 @@ def standard_inv_counts(p, lam):
     """Sum of q^inv over the tableaux of `enumerate_standard`, as an integer
     coefficient list without trailing zeros."""
     counts = [0] * (p.n * (p.n - 1) // 2 + 1)
-
-    def leaf(key, inv, strong):
+    for inv in standard_classes(p, lam)[0].values():
         counts[inv] += 1
-
-    _walk_standard(p, lam, leaf)
     while counts and not counts[-1]:
         counts.pop()
     return counts

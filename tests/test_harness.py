@@ -15,7 +15,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csflab import tableaux
 from csflab.csf import e_coeff
 from csflab.harness import (
     CONJECTURES,
@@ -376,14 +375,16 @@ def test_theorem_suite_to_five():
 
 
 def test_theorem_suite_walks_standard_tableaux_once_per_unit(monkeypatch):
+    import csflab.harness as harness
+
     walks = []
-    walk = tableaux._walk_standard
+    walk = harness.standard_classes
 
-    def counted(p, lam, leaf):
+    def counted(p, lam):
         walks.append((natural_unit_m(p), lam))
-        return walk(p, lam, leaf)
+        return walk(p, lam)
 
-    monkeypatch.setattr(tableaux, "_walk_standard", counted)
+    monkeypatch.setattr(harness, "standard_classes", counted)
     reports = run_verification("theorem-suite", 5)
     assert len(reports) == 384
     assert sorted(walks) == sorted((r.task.m, r.task.lam) for r in reports)
