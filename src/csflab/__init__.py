@@ -35,7 +35,6 @@ from .posets import (
     kchain_hessenberg,
     path_hessenberg,
     poset_from_hessenberg,
-    poset_from_relations,
 )
 from .qcore import QPoly, QRat, partitions, q_factorial, q_int
 from .structural import K_set, greedy_shape_family
@@ -73,7 +72,6 @@ __all__ = [
     "path_formula",
     "path_hessenberg",
     "poset_from_hessenberg",
-    "poset_from_relations",
     "prob",
     "q_factorial",
     "q_int",

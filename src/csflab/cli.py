@@ -132,8 +132,9 @@ def tableaux(hessenberg, shape, which):
     if which == "hikita":
         found = _usage(enumerate_hikita, m, lam)
     elif which == "k-set":
+        # at n <= 4, (n-2, 2) is no partition: K_set refuses that itself
         wanted = (len(m) - 2, 2)
-        if lam != wanted:
+        if len(m) > 4 and lam != wanted:
             raise click.UsageError(
                 f"class k-set only exists for shape {wanted}, got {lam}"
             )

@@ -24,7 +24,6 @@ import itertools
 import warnings
 
 from .hikita import e_coefficients_by_shape
-from .posets import natural_unit_m
 from .qcore import (
     QPoly,
     check_partition,
@@ -174,7 +173,7 @@ def csf_coloring_oracle(p):
     """Monomial expansion from proper colorings of the incomparability graph."""
     if p.n > SIZE_CAP:
         raise ValueError(f"n={p.n} exceeds the size cap {SIZE_CAP}")
-    if p.n and natural_unit_m(p) is None:
+    if p.n and p.m is None:
         warnings.warn(
             "q-weights of a poset that is not a natural unit interval order "
             "need not assemble into a symmetric function; only the q=1 "
@@ -337,7 +336,7 @@ def chromatic_e_expansion(p):
     """
     if p.n > SIZE_CAP:
         raise ValueError(f"n={p.n} exceeds the size cap {SIZE_CAP}")
-    m = natural_unit_m(p)
+    m = p.m
     if m is None:
         raise ValueError(
             "symbolic e-expansion requires a natural unit interval order; "

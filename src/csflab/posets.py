@@ -1,19 +1,20 @@
-"""Finite posets on {1..n}, specialized to natural unit interval orders.
+"""Natural unit interval orders on {1..n}, built from their vectors.
 
-A reverse Hessenberg vector m (1-indexed, weakly increasing, m(i) < i) encodes
-the order i < j in P exactly when i <= m(j).  General posets built from
-explicit relations are supported as input; the heavy enumeration machinery
-only ever sees the unit-interval family.  Brute-force invariants used to
-cross-check the family (pattern classification, incomparability
-components, longest chains, the unit-interval construction, the
-exhaustive chain-partition search behind the greedy partition) live in
-``tests/oracles.py``.
+A reverse Hessenberg vector m (1-indexed, weakly increasing, m(i) < i)
+encodes the order i < j in P exactly when i <= m(j).  These are exactly
+the orders whose incomparability graphs are the unit interval graphs, and
+the Catalan(n) vectors of length n give all of them (Shareshian and Wachs,
+*Chromatic quasisymmetric functions*), so ``Poset(m)`` is the only way the
+package builds a poset.  Posets built from explicit relations (2+2 and
+other non-unit orders), and the brute-force invariants used to cross-check
+the family (pattern classification, incomparability components, longest
+chains, the unit-interval construction, the exhaustive chain-partition
+search behind the greedy partition), live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 
 
 def check_hessenberg(m):
@@ -27,42 +28,29 @@ def check_hessenberg(m):
 
 
 class Poset:
-    """Immutable poset on elements 1..n with O(1) order queries.
+    """The natural unit interval order of a reverse Hessenberg vector m.
 
-    The full strict relation is stored as per-element bitmasks (bit j of
-    up[i] set when i < j in P), with the incomparability masks cached since
-    tableau backtracking hammers them.
+    Elements are 1..n, and i < j exactly when i <= m(j).  The strict
+    relation is stored as per-element bitmasks: bit j of ``_up[i]`` and bit
+    i of ``_down[j]`` are set when i < j, so ``_down[j]`` is the bits
+    1..m(j).  The incomparability masks ``_inc`` are cached too, since
+    tableau backtracking hammers them.  ``m`` is kept, so the entry points
+    defined on unit orders only read it instead of recovering it.
     """
 
-    __slots__ = ("n", "_up", "_down", "_inc")
+    __slots__ = ("n", "m", "_up", "_down", "_inc")
 
-    def __init__(self, n, relations):
-        up = [0] * (n + 1)
-        down = [0] * (n + 1)
-        rel = set()
-        for a, b in relations:
-            if not (1 <= a <= n and 1 <= b <= n):
-                raise ValueError(f"element out of range in relation ({a},{b})")
-            if a == b:
-                raise ValueError(f"reflexive relation ({a},{b})")
-            rel.add((a, b))
-        for a, b in rel:
-            if (b, a) in rel:
-                raise ValueError(f"antisymmetry violated on ({a},{b})")
-            up[a] |= 1 << b
-            down[b] |= 1 << a
-        for a, b in rel:
-            for c in _bits(up[b]):
-                if not (up[a] >> c) & 1:
-                    raise ValueError(f"not transitive: {a}<{b}<{c} but not {a}<{c}")
+    def __init__(self, m):
+        m = check_hessenberg(m)
+        n = len(m)
+        up = (0,) + tuple(
+            sum(1 << j for j, v in enumerate(m, start=1) if i <= v) for i in range(1, n + 1)
+        )
+        down = (0,) + tuple((1 << (v + 1)) - 2 for v in m)
         full = (1 << (n + 1)) - 2  # bits 1..n
-        inc = [0] * (n + 1)
-        for a in range(1, n + 1):
-            inc[a] = full & ~(up[a] | down[a] | (1 << a))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_up", tuple(up))
-        object.__setattr__(self, "_down", tuple(down))
-        object.__setattr__(self, "_inc", tuple(inc))
+        inc = (0,) + tuple(full & ~(up[a] | down[a] | (1 << a)) for a in range(1, n + 1))
+        for name, value in (("n", n), ("m", m), ("_up", up), ("_down", down), ("_inc", inc)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poset is immutable")
@@ -70,24 +58,6 @@ class Poset:
     def less(self, a, b):
         """a < b in P."""
         return bool((self._up[a] >> b) & 1)
-
-    def incomparable(self, a, b):
-        return a != b and not self.less(a, b) and not self.less(b, a)
-
-    def above(self, a):
-        """Bitmask of elements strictly above a."""
-        return self._up[a]
-
-    def below(self, a):
-        return self._down[a]
-
-    def elements(self):
-        return range(1, self.n + 1)
-
-    def relations(self):
-        return tuple(
-            (a, b) for a in self.elements() for b in _bits(self._up[a])
-        )
 
     def __eq__(self, other):
         return (
@@ -98,42 +68,14 @@ class Poset:
         return hash((self.n, self._up))
 
     def __repr__(self):
-        return f"Poset(n={self.n}, relations={list(self.relations())})"
-
-
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def transitive_closure(n, pairs):
-    rel = set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for (a, b), (c, d) in itertools.product(list(rel), repeat=2):
-            if b == c and (a, d) not in rel:
-                rel.add((a, d))
-                changed = True
-    return rel
-
-
-def poset_from_relations(n, pairs):
-    """Build a poset from cover (or any) relations, closing transitively."""
-    return Poset(n, transitive_closure(n, pairs))
+        return f"Poset({self.m})"
 
 
 def poset_from_hessenberg(m):
     return _hessenberg_poset(check_hessenberg(m))
 
 
-@functools.lru_cache(maxsize=None)
-def _hessenberg_poset(m):
-    n = len(m)
-    rels = [(i, j) for j in range(1, n + 1) for i in range(1, m[j - 1] + 1)]
-    return Poset(n, rels)
+_hessenberg_poset = functools.lru_cache(maxsize=None)(Poset)  # one Poset per vector
 
 
 def enumerate_hessenberg(n):
@@ -167,7 +109,7 @@ def greedy_partition(p):
     tests check that on every vector with n <= 7.  Raises ValueError on any
     other poset.
     """
-    if natural_unit_m(p) is None:
+    if p.m is None:
         raise ValueError("greedy_partition needs a natural unit interval order")
     free = (1 << (p.n + 1)) - 2
     sizes = []
@@ -180,24 +122,6 @@ def greedy_partition(p):
             v = above & -above
         sizes.append(size)
     return tuple(sorted(sizes, reverse=True))
-
-
-def natural_unit_m(p):
-    """Recover the reverse Hessenberg vector if p is a natural unit interval
-    order labeled compatibly; None otherwise.
-
-    m(j) is the largest element below j, read off the masks; p is the
-    order of m exactly when m is weakly increasing with m(j) < j and the
-    elements below each j are exactly 1..m(j).
-    """
-    m = []
-    for j in range(1, p.n + 1):
-        below = p._down[j]
-        top = max(below.bit_length() - 1, 0)
-        if top >= j or below != (1 << (top + 1)) - 2 or (m and top < m[-1]):
-            return None
-        m.append(top)
-    return tuple(m)
 
 
 def path_hessenberg(n):

@@ -31,7 +31,7 @@ re-checked at runtime and raise RuntimeError when violated, so a breach is
 loud rather than silent.
 """
 from .qcore import conjugate, is_partition
-from .posets import greedy_partition, natural_unit_m
+from .posets import greedy_partition
 from .tableaux import colword, inv_word, is_powersum_word, tab
 
 
@@ -161,7 +161,7 @@ def complemented_set(p):
     checked against the factorization image; raises ValueError on any other
     poset.
     """
-    if natural_unit_m(p) is None:
+    if p.m is None:
         raise ValueError("complemented_set needs a natural unit interval order")
     if p.n <= 4:
         raise ValueError(f"need n > 4, got {p.n}")

@@ -22,9 +22,7 @@ from csflab.harness import _by_vector, _Cache, evaluate_task, tasks_for
 from csflab.hikita import delta, insert, is_syt, tableau_size
 from csflab.posets import (
     Poset,
-    _bits,
     check_hessenberg,
-    natural_unit_m,
     path_hessenberg,
     poset_from_hessenberg,
 )
@@ -91,6 +89,76 @@ def add_parts(mu, nu):
 # posets: other constructions and brute-force invariants
 # ---------------------------------------------------------------------------
 
+def _bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def natural_unit_m(p):
+    """Recover the reverse Hessenberg vector if p is a natural unit interval
+    order labeled compatibly; None otherwise.
+
+    m(j) is the largest element below j, read off the masks; p is the
+    order of m exactly when m is weakly increasing with m(j) < j and the
+    elements below each j are exactly 1..m(j).
+    """
+    m = []
+    for j in range(1, p.n + 1):
+        below = p._down[j]
+        top = max(below.bit_length() - 1, 0)
+        if top >= j or below != (1 << (top + 1)) - 2 or (m and top < m[-1]):
+            return None
+        m.append(top)
+    return tuple(m)
+
+
+class RelationPoset(Poset):
+    """A poset on 1..n from any acyclic relations, closed transitively.
+
+    It carries the masks of a vector-built ``Poset``, so the tableau kernels
+    read it alike, and it equals (and shares caches with) the ``Poset`` of
+    the same order.  ``m`` is what ``natural_unit_m`` recovers, None off the
+    natural unit interval orders, so the library's unit-only entry points
+    refuse it exactly when they refuse that order.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, n, pairs):
+        up = [0] * (n + 1)
+        for a, b in pairs:
+            up[a] |= 1 << b
+        for k in range(1, n + 1):  # Warshall's closure on the masks
+            for i in range(1, n + 1):
+                if (up[i] >> k) & 1:
+                    up[i] |= up[k]
+        if any((up[a] >> a) & 1 for a in range(1, n + 1)):
+            raise ValueError(f"relations {pairs} have a cycle")
+        down = [0] * (n + 1)
+        for a in range(1, n + 1):
+            for b in _bits(up[a]):
+                down[b] |= 1 << a
+        full = (1 << (n + 1)) - 2  # bits 1..n
+        inc = [full & ~(up[a] | down[a] | (1 << a)) if a else 0 for a in range(n + 1)]
+        for name, value in (("n", n), ("_up", tuple(up)), ("_down", tuple(down)), ("_inc", tuple(inc))):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "m", natural_unit_m(self))
+
+    def __repr__(self):
+        return f"RelationPoset({self.n}, {list(relations(self))})"
+
+
+def incomparable(p, a, b):
+    return a != b and not p.less(a, b) and not p.less(b, a)
+
+
+def relations(p):
+    """The strict relation as (a, b) pairs with a < b in P, sorted."""
+    return tuple((a, b) for a in range(1, p.n + 1) for b in _bits(p._up[a]))
+
+
 def poset_from_units(points):
     """Order by unit intervals: i < j in P iff a_i + 1 < a_j (exact rationals)."""
     pts = [Fraction(x) for x in points]
@@ -103,7 +171,7 @@ def poset_from_units(points):
         for j in range(1, n + 1)
         if pts[i - 1] + 1 < pts[j - 1]
     ]
-    return Poset(n, rels)
+    return RelationPoset(n, rels)
 
 
 @dataclass(frozen=True)
@@ -117,25 +185,25 @@ def classify(p):
     """Brute-force scan for induced 3-chain+point, 2+2, and 3-chain patterns."""
     chains3 = [
         (a, b, c)
-        for a in p.elements()
-        for b in _bits(p.above(a))
-        for c in _bits(p.above(b))
+        for a in range(1, p.n + 1)
+        for b in _bits(p._up[a])
+        for c in _bits(p._up[b])
     ]
     has_31 = any(
         d not in (a, b, c)
-        and p.incomparable(d, a)
-        and p.incomparable(d, b)
-        and p.incomparable(d, c)
+        and incomparable(p, d, a)
+        and incomparable(p, d, b)
+        and incomparable(p, d, c)
         for (a, b, c) in chains3
-        for d in p.elements()
+        for d in range(1, p.n + 1)
     )
-    pairs = [(a, b) for a in p.elements() for b in _bits(p.above(a))]
+    pairs = [(a, b) for a in range(1, p.n + 1) for b in _bits(p._up[a])]
     has_22 = any(
         len({a, b, c, d}) == 4
-        and p.incomparable(a, c)
-        and p.incomparable(a, d)
-        and p.incomparable(b, c)
-        and p.incomparable(b, d)
+        and incomparable(p, a, c)
+        and incomparable(p, a, d)
+        and incomparable(p, b, c)
+        and incomparable(p, b, d)
         for (a, b) in pairs
         for (c, d) in pairs
     )
@@ -153,7 +221,7 @@ def incomparability_graph(p):
     """Edges {i, j} with i < j as integers, sorted."""
     return tuple(
         (a, b)
-        for a in p.elements()
+        for a in range(1, p.n + 1)
         for b in _bits(p._inc[a])
         if a < b
     )
@@ -163,7 +231,7 @@ def inc_components(p):
     """Connected components of the incomparability graph, as sorted tuples."""
     seen = set()
     comps = []
-    for start in p.elements():
+    for start in range(1, p.n + 1):
         if start in seen:
             continue
         comp = []
@@ -194,12 +262,12 @@ def max_chain_length(p):
         if v in depth:
             return depth[v]
         best = 1
-        for w in _bits(p.above(v)):
+        for w in _bits(p._up[v]):
             best = max(best, 1 + rec(w))
         depth[v] = best
         return best
 
-    return max(rec(v) for v in p.elements())
+    return max(rec(v) for v in range(1, p.n + 1))
 
 
 def _chain_partition_feasible(p, sizes):
@@ -216,7 +284,7 @@ def _chain_partition_feasible(p, sizes):
         if size == 1:
             return (1 << e,)
         out = []
-        comparables = (p.above(e) | p.below(e)) & avail_mask
+        comparables = (p._up[e] | p._down[e]) & avail_mask
         seen = set()
         for f in _bits(comparables):
             for sub in chains_through(f, size - 1, avail_mask & ~(1 << e)):
@@ -529,7 +597,7 @@ def ladders(p, cols, i):
 
     for lnode in left:
         for rnode in right:
-            if p.incomparable(lnode[1], rnode[1]):
+            if incomparable(p, lnode[1], rnode[1]):
                 ra, rb = find(("L", lnode)), find(("R", rnode))
                 if ra != rb:
                     parent[ra] = rb
@@ -815,7 +883,7 @@ def coloring_weights_by_walk(p, content):
         raise ValueError(f"content {content} does not use {n} cells")
     before = [[] for _ in range(n + 1)]
     for v in range(2, n + 1):
-        before[v] = [u for u in range(1, v) if p.incomparable(u, v)]
+        before[v] = [u for u in range(1, v) if incomparable(p, u, v)]
     counts = {}
     remaining = list(content)
     color = [0] * (n + 1)
@@ -1019,7 +1087,7 @@ def factorize(p, w):
         a, b = w[:2], w[2:]
     elif p.less(w[r - 2], w[r]):
         a, b = (w[r - 1], w[r]), w[: r - 1] + w[r + 1 :]
-    elif p.incomparable(w[r - 2], w[r]):
+    elif incomparable(p, w[r - 2], w[r]):
         if any(not p.less(w[r - 2], w[j]) for j in range(r + 1, len(w))):
             a, b = (w[r], w[r - 1]), w[: r - 1] + w[r + 1 :]
         else:
@@ -1062,19 +1130,19 @@ def complement_of_factorization_image(p, k):
 
 def missed_pattern_by_less(p, a, b):
     """``structural._missed_pattern`` letter by letter through ``p.less``
-    and ``p.incomparable``: the relation pattern 1, 2, 4 or 5 that the
+    and ``incomparable``: the relation pattern 1, 2, 4 or 5 that the
     pair (a, b) matches, or 0."""
-    r = next(i + 1 for i in range(len(b) - 1) if p.incomparable(b[i], b[i + 1]))
+    r = next(i + 1 for i in range(len(b) - 1) if incomparable(p, b[i], b[i + 1]))
     below_all = all(p.less(a[1], x) for x in b)
     tail_up = all(p.less(a[0], b[j]) for j in range(1, len(b)))
     hits = []
     if below_all and p.less(a[0], b[0]):
         hits.append(1)
-    if below_all and p.incomparable(a[0], b[0]) and tail_up:
+    if below_all and incomparable(p, a[0], b[0]) and tail_up:
         hits.append(2)
     if p.less(b[r - 1], a[0]) and p.less(b[r - 1], a[1]) and p.less(b[r], a[1]):
         hits.append(4)
-    if p.incomparable(b[r - 1], a[0]) and p.less(b[r - 1], a[1]) and p.less(b[r], a[0]):
+    if incomparable(p, b[r - 1], a[0]) and p.less(b[r - 1], a[1]) and p.less(b[r], a[0]):
         hits.append(5)
     if len(hits) > 1:
         raise RuntimeError(f"patterns {hits} overlap on pair ({a!r}, {b!r})")
@@ -1103,7 +1171,7 @@ def in_mult_image(p, cols):
     if p.less(v[r - 1], w[0]) and p.less(v[r - 1], w[1]) and p.less(v[r], w[1]):
         return True
     return (
-        p.incomparable(v[r - 1], w[0])
+        incomparable(p, v[r - 1], w[0])
         and p.less(v[r - 1], w[1])
         and p.less(v[r], w[0])
     )
@@ -1119,7 +1187,7 @@ def peak(rows, p=None):
     n = sum(len(r) for r in rows)
     if p is None:
         p = _path_poset(n)
-    elif p.n != n or natural_unit_m(p) != path_hessenberg(p.n):
+    elif p.n != n or p.m != path_hessenberg(p.n):
         raise ValueError("rows must form an array over the path order")
     if sorted(x for r in rows for x in r) != list(range(1, n + 1)):
         raise ValueError("array is not bijective onto 1..n")
@@ -1186,7 +1254,7 @@ def bpa_enumerate(n, alpha):
 
 def _chains(p, r):
     out = []
-    for combo in itertools.combinations(p.elements(), r):
+    for combo in itertools.combinations(range(1, p.n + 1), r):
         ordered = tuple(
             sorted(combo, key=lambda x: sum(1 for y in combo if p.less(y, x)))
         )

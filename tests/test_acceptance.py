@@ -30,7 +30,6 @@ from csflab.posets import (
     kchain_hessenberg,
     path_hessenberg,
     poset_from_hessenberg,
-    poset_from_relations,
 )
 from csflab.qcore import (
     QPoly,
@@ -43,6 +42,7 @@ from csflab.structural import K_set
 from csflab.tableaux import enumerate_class, inv_p, inv_sum, is_strong, text_to_tableau
 
 from oracles import (
+    RelationPoset,
     e_expansion_at_one,
     enumerate_syt,
     factored_value,
@@ -89,7 +89,7 @@ def induced_poset(p, verts):
     pairs = [
         (index[a], index[b]) for a in verts for b in verts if p.less(a, b)
     ]
-    return poset_from_relations(len(verts), pairs)
+    return RelationPoset(len(verts), pairs)
 
 
 @pytest.fixture(scope="module")

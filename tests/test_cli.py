@@ -99,6 +99,10 @@ def test_tableaux_k_set_listing():
 def test_tableaux_usage_errors():
     result = run("tableaux", "--hessenberg", E5, "--shape", "4,1", "--class", "k-set")
     assert result.exit_code == 2 and "k-set" in result.output
+    # (n-2, 2) is no partition at n <= 4: refused for n, not for a bogus shape
+    for m, shape in (("0", "1"), ("0,0,1", "2,1")):
+        result = run("tableaux", "--hessenberg", m, "--shape", shape, "--class", "k-set")
+        assert result.exit_code == 2 and "n > 4" in result.output, result.output
     assert run("tableaux", "--hessenberg", E5, "--shape", "2,2", "--class", "standard").exit_code == 2
     assert run("tableaux", "--hessenberg", E5, "--shape", "2,3", "--class", "standard").exit_code == 2
 

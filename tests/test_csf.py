@@ -24,14 +24,15 @@ from csflab.posets import (
     kchain_hessenberg,
     path_hessenberg,
     poset_from_hessenberg,
-    poset_from_relations,
 )
 from csflab.qcore import QPoly, conjugate, partitions, q_factorial
 
 from oracles import (
+    RelationPoset,
     coloring_weights_by_walk,
     e_expansion_at_one,
     incomparability_graph,
+    incomparable,
     kostka,
     schur_by_p_tableaux,
     schur_to_monomial,
@@ -162,7 +163,7 @@ def _count_injective_arrays(p, chain_sizes):
             return 0 if avail else 1
         total = 0
         for combo in combinations(sorted(avail), sizes[0]):
-            if all(not p.incomparable(a, b) for a, b in combinations(combo, 2)):
+            if all(not incomparable(p, a, b) for a, b in combinations(combo, 2)):
                 total += rec(avail - set(combo), sizes[1:])
         return total
 
@@ -310,7 +311,7 @@ def test_json_fraction_coefficients():
     assert SymFunc.from_json_dict(doc) == f
 
 
-TWO_PLUS_TWO = poset_from_relations(4, [(1, 2), (3, 4)])
+TWO_PLUS_TWO = RelationPoset(4, [(1, 2), (3, 4)])
 
 
 def test_oracle_warns_off_unit_orders():
@@ -322,6 +323,8 @@ def test_oracle_warns_off_unit_orders():
 
 
 def test_symbolic_e_extraction_refused_off_unit_orders():
+    with pytest.raises(ValueError):
+        chromatic_e_expansion(TWO_PLUS_TWO)
     with pytest.raises(ValueError):
         e_coeff(TWO_PLUS_TWO, (2, 2))
 
@@ -371,7 +374,7 @@ def relation_posets(draw):
     n = draw(st.integers(min_value=1, max_value=6))
     pairs = list(combinations(draw(st.permutations(range(1, n + 1))), 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return poset_from_relations(n, [pair for pair, k in zip(pairs, keep) if k])
+    return RelationPoset(n, [pair for pair, k in zip(pairs, keep) if k])
 
 
 VECTORS_TO_7 = [m for n in range(8) for m in enumerate_hessenberg(n)]

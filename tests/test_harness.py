@@ -35,7 +35,7 @@ from csflab.harness import (
     tasks_for,
 )
 from csflab.hikita import enumerate_hikita, h, h_unreduced
-from csflab.posets import enumerate_hessenberg, natural_unit_m, poset_from_hessenberg
+from csflab.posets import enumerate_hessenberg, poset_from_hessenberg
 from csflab.qcore import QPoly, QRat, partitions
 from csflab.tableaux import (
     enumerate_class,
@@ -381,7 +381,7 @@ def test_theorem_suite_walks_standard_tableaux_once_per_unit(monkeypatch):
     walk = harness.standard_classes
 
     def counted(p, lam):
-        walks.append((natural_unit_m(p), lam))
+        walks.append((p.m, lam))
         return walk(p, lam)
 
     monkeypatch.setattr(harness, "standard_classes", counted)

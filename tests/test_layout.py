@@ -1,8 +1,9 @@
 """Layout guards for ``src/csflab``.
 
-Every top-level definition in the package is reached from the package
-itself or exported in ``csflab.__all__``; a second route that only a test
-reaches belongs in ``tests/oracles.py``.  Every module boundary that the
+Every top-level definition in the package, and every non-dunder method of
+``Poset``, is reached from the package itself or exported in
+``csflab.__all__``; a second route that only a test reaches belongs in
+``tests/oracles.py``.  Every module boundary that the
 benchmark's tracer wraps by attribute (``BOUNDARIES`` in
 ``bench/spans.py``) must still resolve.  Both checks read source with
 ``ast``; nothing under ``bench/`` is imported.
@@ -21,6 +22,7 @@ SRC = ROOT / "src" / "csflab"
 SPANS = ROOT / "bench" / "spans.py"
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+METHODS_CHECKED = ("Poset",)  # classes whose non-dunder methods must be reached too
 
 
 def _registered_command(node):
@@ -45,16 +47,29 @@ def _uses(trees):
     return out
 
 
+def _definitions(tree):
+    """(node, exportable): the top-level definitions, then the non-dunder
+    methods of the classes in ``METHODS_CHECKED``, which no export covers."""
+    for node in tree.body:
+        if not isinstance(node, DEFINITIONS):
+            continue
+        yield node, True
+        if isinstance(node, ast.ClassDef) and node.name in METHODS_CHECKED:
+            for method in node.body:
+                if isinstance(method, DEFINITIONS) and not (
+                    method.name.startswith("__") and method.name.endswith("__")
+                ):
+                    yield method, False
+
+
 def test_every_definition_is_reached_or_exported():
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
     uses = _uses(trees)
     exported = set(csflab.__all__)
     unreached = []
     for module, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, DEFINITIONS):
-                continue
-            if node.name in exported or _registered_command(node):
+        for node, exportable in _definitions(tree):
+            if exportable and (node.name in exported or _registered_command(node)):
                 continue
             first = min([node.lineno] + [d.lineno for d in node.decorator_list])
             outside = [

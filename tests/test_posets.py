@@ -3,24 +3,27 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from csflab.csf import chromatic_e_expansion
 from csflab.posets import (
     Poset,
     enumerate_hessenberg,
     greedy_partition,
-    natural_unit_m,
     poset_from_hessenberg,
-    poset_from_relations,
 )
 
 from oracles import (
+    RelationPoset,
     classify,
     greedy_partition_by_search,
     inc_components,
     inc_is_connected,
     incomparability_graph,
+    incomparable,
     injective_chain_shapes,
     max_chain_length,
+    natural_unit_m,
     poset_from_units,
+    relations,
     same_or_incomparable,
 )
 from test_csf import relation_posets
@@ -30,8 +33,8 @@ CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 
 def test_antichain_has_no_relations():
     p = poset_from_hessenberg((0, 0))
-    assert p.relations() == ()
-    assert p.incomparable(1, 2)
+    assert relations(p) == ()
+    assert incomparable(p, 1, 2)
 
 
 def test_hessenberg_poset_is_shared_and_still_checked():
@@ -43,22 +46,25 @@ def test_hessenberg_poset_is_shared_and_still_checked():
 
 def test_example_poset_relations():
     p = poset_from_hessenberg((0, 0, 1, 1, 3))
-    assert set(p.relations()) == {(1, 3), (1, 4), (1, 5), (2, 5), (3, 5)}
+    assert set(relations(p)) == {(1, 3), (1, 4), (1, 5), (2, 5), (3, 5)}
     assert p.less(1, 5)
     assert not p.less(5, 1)
-    assert p.incomparable(3, 4)
+    assert incomparable(p, 3, 4)
     assert same_or_incomparable(p, 2, 2)
 
 
 def test_units_match_hessenberg_example():
     pts = (0, Fraction(1, 2), Fraction(11, 10), Fraction(7, 5), Fraction(11, 5))
     assert poset_from_units(pts) == poset_from_hessenberg((0, 0, 1, 1, 3))
+    # equal posets share the library's per-poset caches
+    e5 = chromatic_e_expansion(poset_from_hessenberg((0, 0, 1, 1, 3)))
+    assert chromatic_e_expansion(poset_from_units(pts)) is e5
 
 
 def test_units_extremes():
-    assert poset_from_units((0, 0, 0)).relations() == ()
+    assert relations(poset_from_units((0, 0, 0))) == ()
     chain = poset_from_units((0, 2, 4))
-    assert set(chain.relations()) == {(1, 2), (1, 3), (2, 3)}
+    assert set(relations(chain)) == {(1, 2), (1, 3), (2, 3)}
     with pytest.raises(ValueError):
         poset_from_units((1, 0))
 
@@ -73,15 +79,29 @@ def test_invalid_hessenberg_rejected():
 
 
 def test_poset_validation():
-    with pytest.raises(ValueError):
-        Poset(2, [(1, 1)])
-    with pytest.raises(ValueError):
-        Poset(2, [(1, 2), (2, 1)])
-    with pytest.raises(ValueError):
-        Poset(3, [(1, 2), (2, 3)])  # missing (1,3)
-    # closure helper fills in the missing pair
-    p = poset_from_relations(3, [(1, 2), (2, 3)])
+    # the constructor takes only a reverse Hessenberg vector and checks it
+    for bad in ((1,), (0, 1, 0), (0, 2), (0, 0.5)):
+        with pytest.raises(ValueError):
+            Poset(bad)
+    assert Poset([0, 0, 1]).m == (0, 0, 1)
+    assert repr(Poset((0, 0, 1))) == "Poset((0, 0, 1))"
+    # the test builder fills in the missing pair and refuses a cycle
+    p = RelationPoset(3, [(1, 2), (2, 3)])
     assert p.less(1, 3)
+    with pytest.raises(ValueError):
+        RelationPoset(2, [(1, 2), (2, 1)])
+
+
+def test_vector_poset_matches_relation_builder():
+    # Poset(m) fills its masks straight from the vector; the builder closes
+    # the pairs i < j with i <= m(j) and recovers m from the closed masks
+    for n in range(8):
+        for m in enumerate_hessenberg(n):
+            p = Poset(m)
+            q = RelationPoset(n, [(i, j) for j in range(1, n + 1) for i in range(1, m[j - 1] + 1)])
+            assert (p._up, p._down, p._inc) == (q._up, q._down, q._inc), m
+            assert q.m == p.m == m
+            assert p == q and hash(p) == hash(q)
 
 
 def test_enumerate_hessenberg_counts_and_order():
@@ -103,12 +123,12 @@ def test_enumerated_posets_are_31_and_22_free():
 
 
 def test_classify_patterns():
-    four_chain = poset_from_relations(4, [(1, 2), (2, 3), (3, 4)])
+    four_chain = RelationPoset(4, [(1, 2), (2, 3), (3, 4)])
     c = classify(four_chain)
     assert c.is_31_free and not c.is_3_free
-    three_plus_one = poset_from_relations(4, [(1, 2), (2, 3)])
+    three_plus_one = RelationPoset(4, [(1, 2), (2, 3)])
     assert not classify(three_plus_one).is_31_free
-    two_plus_two = poset_from_relations(4, [(1, 2), (3, 4)])
+    two_plus_two = RelationPoset(4, [(1, 2), (3, 4)])
     assert not classify(two_plus_two).is_22_free
     assert classify(poset_from_hessenberg((0, 0, 0))).is_3_free
 
@@ -168,8 +188,9 @@ def test_greedy_peel_matches_search():
 
 
 def test_greedy_partition_needs_a_unit_order():
-    # 2+2 is not an interval order, so natural_unit_m rejects it
-    two_plus_two = poset_from_relations(4, [(1, 2), (3, 4)])
+    # 2+2 is not an interval order, so the builder recovers no m for it
+    two_plus_two = RelationPoset(4, [(1, 2), (3, 4)])
+    assert two_plus_two.m is None
     assert greedy_partition_by_search(two_plus_two) == (2, 2)
     with pytest.raises(ValueError):
         greedy_partition(two_plus_two)
@@ -190,7 +211,7 @@ def test_natural_unit_roundtrip():
         for m in enumerate_hessenberg(n):
             assert natural_unit_m(poset_from_hessenberg(m)) == m
     # a non-unit poset: 2+2 is not an interval order at all
-    assert natural_unit_m(poset_from_relations(4, [(1, 2), (3, 4)])) is None
+    assert natural_unit_m(RelationPoset(4, [(1, 2), (3, 4)])) is None
 
 
 VECTORS_TO_6 = [m for n in range(7) for m in enumerate_hessenberg(n)]

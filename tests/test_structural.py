@@ -11,10 +11,8 @@ from csflab.harness import _greedy_shapes
 from csflab.posets import (
     enumerate_hessenberg,
     greedy_partition,
-    natural_unit_m,
     path_hessenberg,
     poset_from_hessenberg,
-    poset_from_relations,
 )
 from csflab.qcore import (
     QPoly,
@@ -47,6 +45,7 @@ from csflab.tableaux import (
 
 from oracles import (
     FactorPair,
+    RelationPoset,
     add_parts,
     bpa_enumerate,
     classify,
@@ -61,6 +60,7 @@ from oracles import (
     max_chain_length,
     maxchain_extend,
     missed_pattern_by_less,
+    natural_unit_m,
     peak,
     peak_inversions,
     powersum_words_by_filter,
@@ -107,7 +107,7 @@ def injective_fillings(p, lam, keep):
     heights = conjugate(lam)
     cells = sum(lam)
     out = set()
-    for combo in itertools.combinations(p.elements(), cells):
+    for combo in itertools.combinations(range(1, p.n + 1), cells):
         for perm in itertools.permutations(combo):
             cols, i = [], 0
             for h in heights:
@@ -158,7 +158,7 @@ def test_concat_glues_strong_families():
     glued = set()
     for s in strong_pieces:
         used = {x for col in s for x in col}
-        (rest,) = [x for x in P5.elements() if x not in used]
+        (rest,) = [x for x in range(1, P5.n + 1) if x not in used]
         cand = concat(s, ((rest,),))
         if is_p_tableau(P5, cand):
             glued.add(cand)
@@ -294,7 +294,7 @@ def test_powersum_kernel_matches_permutation_filter():
         for p in all_posets(n):
             by_length = [[] for _ in range(n + 1)]
             for k in range(n + 1):
-                for letters in itertools.combinations(p.elements(), k):
+                for letters in itertools.combinations(range(1, p.n + 1), k):
                     words = powersum_words_by_filter(p, letters, k)
                     assert _powersum_words(p, sum(1 << v for v in letters), k) == words
                     by_length[k] += words
@@ -565,7 +565,7 @@ def test_rectangle_families_match_schur_coefficients():
         lam = (c,) * r
         fam = key_family(p, lam)
         standard = {t for t in fam if sum(len(cc) for cc in t) == 4}
-        schur = csf_schur(p) if natural_unit_m(p) is not None else schur_by_p_tableaux(p)
+        schur = csf_schur(p) if p.m is not None else schur_by_p_tableaux(p)
         assert inv_sum(p, standard) == schur.coeff((r,) * c)
 
 
@@ -614,11 +614,11 @@ def test_m_product_commutes(mu, nu):
 # identities survive on them; the word-splitting machinery does not, and the
 # bank pins down exactly where.
 
-TWO_PLUS_TWO = poset_from_relations(4, [(1, 3), (2, 4)])
-TWO_PLUS_TWO_TOPPED = poset_from_relations(
+TWO_PLUS_TWO = RelationPoset(4, [(1, 3), (2, 4)])
+TWO_PLUS_TWO_TOPPED = RelationPoset(
     5, [(1, 3), (2, 4), (1, 5), (2, 5), (3, 5), (4, 5)]
 )
-TWO_PLUS_TWO_POINT = poset_from_relations(5, [(1, 3), (2, 4)])
+TWO_PLUS_TWO_POINT = RelationPoset(5, [(1, 3), (2, 4)])
 
 
 def test_bank_posets_are_non_unit():
