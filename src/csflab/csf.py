@@ -322,10 +322,10 @@ def e_coeff(p, lam):
     return chromatic_e_expansion(p).coeff(lam)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1)
 def chromatic_e_expansion(p):
-    """Full e-expansion of X for a natural unit interval order, cached per
-    poset.
+    """Full e-expansion of X for a natural unit interval order, cached for
+    the latest poset, so ``e_coeff`` and ``csf_schur`` on one poset share it.
 
     Read off Hikita's identity c_lam = prod_i [lam_i]_q! * sum_T q^inv(T)
     h(T) over the tableaux T of shape lam reachable under the order's

@@ -40,15 +40,16 @@ A check that raises is reported with status ``error``, never as a
 counterexample, and is never stored in the cache.
 
 All checks are pure, so the worker pool needs no shared state.  The unit
-of work is one Hessenberg vector, largest vectors first, so each vector's
-cached work (``_PER_VECTOR_CACHES``) is built once, in one process, and
-dropped once the vector is done; ``hikita._grown``, which longer vectors
-extend, stays.  A report's ``seconds`` is the time of its own (m, lam)
-check, and a vector's cached work is charged to the first unit that needs
-it.  The cache holds one file per (conjecture, vector): the parent replays
-the vectors it finds there, and the process that computes a vector stores
-it at once, unless some unit of it raised.  Only the cache imports
-``hashlib``, only the pool ``multiprocessing``; ``emit_report`` streams.
+of work is one Hessenberg vector, largest vectors first.  The caches of
+one vector's work hold one entry each, and the Hikita growth keeps only
+the latest vector's prefixes, so that work is built once, in one process,
+and replaced by the next vector's.  A report's ``seconds`` is the time of
+its own (m, lam) check, and a vector's cached work is charged to the
+first unit that needs it.  The cache holds one file per (conjecture,
+vector): the parent replays the vectors it finds there, and the process
+that computes a vector stores it at once, unless some unit of it raised.
+Only the cache imports ``hashlib``, only the pool ``multiprocessing``;
+``emit_report`` streams.
 
 With more than one worker the pending vectors are dealt round-robin into
 ``_SHARES_PER_WORKER`` shares per worker (never more shares than vectors,
@@ -69,10 +70,9 @@ import os
 import time
 from fractions import Fraction
 
-from .csf import SIZE_CAP, chromatic_e_expansion, e_coeff
-from .hikita import _by_shape, enumerate_hikita, h, h_unreduced_by_shape
+from .csf import SIZE_CAP, e_coeff
+from .hikita import enumerate_hikita, h, h_unreduced_by_shape
 from .posets import (
-    _hessenberg_poset,
     check_hessenberg,
     enumerate_hessenberg,
     kchain_hessenberg,
@@ -381,7 +381,7 @@ def _h_margin_nonneg(floor, num, den):
     return poly_nonneg_on_nonneg(QPoly(margin))[0]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1)
 def _h_failures(m):
     """Each shape whose h margin goes negative somewhere on q >= 0 -> its
     first such tableau in column-word order; a shape that holds is absent.
@@ -430,7 +430,7 @@ def _nonadjacent_subsets(indices):
     return subsets
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1)
 def _greedy_shapes(m):
     """Every shape the greedy displacement family produces for this poset."""
     from .posets import greedy_partition
@@ -445,10 +445,6 @@ def _greedy_shapes(m):
             except ValueError:
                 continue
     return frozenset(shapes)
-
-
-_PER_VECTOR_CACHES = (  # one vector's work; an lru_cache cannot drop a single key
-    _h_failures, _greedy_shapes, chromatic_e_expansion, _by_shape, _hessenberg_poset)
 
 
 @functools.lru_cache(maxsize=None)
@@ -586,12 +582,10 @@ def _by_vector(tasks):
 
 def _evaluate_vector(tasks, cache):
     """One unit of work: every task of one vector, each timed on its own by
-    ``evaluate_task`` and stored here; then the vector's caches are cleared."""
+    ``evaluate_task`` and stored here."""
     reports = [evaluate_task(task) for task in tasks]
     if cache:
         cache.store(reports)
-    for cached in _PER_VECTOR_CACHES:
-        cached.cache_clear()
     return reports
 
 

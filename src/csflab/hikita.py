@@ -11,18 +11,18 @@ Each step's weight is q^(a_1 + ... + a_k) times a ratio of q-integers of
 run sums (Hikita, arXiv:2410.12758), kept factored: a q-power and the net
 exponent of each [j]_q.
 
-The growth is shared across prefixes.  Every prefix of a Hessenberg
-vector is one, and a tableau reachable under m is one insertion step from
-a tableau reachable under m[:-1], so ``_grown(m)`` extends the cached
-``_grown(m[:-1])`` by every admissible step (``_steps``, cached with its
-weight) and adds the step's weight to its parent's.  The resulting map
-from each reachable tableau to the weight of its path serves ``prob``
-(the full product), ``zeta`` (the q-power alone) and ``h`` (the
-q-integer part, prob/zeta); a tableau it lacks has probability zero.
-``h_unreduced`` multiplies the q-integers out into an integer numerator
-and denominator with no gcd (``qcore.q_int_product``, once per
-factorization); ``prob`` and ``h`` build their canonical QRat from that
-same product.  ``enumerate_hikita`` buckets the map by shape, in
+The growth is shared across prefixes.  Every prefix of a Hessenberg vector
+is one, and a tableau reachable under m is one insertion step from a
+tableau reachable under m[:-1], so ``_grown(m)`` extends the growth of
+m[:-1] by every admissible step (``_steps``, cached with its weight), adds
+each step's weight to its parent's, and keeps only the latest vector's
+prefixes.  The resulting map from each reachable tableau to the weight of
+its path serves ``prob`` (the full product), ``zeta`` (the q-power alone)
+and ``h`` (the q-integer part, prob/zeta); a tableau it lacks has
+probability zero.  ``h_unreduced`` multiplies the q-integers out into an
+integer numerator and denominator with no gcd (``qcore.q_int_product``,
+once per factorization); ``prob`` and ``h`` build their canonical QRat
+from that same product.  ``enumerate_hikita`` buckets the map by shape, in
 column-word order; insertion only adds cells, so each bucket is what a
 growth pruned to its shape returns.  ``e_coefficients_by_shape`` sums each
 bucket into the elementary coefficients of the chromatic function through
@@ -152,20 +152,26 @@ def _steps(cols, r):
 # the insertion path and its three views
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
+_path = [((), {(): (0, {})})]  # (prefix, growth) along the latest vector
+
+
 def _grown(m):
     """Each tableau reachable under m -> the factored weight (e, {j: x}) of
-    its one insertion path (read-only: the cache hands out the same dicts)."""
-    if not m:
-        return {(): (0, {})}
-    out = {}
-    for smaller, (e0, net0) in _grown(m[:-1]).items():
-        for cols, (e, factors) in _steps(smaller, m[-1]):
-            net = dict(net0)
-            for j, x in factors.items():
-                net[j] = net.get(j, 0) + x
-            out[cols] = e0 + e, {j: x for j, x in net.items() if x}
-    return out
+    its one insertion path (read-only: the path hands out the same dicts)."""
+    path = list(_path)  # grown privately, so a concurrent call never sees it half done
+    while len(path) > 1 and m[: len(path[-1][0])] != path[-1][0]:
+        path.pop()  # no prefix of m; the root () never goes
+    while len(path) <= len(m):
+        out = {}
+        for smaller, (e0, net0) in path[-1][1].items():
+            for cols, (e, factors) in _steps(smaller, m[len(path) - 1]):
+                net = dict(net0)
+                for j, x in factors.items():
+                    net[j] = net.get(j, 0) + x
+                out[cols] = e0 + e, {j: x for j, x in net.items() if x}
+        path.append((m[: len(path)], out))
+    _path[:] = path
+    return path[-1][1]
 
 
 def _product(factors):
@@ -222,7 +228,7 @@ def h(m, cols):
 # reachable tableaux
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1)  # one vector's buckets
 def _by_shape(m):
     """The tableaux of ``_grown(m)`` bucketed by shape, each bucket a tuple
     in column-word order."""

@@ -75,7 +75,7 @@ def poset_from_hessenberg(m):
     return _hessenberg_poset(check_hessenberg(m))
 
 
-_hessenberg_poset = functools.lru_cache(maxsize=None)(Poset)  # one Poset per vector
+_hessenberg_poset = functools.lru_cache(maxsize=1)(Poset)  # the latest vector's Poset
 
 
 def enumerate_hessenberg(n):

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from csflab.csf import SymFunc, csf_coloring_oracle, e_to_m, to_elementary
 from csflab.harness import _by_vector, _Cache, evaluate_task, tasks_for
-from csflab.hikita import delta, insert, is_syt, tableau_size
+from csflab.hikita import _steps, delta, insert, is_syt, tableau_size
 from csflab.posets import (
     Poset,
     check_hessenberg,
@@ -808,6 +808,22 @@ def enumerate_hikita_by_pruning(m, lam):
                 grown.add(bigger)
         current = grown
     return sorted(current, key=colword)
+
+
+@functools.lru_cache(maxsize=None)
+def grown_by_recursion(m):
+    """Each tableau reachable under m -> the factored weight (e, {j: x}) of
+    its one insertion path (read-only: the cache hands out the same dicts)."""
+    if not m:
+        return {(): (0, {})}
+    out = {}
+    for smaller, (e0, net0) in grown_by_recursion(m[:-1]).items():
+        for cols, (e, factors) in _steps(smaller, m[-1]):
+            net = dict(net0)
+            for j, x in factors.items():
+                net[j] = net.get(j, 0) + x
+            out[cols] = e0 + e, {j: x for j, x in net.items() if x}
+    return out
 
 
 def phi(cols, r, k):

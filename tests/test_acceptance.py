@@ -10,6 +10,8 @@ second routes in oracles.py.
 from __future__ import annotations
 
 import functools
+import hashlib
+import json
 import os
 import time
 
@@ -370,6 +372,20 @@ N8_SUMMARIES = {
 }
 
 
+# sha256 of each n <= 8 report's JSON-lines with ``seconds`` dropped, in
+# emitted key order, as bench/run.py digests its reports
+N8_DIGESTS = {
+    "bounds": "b82b00db7397522a10adbfd45911849835015057c6da0a0d664b181609028aa6",
+    "undercount-q": "aea111f107b1cbcc0336a622503019bf1173842182b4d2c06493e135a06f8663",
+    "overcount-q": "469b8c2e7300b43d0a97399048193b5bd0db977aa54b841334b08a0137a5837b",
+    "nonzero": "1907def3a0e0f08a153df1003fa6034186f2f36f2a931867d510b920456e77f1",
+    "strong-iff-hikita": "1aae4b18cd0b31fff52ba2e8268cd6985ac55fa651fe9462b9d6ef1ffdea5220",
+    "h-lower-bound": "3974f4c79c836b20fc371e3e08c1cc3ae290634e2772e98e9371d5aa50c1ef99",
+    "barbell-powerful": "2bb732ecf6d7e50abb3c13b7700d002afcc8f6ee467fc2c3812e675b7495c7a5",
+    "theorem-suite": "b7351477f50c9cda45aa65b38a4b0d2d885e6db5845ccf129e07001ae4445729",
+}
+
+
 @pytest.mark.skipif(
     not os.environ.get("CSFLAB_ACCEPT_N8"),
     reason="set CSFLAB_ACCEPT_N8=1 to sweep all eight conjectures at n=8",
@@ -379,6 +395,12 @@ def test_criterion_11_extended_size_eight():
     for conjecture, summary in N8_SUMMARIES.items():
         reports = run_verification(conjecture, 8, parallelism=JOBS)
         assert summarize(reports) == summary, conjecture
+        digest = hashlib.sha256()
+        for report in reports:
+            row = report.to_json_dict()
+            del row["seconds"]
+            digest.update(json.dumps(row).encode() + b"\n")
+        assert digest.hexdigest() == N8_DIGESTS[conjecture], conjecture
         if conjecture == "overcount-q":
             (bad,) = [r for r in reports if r.status == "fails"]
             assert (bad.task.m, bad.task.lam) == ((0, 0, 1, 1, 2, 3, 4, 6), (4, 4))

@@ -145,6 +145,42 @@ def test_schur_expansion_matches_the_p_tableau_sum_at_n8():
     assert schur_routes_disagree([8]) == []
 
 
+def e_expansion_identities_broken(sizes):
+    """The vectors whose production e-expansion breaks an identity that
+    needs no second route: every c_lam has nonnegative integer
+    coefficients and is palindromic about |E|/2, where |E| = sum_j
+    (j - 1 - m(j)) counts the incomparable pairs; and the coefficient of
+    x_1...x_n at q = 1 gives sum_lam c_lam(1) n!/prod lam_i! = n!, since
+    every injective coloring is proper."""
+    broken = []
+    for n in sizes:
+        for m in enumerate_hessenberg(n):
+            edges = sum(j - r for j, r in enumerate(m))  # m[j] is m(j + 1)
+            injective = 0
+            for lam, poly in chromatic_e_expansion(poset_from_hessenberg(m)).coeffs.items():
+                c = list(poly.coeffs)
+                integral = all(x >= 0 and x.denominator == 1 for x in c)
+                c += [0] * (edges + 1 - len(c))
+                if not integral or len(c) > edges + 1 or c != c[::-1]:
+                    broken.append((m, lam))
+                injective += sum(c) * factorial(n) // prod(factorial(part) for part in lam)
+            if injective != factorial(n):
+                broken.append((m, None))
+    return broken
+
+
+def test_e_expansion_identities():
+    assert e_expansion_identities_broken(range(1, 9)) == []
+
+
+@pytest.mark.skipif(
+    not os.environ.get("CSFLAB_ACCEPT_N8"),
+    reason="set CSFLAB_ACCEPT_N8=1 to check the e-expansion identities at n=9",
+)
+def test_e_expansion_identities_at_n9():
+    assert e_expansion_identities_broken([9]) == []
+
+
 def test_routes_agree_small():
     for n in range(1, 6):
         for m in enumerate_hessenberg(n):

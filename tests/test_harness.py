@@ -541,25 +541,38 @@ def test_pool_workers_call_evaluate_task_by_module_name(monkeypatch):
 
 def test_sweep_holds_one_vectors_cached_work_at_a_time(monkeypatch):
     import csflab.harness as harness
-    from csflab.hikita import _grown
+    from csflab import csf, hikita, posets, tableaux
+
+    one_vector = (
+        csf.chromatic_e_expansion,
+        hikita._by_shape,
+        posets._hessenberg_poset,
+        harness._h_failures,
+        harness._greedy_shapes,
+        tableaux._pair_test,
+    )
+    assert all(c.cache_parameters()["maxsize"] == 1 for c in one_vector)
 
     plain = harness.evaluate_task
-    held = []
+    paths = []
 
     def recorded(task):
-        held.append(max(c.cache_info().currsize for c in harness._PER_VECTOR_CACHES))
-        return plain(task)
+        report = plain(task)
+        paths.append((task.m, [prefix for prefix, _ in hikita._path]))
+        return report
 
     monkeypatch.setattr(harness, "evaluate_task", recorded)
-    for cached in harness._PER_VECTOR_CACHES:  # whatever earlier tests left
-        cached.cache_clear()
     for conjecture in ("theorem-suite", "h-lower-bound"):
         reports = run_verification(conjecture, 5)
         assert summarize(reports) == {"holds": 384, "fails": 0, "skipped": 0}
-    assert len(held) == 2 * 384 and max(held) == 1
-    assert all(c.cache_info().currsize == 0 for c in harness._PER_VECTOR_CACHES)
-    # the prefix growth is shared between vectors and is kept
-    assert _grown.cache_info().currsize >= 64
+    # after each unit the growth path is exactly its vector's prefixes
+    assert len(paths) == 2 * 384
+    assert all(path == [m[:i] for i in range(len(m) + 1)] for m, path in paths)
+
+    for m in enumerate_hessenberg(7):
+        csf.csf_schur(poset_from_hessenberg(m))
+    assert len(hikita._path) <= 8
+    assert [prefix for prefix, _ in hikita._path] == [m[:i] for i in range(8)]
 
 
 def test_records_are_slotted_and_pickle_by_fields():

@@ -1,9 +1,12 @@
 import itertools
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from csflab import hikita
 from csflab.csf import e_coeff
 from csflab.hikita import (
     ColorSequence,
@@ -33,6 +36,7 @@ from oracles import (
     enumerate_hikita_by_pruning,
     enumerate_syt,
     factored_value,
+    grown_by_recursion,
     is_reachable,
     pairwise_part_products,
     path_weights,
@@ -397,6 +401,63 @@ def test_prefix_growth_matches_walk_by_stripping():
     for n in range(7):
         for m in enumerate_hessenberg(n):
             _check_prefix_growth(m)
+
+
+VECTORS_TO_7 = [m for n in range(8) for m in enumerate_hessenberg(n)]
+
+
+def _copied(grown):
+    return {cols: (e, dict(factors)) for cols, (e, factors) in grown.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from(VECTORS_TO_7), min_size=1, max_size=3),
+    st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 7), st.booleans()),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_prefix_path_growth_matches_recursion_in_any_order(bases, calls):
+    # calls in any order: repeats, prefixes after extensions and unrelated
+    # vectors; a list is no prefix of any tuple, so it drops every entry of
+    # the path but the root.  The path then holds exactly m's prefixes, and
+    # no dict handed out earlier has changed.
+    handed_out = []
+    for i, k, as_list in calls:
+        m = bases[i % len(bases)][:k]
+        grown = _grown(list(m) if as_list else m)
+        assert grown == grown_by_recursion(m)
+        assert [tuple(prefix) for prefix, _ in hikita._path] == [m[:j] for j in range(len(m) + 1)]
+        handed_out.append((grown, _copied(grown)))
+        assert all(held == copied for held, copied in handed_out)
+
+
+def test_prefix_path_growth_under_concurrent_threads():
+    # each thread walks its own vectors; a call that saw another thread's
+    # half-grown path would return some other vector's growth
+    vectors = [m for n in range(4, 7) for m in enumerate_hessenberg(n)]
+    expected = {m: grown_by_recursion(m) for m in vectors}
+    wrong = []
+
+    def walk(ms):
+        for _ in range(3):
+            wrong.extend(m for m in ms if _grown(m) != expected[m])
+
+    shares = [vectors[i % 3 :: 3][:: -1 if i % 2 else 1] for i in range(6)]
+    threads = [threading.Thread(target=walk, args=(share,)) for share in shares]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 @settings(max_examples=30, deadline=None)

@@ -553,20 +553,37 @@ def test_maxchain_families_equal_powerful_when_three_free():
                     assert inv_sum(p, standard) == e_coeff(p, lam)
 
 
+def naturally_labelled_posets(n):
+    """One RelationPoset per distinct order on 1..n closed from a set of
+    pairs i < j: every natural labelling, unit interval or not."""
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    out = {}
+    for k in range(len(pairs) + 1):
+        for chosen in itertools.combinations(pairs, k):
+            p = RelationPoset(n, chosen)
+            out.setdefault(p._up, p)
+    return list(out.values())
+
+
 def test_rectangle_families_match_schur_coefficients():
     # for rectangle shapes c^r with r the longest chain, the family's
     # standard sum is the Schur coefficient of the transposed rectangle;
     # csf_schur takes unit orders only, so the others use the P-tableau sum
-    for p in all_posets(4):
+    posets = naturally_labelled_posets(4)
+    assert len(posets) == 40
+    checked = {True: 0, False: 0}
+    for p in posets:
         r = max_chain_length(p)
         if 4 % r:
             continue
+        checked[p.m is None] += 1
         c = 4 // r
         lam = (c,) * r
         fam = key_family(p, lam)
         standard = {t for t in fam if sum(len(cc) for cc in t) == 4}
         schur = csf_schur(p) if p.m is not None else schur_by_p_tableaux(p)
         assert inv_sum(p, standard) == schur.coeff((r,) * c)
+    assert checked == {True: 18, False: 9}
 
 
 # -- monomial structure coefficients --------------------------------------------
