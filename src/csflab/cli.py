@@ -31,7 +31,7 @@ from .csf import (
     kchain_formula,
     path_formula,
 )
-from .harness import CONJECTURES, emit_report, run_verification, summarize
+from .harness import CONJECTURES, emit_report, report_lines, run_verification, summarize
 from .hikita import enumerate_hikita, h, prob, zeta
 from .posets import check_hessenberg, poset_from_hessenberg
 from .qcore import check_partition, parse_int_tuple
@@ -170,7 +170,7 @@ def hikita(hessenberg, shape, stat):
               help="Largest poset size to sweep.")
 @click.option("--jobs", default=1, show_default=True, help="Worker processes.")
 @click.option("--report", "report_path", metavar="PATH", default=None,
-              help="Write the sorted JSON-lines report here.")
+              help="Write the JSON-lines report here, in report order.")
 @click.option("--cache", "cache_dir", metavar="DIR", default=None,
               help="Result cache directory.")
 @click.option("--override-cap", is_flag=True,
@@ -188,9 +188,8 @@ def verify(conjecture, max_n, jobs, report_path, cache_dir, override_cap, verbos
         except OSError as exc:
             raise click.ClickException(str(exc)) from exc
     counts = summarize(reports)
-    for r in reports:
-        if r.status in ("fails", "error"):
-            click.echo(json.dumps(r.to_json_dict()), err=True)
+    for line in report_lines(reports, ("fails", "error")):
+        click.echo(line, err=True)
     errors = counts.get("error", 0)
     click.echo(
         f"{conjecture} n<={max_n}: holds={counts['holds']}"

@@ -2,10 +2,10 @@
 
 Sweeps every natural unit interval order up to a size cap, crossed with
 every partition of the matching size, and dispatches the check selected
-by a conjecture id.  Results come back as Report records that serialize
-to JSON-lines; a content-addressed cache keyed by the package sources
-makes re-runs cheap and lets a warm run reproduce its file byte for
-byte, timing included.
+by a conjecture id.  The sweep's record is the vector: one (m, shapes)
+record each, whose checks return (status, witness, seconds) rows; a
+content-addressed cache keyed by the package sources makes re-runs cheap
+and lets a warm run reproduce its file byte for byte, timing included.
 
 The registry:
 
@@ -40,32 +40,39 @@ A check that raises is reported with status ``error``, never as a
 counterexample, and is never stored in the cache.
 
 All checks are pure, so the worker pool needs no shared state.  The unit
-of work is one Hessenberg vector, largest vectors first.  The caches of
-one vector's work hold one entry each, and the Hikita growth keeps only
-the latest vector's prefixes, so that work is built once, in one process,
-and replaced by the next vector's.  A report's ``seconds`` is the time of
+of work is one vector, largest vectors first.  The caches of one vector's
+work hold one entry each, and the Hikita growth keeps only the latest
+vector's prefixes, so that work is built once, in one process; no cache
+here keeps an entry per vector.  A report's ``seconds`` is the time of
 its own (m, lam) check, and a vector's cached work is charged to the
 first unit that needs it.  The cache holds one file per (conjecture,
-vector): the parent replays the vectors it finds there, and the process
-that computes a vector stores it at once, unless some unit of it raised.
-Only the cache imports ``hashlib``, only the pool ``multiprocessing``;
-``emit_report`` streams.
+vector), which the process that computes the vector stores at once,
+unless some unit of it raised.  Only the cache imports ``hashlib``, only
+the pool ``multiprocessing``.
+
+``run_verification`` returns a Sweep, a read-only sequence of Reports
+built on access.  Every line of a report file, a cache file or the CLI's
+echo comes from one template, ``_vector_lines``, which writes the bytes of
+``json.dumps(report.to_json_dict())`` from a row and calls ``json.dumps``
+only on a witness; a Sweep is written from its rows, without a Report.
 
 With more than one worker the pending vectors are dealt round-robin into
 ``_SHARES_PER_WORKER`` shares per worker (never more shares than vectors,
-never more workers than shares).  A share is many vectors in one message,
-largest first within the share, and the dealing gives every share a like
-mix of large and small vectors, so no share straggles.  Results, and so
-any progress the caller sees, come back one whole share at a time.
+never more workers than shares), largest first within a share, so every
+share gets a like mix of large and small vectors.  Rows, and so any
+progress the caller sees, come back one whole share at a time.
 """
 
 from __future__ import annotations
 
+import bisect
+import collections.abc
 import dataclasses
 import functools
 import itertools
 import json
 import logging
+import operator
 import os
 import time
 from fractions import Fraction
@@ -121,9 +128,9 @@ class VerificationTask:
     def __post_init__(self):
         if self.conjecture not in CONJECTURES:
             raise ValueError(f"unknown conjecture id {self.conjecture!r}")
-        object.__setattr__(self, "m", _checked_vector(tuple(self.m)))
+        object.__setattr__(self, "m", check_hessenberg(self.m))
         if self.lam is not None:
-            lam = _checked_partition(tuple(self.lam))
+            lam = check_partition(self.lam)
             if sum(lam) != len(self.m):
                 raise ValueError(
                     f"partition {lam} does not match the {len(self.m)}-element poset"
@@ -134,9 +141,11 @@ class VerificationTask:
         return VerificationTask, (self.conjecture, self.m, self.lam)
 
 
-# Checked once per vector and per partition; a bad one raises every time.
-_checked_vector = functools.lru_cache(maxsize=None)(check_hessenberg)
-_checked_partition = functools.lru_cache(maxsize=None)(check_partition)
+def _check_status(status, witness):
+    if status not in STATUSES:
+        raise ValueError(f"unknown status {status!r}")
+    if status in ("fails", "error") and not witness:
+        raise ValueError(f"a {status} report must carry a witness")
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -147,10 +156,7 @@ class Report:
     seconds: float
 
     def __post_init__(self):
-        if self.status not in STATUSES:
-            raise ValueError(f"unknown status {self.status!r}")
-        if self.status in ("fails", "error") and not self.witness:
-            raise ValueError(f"a {self.status} report must carry a witness")
+        _check_status(self.status, self.witness)
 
     def __reduce__(self):
         return Report, (self.task, self.status, self.witness, self.seconds)
@@ -167,22 +173,75 @@ class Report:
         }
 
 
-def _report_key(report):
-    task = report.task
-    return (
-        len(task.m),
-        task.m,
-        task.lam is not None,
-        task.lam or (),
-        task.conjecture,
-    )
+class Sweep(collections.abc.Sequence):
+    """One conjecture's reports in report order (n, m, lam), read-only: the
+    ``tasks_for`` records and each one's rows in task order.  Item i is a
+    Report built when asked for; ``report_lines`` reads the rows."""
+
+    __slots__ = ("conjecture", "_records", "_rows", "_ends")
+
+    def __init__(self, conjecture, records, rows):
+        self.conjecture, self._records, self._rows = conjecture, records, rows
+        self._ends = list(itertools.accumulate(len(shapes) for _, shapes in records))
+
+    def __len__(self):
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, index):
+        i = index + len(self) if index < 0 else index
+        if not 0 <= i < len(self):
+            raise IndexError("Sweep index out of range")
+        k = bisect.bisect_right(self._ends, i)
+        (m, shapes), j = self._records[k], self._ends[k] - 1 - i
+        return Report(VerificationTask(self.conjecture, m, shapes[j]), *self._rows[k][j])
+
+
+def _vectors(reports):
+    """(conjecture, m, units) per vector, each unit (lam, row), in the order
+    of ``reports``: a Sweep's rows read backwards, from task order into
+    report order, or runs of Reports of one conjecture and vector."""
+    if isinstance(reports, Sweep):
+        for (m, shapes), rows in zip(reports._records, reports._rows):
+            yield reports.conjecture, m, zip(reversed(shapes), reversed(rows))
+        return
+    vector = operator.attrgetter("task.conjecture", "task.m")
+    for (conjecture, m), group in itertools.groupby(reports, key=vector):
+        yield conjecture, m, ((r.task.lam, (r.status, r.witness, r.seconds)) for r in group)
+
+
+def _vector_lines(conjecture, m, units, shape_text, statuses=STATUSES):
+    """The template: the ``json.dumps(report.to_json_dict())`` text of each
+    unit of one vector whose status is in ``statuses``.  The head is built
+    once per vector, a shape's text once per ``shape_text`` dict."""
+    head = None
+    for lam, (status, witness, seconds) in units:
+        if status not in statuses:
+            continue
+        if head is None:
+            head = (f'{{"conjecture": {json.dumps(conjecture)}, "n": {len(m)}, '
+                    f'"m": {list(m)}, "lam": ')
+        text = shape_text.get(lam)
+        if text is None:
+            text = shape_text[lam] = str(list(lam))
+        witness = "null" if witness is None else json.dumps(witness)
+        yield (f'{head}{text}, "status": "{status}", "witness": {witness}, '
+               f'"seconds": {round(seconds, 6)!r}}}')
+
+
+def report_lines(reports, statuses=STATUSES):
+    """The JSON line, without newline, of each report (a Sweep or any
+    iterable of Reports) whose status is in ``statuses``, in order."""
+    shape_text = {None: "null"}
+    for conjecture, m, units in _vectors(reports):
+        yield from _vector_lines(conjecture, m, units, shape_text, statuses)
 
 
 def summarize(reports):
     """Units per status; ``error`` is counted only when some unit raised."""
     counts = {status: 0 for status in STATUSES if status != "error"}
-    for report in reports:
-        counts[report.status] = counts.get(report.status, 0) + 1
+    for _, _, units in _vectors(reports):
+        for _, (status, _, _) in units:
+            counts[status] = counts.get(status, 0) + 1
     return counts
 
 
@@ -368,10 +427,12 @@ def _row_factorials(lam):
     return tuple(int(c) for c in floor.coeffs)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=4096)
 def _h_margin_nonneg(floor, num, den):
     """floor*num - den >= 0 at every q >= 0, on integer coefficients; the
-    Sturm decision runs only when some coefficient is negative."""
+    Sturm decision runs only when some coefficient is negative.  Margins
+    repeat across vectors (about 5,000 distinct ones at n <= 9), so the
+    cache is shared, but bounded, so it does not grow with the sweep."""
     margin = int_poly_mul(floor, num)
     margin += [0] * (len(den) - len(margin))
     for i, c in enumerate(den):
@@ -527,27 +588,29 @@ _PER_UNIT = {
 }
 
 
-def evaluate_task(task):
-    """Run one task; an exception inside a check becomes an ``error``
-    report, never a failing one."""
+def evaluate_task(conjecture, m, lam):
+    """Run one unit on a checked vector and shape: its (status, witness,
+    seconds) row.  An exception inside a check becomes an ``error`` row,
+    never a failing one."""
     start = time.perf_counter()
     try:
-        if task.conjecture == "barbell-powerful":
-            gamma = _barbell_vectors(len(task.m)).get(task.m)
-            if gamma is None or task.lam is None:
+        if conjecture == "barbell-powerful":
+            gamma = _barbell_vectors(len(m)).get(m)
+            if gamma is None or lam is None:
                 status, witness = "skipped", {
                     "reason": "incomparability graph is not two cliques joined by a path"
                 }
             else:
-                status, witness = _check_barbell(task.m, task.lam, gamma)
-        elif task.lam is None:
-            raise ValueError(f"{task.conjecture} needs a partition")
+                status, witness = _check_barbell(m, lam, gamma)
+        elif lam is None:
+            raise ValueError(f"{conjecture} needs a partition")
         else:
-            status, witness = _PER_UNIT[task.conjecture](task.m, task.lam)
+            status, witness = _PER_UNIT[conjecture](m, lam)
+        _check_status(status, witness)
     except Exception as exc:  # captured, never propagated: the sweep must finish
         status = "error"
         witness = {"error": f"{type(exc).__name__}: {exc}"}
-    return Report(task, status, witness, time.perf_counter() - start)
+    return status, witness, time.perf_counter() - start
 
 
 # ---------------------------------------------------------------------------
@@ -555,38 +618,35 @@ def evaluate_task(task):
 # ---------------------------------------------------------------------------
 
 def tasks_for(conjecture, n_max):
-    """The deterministic work list: every poset size up to n_max, every
-    reverse Hessenberg vector, every partition.  Posets outside a scoped
-    conjecture's reach collapse to a single skip task."""
+    """The work list in report order: one (m, shapes) record per checked
+    vector.  ``shapes`` is ``partitions(n)``, checked once per size and in
+    task order, the reverse of report order, or (None,), a whole-poset
+    skip for a vector outside a scoped conjecture's reach."""
     if conjecture not in CONJECTURES:
         raise ValueError(f"unknown conjecture id {conjecture!r}")
-    out = []
+    records = []
     for n in range(1, n_max + 1):
-        shapes = list(partitions(n))
+        shapes = tuple(check_partition(lam) for lam in partitions(n))
         for m in enumerate_hessenberg(n):
+            m = check_hessenberg(m)
             if conjecture == "barbell-powerful" and m not in _barbell_vectors(n):
-                out.append(VerificationTask(conjecture, m, None))
-                continue
-            out.extend(VerificationTask(conjecture, m, lam) for lam in shapes)
-    return out
+                records.append((m, (None,)))
+            else:
+                records.append((m, shapes))
+    return records
 
 
-def _by_vector(tasks):
-    """The tasks grouped by Hessenberg vector, largest vector first, so the
-    longest groups start early and do not straggle."""
-    groups = {}
-    for task in tasks:
-        groups.setdefault(task.m, []).append(task)
-    return sorted(groups.values(), key=lambda group: -len(group[0].m))
+def _largest_first(records):
+    """The records' indices, largest vector first, so none straggles."""
+    return sorted(range(len(records)), key=lambda i: -len(records[i][0]))
 
 
-def _evaluate_vector(tasks, cache):
-    """One unit of work: every task of one vector, each timed on its own by
-    ``evaluate_task`` and stored here."""
-    reports = [evaluate_task(task) for task in tasks]
+def _evaluate_vector(conjecture, m, shapes, cache):
+    """One vector's rows in task order, each unit timed by ``evaluate_task``."""
+    rows = [evaluate_task(conjecture, m, lam) for lam in shapes]
     if cache:
-        cache.store(reports)
-    return reports
+        cache.store(conjecture, m, shapes, rows)
+    return rows
 
 
 #: Shares dealt per worker on the pool path: the parent reads a few
@@ -604,12 +664,10 @@ def _shares(pending, parallelism):
     return [pending[i::k] for i in range(k)]
 
 
-def _evaluate_share(share, cache):
-    """One pool message (index, vectors), each vector by ``_evaluate_vector``
-    in order: the index and a (status, witness, seconds) row per report."""
-    index, groups = share
-    reports = [r for tasks in groups for r in _evaluate_vector(tasks, cache)]
-    return index, [(r.status, r.witness, r.seconds) for r in reports]
+def _evaluate_share(share, conjecture, cache):
+    """One pool message (index, records): the index and each vector's rows."""
+    index, records = share
+    return index, [_evaluate_vector(conjecture, m, shapes, cache) for m, shapes in records]
 
 
 def run_verification(
@@ -622,9 +680,9 @@ def run_verification(
 ):
     """Evaluate one conjecture over all posets with up to n_max elements.
 
-    Results are sorted by (n, m, lam, conjecture), so the report sequence
-    does not depend on the worker count.  With a cache directory, finished
-    vectors are replayed (original timing included) instead of recomputed.
+    Returns a Sweep, in report order whatever the worker count.  With a
+    cache directory, finished vectors are replayed (original timing
+    included) instead of recomputed.
     """
     cap = SIZE_CAP if override_cap else DEFAULT_CAP
     if not 1 <= n_max <= cap:
@@ -635,42 +693,43 @@ def run_verification(
     if parallelism < 1:
         raise ValueError(f"parallelism must be positive, got {parallelism}")
 
+    records = tasks_for(conjecture, n_max)
     cache = _Cache(cache_dir) if cache_dir else None
-    reports, pending = [], []
-    for group in _by_vector(tasks_for(conjecture, n_max)):
-        cached = cache.load(group) if cache else None
+    rows, pending = [None] * len(records), []
+    for i in _largest_first(records):
+        cached = cache.load(conjecture, *records[i]) if cache else None
         if cached is None:
-            pending.append(group)
+            pending.append(i)
         else:
-            reports.extend(cached)
-    hits = len(reports)
+            rows[i] = cached
+    hits = sum(len(vector_rows) for vector_rows in rows if vector_rows is not None)
 
     if parallelism == 1 or len(pending) <= 1:
-        for group in pending:
-            reports.extend(_evaluate_vector(group, cache))
+        for i in pending:
+            rows[i] = _evaluate_vector(conjecture, *records[i], cache)
     else:
         import multiprocessing
         shares = _shares(pending, parallelism)
-        share = functools.partial(_evaluate_share, cache=cache)
+        messages = ((k, [records[i] for i in share]) for k, share in enumerate(shares))
+        work = functools.partial(_evaluate_share, conjecture=conjecture, cache=cache)
         context = multiprocessing.get_context("fork")
         with context.Pool(min(parallelism, len(shares))) as pool:
-            for index, rows in pool.imap_unordered(share, enumerate(shares)):
-                tasks = (task for group in shares[index] for task in group)
-                reports.extend(Report(task, *row) for task, row in zip(tasks, rows))
+            for k, share_rows in pool.imap_unordered(work, messages):
+                for i, vector_rows in zip(shares[k], share_rows):
+                    rows[i] = vector_rows
 
+    sweep = Sweep(conjecture, records, rows)
     if cache:
-        log.info("cache hits: %d of %d tasks", hits, len(reports))
-    reports.sort(key=_report_key)
-    return reports
+        log.info("cache hits: %d of %d tasks", hits, len(sweep))
+    return sweep
 
 
 def emit_report(reports, path):
-    """Write reports as JSON-lines with a fixed field order, sorted the
-    same way run_verification sorts, one report per line."""
+    """Write reports (a Sweep or any iterable of Reports) as JSON-lines,
+    one ``report_lines`` line each, in the order given."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            for report in sorted(reports, key=_report_key):
-                fh.write(json.dumps(report.to_json_dict()) + "\n")
+            fh.writelines(f"{line}\n" for line in report_lines(reports))
     except OSError as exc:
         raise OSError(f"cannot write report file {path}: {exc}") from exc
     return path
@@ -695,7 +754,7 @@ def code_version():
 
 
 class _Cache:
-    """One JSON file per (conjecture, vector): that vector's reports in
+    """One JSON file per (conjecture, vector): that vector's report dicts in
     task order, keyed by the package sources."""
 
     def __init__(self, root):
@@ -703,46 +762,45 @@ class _Cache:
         self.version = code_version()
         os.makedirs(root, exist_ok=True)
 
-    def _path(self, task):
+    def _path(self, conjecture, m):
         import hashlib
-        key = json.dumps([self.version, task.conjecture, list(task.m)])
+        key = json.dumps([self.version, conjecture, list(m)])
         digest = hashlib.sha256(key.encode()).hexdigest()
         return os.path.join(self.root, digest + ".json")
 
-    def load(self, tasks):
-        """The reports of one vector's tasks, or None on a miss.  A file
-        that is not exactly those tasks' rows, in order, is a miss, so
-        the whole vector is recomputed."""
+    def load(self, conjecture, m, shapes):
+        """One vector's rows in task order, or None on a miss.  A file that
+        is not exactly those units' rows, in order, is a miss, so the whole
+        vector is recomputed."""
         try:
-            with open(self._path(tasks[0]), "r", encoding="utf-8") as fh:
-                rows = json.load(fh)
-            if len(rows) != len(tasks):
+            with open(self._path(conjecture, m), "r", encoding="utf-8") as fh:
+                stored = json.load(fh)
+            if len(stored) != len(shapes):
                 return None
-            reports = []
-            for task, row in zip(tasks, rows):
-                lam = None if task.lam is None else list(task.lam)
-                expected = (task.conjecture, list(task.m), lam)
+            rows = [(row["status"], row["witness"], row["seconds"]) for row in stored]
+            for lam, row, (status, witness, seconds) in zip(shapes, stored, rows):
                 if (
-                    (row["conjecture"], row["m"], row["lam"]) != expected
-                    or row["status"] == "error"
-                    or not isinstance(row["seconds"], float)
-                    or not isinstance(row["witness"], (dict, type(None)))
+                    (row["conjecture"], row["m"], row["lam"])
+                    != (conjecture, list(m), lam and list(lam))
+                    or status == "error"
+                    or not isinstance(seconds, float)
+                    or not isinstance(witness, (dict, type(None)))
                 ):
                     return None
-                reports.append(Report(task, row["status"], row["witness"], row["seconds"]))
-            return reports
+                _check_status(status, witness)
+            return rows
         except (OSError, ValueError, KeyError, TypeError):
             return None
 
-    def store(self, reports):
-        """Persist one vector's reports; nothing is stored when any of them
-        is an ``error``, so a transient crash is recomputed rather than
-        replayed.  The temporary file is private to this process."""
-        if any(report.status == "error" for report in reports):
+    def store(self, conjecture, m, shapes, rows):
+        """Persist one vector's rows through the report template; nothing is
+        stored when any is an ``error``, so a transient crash is recomputed
+        rather than replayed.  The temporary file is private to this process."""
+        if any(status == "error" for status, _, _ in rows):
             return
-        path = self._path(reports[0].task)
+        path = self._path(conjecture, m)
         tmp = f"{path}.{os.getpid()}.tmp"
+        lines = _vector_lines(conjecture, m, zip(shapes, rows), {None: "null"})
         with open(tmp, "w", encoding="utf-8") as fh:
-            # json.dumps runs the C encoder; json.dump streams through the Python one
-            fh.write(json.dumps([report.to_json_dict() for report in reports]))
+            fh.write(f"[{', '.join(lines)}]")
         os.replace(tmp, path)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from csflab.csf import SymFunc, csf_coloring_oracle, e_to_m, to_elementary
-from csflab.harness import _by_vector, _Cache, evaluate_task, tasks_for
+from csflab.harness import Report, VerificationTask, _Cache, evaluate_task, tasks_for
 from csflab.hikita import _steps, delta, insert, is_syt, tableau_size
 from csflab.posets import (
     Poset,
@@ -1348,15 +1348,16 @@ def audit_cache(conjecture, n_max, cache_dir, fraction=0.1, seed=0):
     faithful."""
     cache = _Cache(cache_dir)
     cached = [
-        report
-        for group in _by_vector(tasks_for(conjecture, n_max))
-        for report in cache.load(group) or ()
+        Report(VerificationTask(conjecture, m, lam), *row)
+        for m, shapes in tasks_for(conjecture, n_max)
+        for lam, row in zip(shapes, cache.load(conjecture, m, shapes) or ())
     ]
     rng = random.Random(seed)
     k = max(1, round(fraction * len(cached))) if cached else 0
     mismatches = []
     for hit in rng.sample(cached, k):
-        old, new = hit.to_json_dict(), evaluate_task(hit.task).to_json_dict()
+        row = evaluate_task(conjecture, hit.task.m, hit.task.lam)
+        old, new = hit.to_json_dict(), Report(hit.task, *row).to_json_dict()
         old.pop("seconds"), new.pop("seconds")
         if old != new:
             mismatches.append({"cached": old, "recomputed": new})

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from csflab.cli import main
+from csflab.harness import CONJECTURES, emit_report, run_verification
 from csflab.csf import SymFunc
 from csflab.posets import kchain_hessenberg
 
@@ -156,6 +158,63 @@ def test_verify_error_exits_three(monkeypatch):
     last = result.output.strip().splitlines()[-1]
     assert last == "nonzero n<=2: holds=0 fails=0 skipped=0 error=5"
     assert "RuntimeError: forced" in result.output
+
+
+@pytest.mark.parametrize("conjecture", CONJECTURES)
+def test_verify_report_is_emit_report_of_run_verification(conjecture, tmp_path):
+    """The CLI and the library write the same bytes, seconds included, at
+    --jobs 1 and 2: a cold CLI run against the library's replay of its
+    cache and a warm CLI run, and a cold library run against the CLI's
+    replay of that cache."""
+    for jobs in (1, 2):
+        cli_cache, library_cache = tmp_path / f"cli{jobs}", tmp_path / f"lib{jobs}"
+        out = {name: tmp_path / f"{name}{jobs}.jsonl"
+               for name in ("cli_cold", "lib_warm", "cli_warm", "lib_cold", "cli_replay")}
+
+        def cli(cache, report):
+            result = run("verify", "--conjecture", conjecture, "--max-n", "5",
+                         "--jobs", str(jobs), "--cache", str(cache), "--report", str(report))
+            assert result.exit_code == 0, result.output
+
+        def library(cache, report):
+            emit_report(run_verification(conjecture, 5, jobs, cache_dir=str(cache)), report)
+
+        cli(cli_cache, out["cli_cold"])
+        library(cli_cache, out["lib_warm"])
+        cli(cli_cache, out["cli_warm"])
+        library(library_cache, out["lib_cold"])
+        cli(library_cache, out["cli_replay"])
+        assert out["cli_cold"].read_bytes() == out["lib_warm"].read_bytes()
+        assert out["cli_cold"].read_bytes() == out["cli_warm"].read_bytes()
+        assert out["lib_cold"].read_bytes() == out["cli_replay"].read_bytes()
+        assert len(out["lib_cold"].read_text().splitlines()) == (114 if conjecture ==
+                                                                "barbell-powerful" else 384)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_verify_echoes_each_failing_and_erroring_report_line(monkeypatch, tmp_path, jobs):
+    import csflab.harness as harness
+
+    plain = harness._PER_UNIT["h-lower-bound"]
+
+    def flaky(m, lam):
+        if lam == (2, 1, 1):
+            raise RuntimeError('forced "quoted" \u00fc')
+        return plain(m, lam)
+
+    monkeypatch.setitem(harness._PER_UNIT, "h-lower-bound", flaky)
+    report = tmp_path / "report.jsonl"
+    result = run("verify", "--conjecture", "h-lower-bound", "--max-n", "6",
+                 "--jobs", str(jobs), "--report", str(report))
+    assert result.exit_code == 3
+    lines = report.read_text().splitlines()
+    echoed = [line for line in lines if json.loads(line)["status"] in ("fails", "error")]
+    assert result.stderr.splitlines() == echoed
+    assert [json.loads(line)["status"] for line in echoed].count("fails") == 1
+    assert len(echoed) == 1 + 14  # the n = 6 failure and the 14 n = 4 vectors
+    assert result.stdout.splitlines()[-1] == (
+        "h-lower-bound n<=6: holds=1821 fails=1 skipped=0 error=14"
+    )
 
 
 def test_verify_usage_errors():

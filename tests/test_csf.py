@@ -181,6 +181,14 @@ def test_e_expansion_identities_at_n9():
     assert e_expansion_identities_broken([9]) == []
 
 
+@pytest.mark.skipif(
+    not os.environ.get("CSFLAB_ACCEPT_N8"),
+    reason="set CSFLAB_ACCEPT_N8=1 to check the e-expansion identities at n=10",
+)
+def test_e_expansion_identities_at_n10():
+    assert e_expansion_identities_broken([10]) == []
+
+
 def test_routes_agree_small():
     for n in range(1, 6):
         for m in enumerate_hessenberg(n):
@@ -388,8 +396,8 @@ def test_oracle_bound():
         (10,): q_factorial(10)
     }
     # a sweep unit at the cap reuses that expansion and is not an error
-    report = harness.evaluate_task(harness.VerificationTask("nonzero", k10, (1,) * 10))
-    assert (report.status, report.witness) == ("holds", None)
+    status, witness, _ = harness.evaluate_task("nonzero", k10, (1,) * 10)
+    assert (status, witness) == ("holds", None)
     # the 10-chain has no incomparable pair: X = e_1^10, whose m_lam
     # coefficient is the multinomial 10!/lam!, in particular 10! at 1^10
     chain = csf_coloring_oracle(poset_from_hessenberg(tuple(range(10))))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
 import hashlib
 import itertools
@@ -18,11 +19,13 @@ from hypothesis import given, settings, strategies as st
 from csflab.csf import e_coeff
 from csflab.harness import (
     CONJECTURES,
+    STATUSES,
     Report,
+    Sweep,
     VerificationTask,
-    _by_vector,
     _Cache,
     _h_margin_nonneg,
+    _largest_first,
     _row_factorials,
     _shares,
     code_version,
@@ -30,6 +33,7 @@ from csflab.harness import (
     evaluate_task,
     poly_nonneg_on_nonneg,
     rat_nonneg_on_nonneg,
+    report_lines,
     run_verification,
     summarize,
     tasks_for,
@@ -56,6 +60,11 @@ def nonzero_discrepancies(reports):
         for r in reports
         if r.witness and r.witness.get("discrepancy")
     ]
+
+
+def evaluate(task):
+    """The Report of one task, through the sweep's own ``evaluate_task``."""
+    return Report(task, *evaluate_task(task.conjecture, task.m, task.lam))
 
 
 def without_seconds(reports):
@@ -87,7 +96,7 @@ def test_registry_ids():
 def test_task_validation():
     task = VerificationTask("bounds", [0, 0, 1], [2, 1])
     assert task.m == (0, 0, 1) and task.lam == (2, 1)
-    for _ in range(2):  # the cached checks raise again on a repeat
+    for _ in range(2):  # a bad task raises again on a repeat
         with pytest.raises(ValueError):
             VerificationTask("positivity", (0, 0), (2,))
         with pytest.raises(ValueError):
@@ -110,13 +119,24 @@ def test_failing_report_needs_witness():
 
 def test_tasks_for_counts():
     # sizes 1..4 carry 1, 2, 3, 5 partitions and 1, 2, 5, 14 posets
-    assert len(tasks_for("bounds", 4)) == 1 + 4 + 15 + 70
+    records = tasks_for("bounds", 4)
+    assert len(records) == 1 + 2 + 5 + 14
+    assert sum(len(shapes) for _, shapes in records) == 1 + 4 + 15 + 70
+    # one record per vector, in report order; each size's shapes are
+    # partitions(n), one shared tuple, and read backwards in report order
+    assert [m for m, _ in records] == sorted((m for m, _ in records), key=lambda m: (len(m), m))
+    first = {}
+    for m, shapes in records:
+        assert first.setdefault(len(m), shapes) is shapes
+        assert shapes == tuple(partitions(len(m)))
+        assert list(reversed(shapes)) == sorted(shapes)
     barbell = tasks_for("barbell-powerful", 4)
-    skips = [t for t in barbell if t.lam is None]
-    real = [t for t in barbell if t.lam is not None]
+    skips = [m for m, shapes in barbell if shapes == (None,)]
+    real = [(m, lam) for m, shapes in barbell for lam in shapes if lam is not None]
     # barbell vectors: (2,2) at n=3; (2,3), (3,2), (2,2,2) at n=4
     assert len(real) == 1 * 3 + 3 * 5
     assert len(skips) == 1 + 2 + 4 + 11
+    assert len(barbell) == len(records)
     with pytest.raises(ValueError):
         tasks_for("everything", 3)
 
@@ -160,9 +180,9 @@ def _overcount_fails_by_brute_force(m, lam, discrepancy, arrays, powerful, coeff
     every filling of the rows, in both orders of the parts, through the
     element-level definition gives exactly the kernel's arrays, with
     distinct images."""
-    report = evaluate_task(VerificationTask("overcount-q", m, lam))
-    assert report.status == "fails"
-    assert report.witness == {"discrepancy": discrepancy}
+    status, witness, _ = evaluate_task("overcount-q", m, lam)
+    assert status == "fails"
+    assert witness == {"discrepancy": discrepancy}
     p = poset_from_hessenberg(m)
     brute = set()
     for word in itertools.permutations(range(1, len(m) + 1)):
@@ -196,9 +216,15 @@ def test_overcount_fails_at_the_n9_unit_by_brute_force():
     )
 
 
-def test_bounds_hold_to_six():
-    reports = run_verification("bounds", 6, parallelism=JOBS)
-    assert summarize(reports) == {"holds": 1836, "fails": 0, "skipped": 0}
+@pytest.fixture(scope="module")
+def sweeps_to_six():
+    """Every conjecture's n <= 6 sweep, run once for this module."""
+    return {conjecture: run_verification(conjecture, 6, parallelism=JOBS)
+            for conjecture in CONJECTURES}
+
+
+def test_bounds_hold_to_six(sweeps_to_six):
+    assert summarize(sweeps_to_six["bounds"]) == {"holds": 1836, "fails": 0, "skipped": 0}
 
 
 # sha256 of each n <= 6 report's JSON-lines with ``seconds`` dropped, as
@@ -215,9 +241,9 @@ CLASS_REPORT_DIGESTS_TO_SIX = {
 
 
 @pytest.mark.parametrize("conjecture", sorted(CLASS_REPORT_DIGESTS_TO_SIX))
-def test_class_conjecture_reports_pinned_to_six(conjecture):
+def test_class_conjecture_reports_pinned_to_six(conjecture, sweeps_to_six):
     digest = hashlib.sha256()
-    for row in without_seconds(run_verification(conjecture, 6, parallelism=JOBS)):
+    for row in without_seconds(sweeps_to_six[conjecture]):
         digest.update(json.dumps(row).encode() + b"\n")
     assert digest.hexdigest() == CLASS_REPORT_DIGESTS_TO_SIX[conjecture]
 
@@ -410,6 +436,140 @@ def test_check_panic_becomes_error_report(monkeypatch, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# the vector record, the Sweep and the report template
+# ---------------------------------------------------------------------------
+
+def _as_json(reports, statuses=STATUSES):
+    return [json.dumps(r.to_json_dict()) for r in reports if r.status in statuses]
+
+
+def test_template_writes_json_dumps_bytes_on_every_n6_report(sweeps_to_six, tmp_path):
+    seen = set()
+    for conjecture, sweep in sweeps_to_six.items():
+        reports = list(sweep)
+        expected = _as_json(reports)
+        assert list(report_lines(sweep)) == expected, conjecture
+        assert list(report_lines(reports)) == expected, conjecture
+        wanted = ("fails", "error")
+        assert list(report_lines(sweep, wanted)) == _as_json(reports, wanted), conjecture
+        path = tmp_path / f"{conjecture}.jsonl"
+        emit_report(sweep, path)
+        assert path.read_text() == "".join(line + "\n" for line in expected)
+        # any other iterable of Reports is written in the order given
+        emit_report(reversed(reports), path)
+        assert path.read_text() == "".join(line + "\n" for line in reversed(expected))
+        seen |= {(r.status, r.task.lam is None, r.witness is None) for r in reports}
+    # whole-poset skips, failures and witnessed and bare holds all occur
+    assert {("skipped", True, False), ("fails", False, False),
+            ("holds", False, False), ("holds", False, True)} <= seen
+
+
+EDGE_REPORTS = (
+    Report(VerificationTask("barbell-powerful", (0, 0, 1)), "skipped", {"reason": "r"}, 2e-06),
+    Report(VerificationTask("nonzero", (0, 0)), "error",
+           {"error": "ValueError: nonzero needs a partition"}, 0.0),
+    Report(VerificationTask("bounds", (0, 0), (1, 1)), "error",
+           {"error": 'RuntimeError: "quoted" \\ tab\t \u00fc \u2603'}, 1e-09),
+    Report(VerificationTask("bounds", (0, 0), (2,)), "holds", None, 4.9e-07),
+    Report(VerificationTask("bounds", (0, 0), (2,)), "holds", None, -4e-07),
+    Report(VerificationTask("bounds", (0, 0), (2,)), "holds", None, 0),
+    Report(VerificationTask("h-lower-bound", (0, 0, 1, 1, 2, 4), (3, 2, 1)), "fails",
+           {"tableau": [[1, 4, 6], [2, 5], [3]], "q": "1/4", "margin_num": [0, -1],
+            "margin_den": [1, 1]}, 12345.678901234),
+    Report(VerificationTask("theorem-suite", (0, 0, 1, 2)), "skipped", {}, 5e-07),
+)
+
+
+def test_template_on_hand_made_edge_cases(tmp_path):
+    assert round(EDGE_REPORTS[2].seconds, 6) == 0 and round(EDGE_REPORTS[4].seconds, 6) == 0
+    expected = _as_json(EDGE_REPORTS)
+    assert list(report_lines(EDGE_REPORTS)) == expected
+    assert list(report_lines(EDGE_REPORTS[::-1])) == expected[::-1]
+    path = tmp_path / "edge.jsonl"
+    emit_report(EDGE_REPORTS, path)
+    assert path.read_bytes() == "".join(line + "\n" for line in expected).encode()
+
+
+_json_leaf = st.none() | st.booleans() | st.integers() | st.text(max_size=6) | st.floats(
+    allow_nan=False, allow_infinity=False)
+_witness = st.dictionaries(st.text(max_size=6), st.recursive(
+    _json_leaf, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.text(max_size=4), inner, max_size=3), max_leaves=6), min_size=1, max_size=3)
+
+
+@st.composite
+def _reports(draw):
+    conjecture = draw(st.sampled_from(CONJECTURES))
+    n = draw(st.integers(1, 5))
+    m = draw(st.sampled_from(enumerate_hessenberg(n)))
+    lam = draw(st.none() | st.sampled_from(list(partitions(n))))
+    status = draw(st.sampled_from(STATUSES))
+    witness = draw(_witness if status in ("fails", "error") else st.none() | _witness)
+    seconds = draw(st.floats(allow_nan=False, allow_infinity=False)
+                   | st.floats(-1e-6, 1e-6) | st.integers(0, 10))
+    return Report(VerificationTask(conjecture, m, lam), status, witness, seconds)
+
+
+@given(st.lists(_reports(), max_size=12))
+@settings(deadline=None, max_examples=100)
+def test_template_matches_json_dumps_on_any_reports(reports):
+    assert list(report_lines(reports)) == _as_json(reports)
+    wanted = ("fails", "error")
+    assert list(report_lines(iter(reports), wanted)) == _as_json(reports, wanted)
+    counts = {status: 0 for status in ("holds", "fails", "skipped")}
+    for r in reports:
+        counts[r.status] = counts.get(r.status, 0) + 1
+    assert summarize(reports) == counts
+
+
+def test_sweep_is_a_read_only_sequence_of_reports_built_on_access():
+    sweep = run_verification("barbell-powerful", 4)
+    assert isinstance(sweep, Sweep) and isinstance(sweep, collections.abc.Sequence)
+    reports = list(sweep)
+    assert len(sweep) == len(reports) == 18 + 18  # 18 skipped vectors, 18 units
+    assert [sweep[i] for i in range(len(sweep))] == reports
+    assert [sweep[i] for i in range(-len(sweep), 0)] == reports
+    assert list(reversed(sweep)) == reports[::-1] and sweep.index(reports[7]) == 7
+    for index in (len(sweep), -len(sweep) - 1):
+        with pytest.raises(IndexError):
+            sweep[index]
+    with pytest.raises(TypeError):
+        sweep[0] = reports[1]
+    with pytest.raises(AttributeError):
+        sweep.extra = None
+    assert sweep[0] == sweep[0] and sweep[0] is not sweep[0]  # built on access
+    # report order: by n, then m, then lam, a whole-poset skip first
+    key = lambda r: (len(r.task.m), r.task.m, r.task.lam is not None, r.task.lam or ())
+    assert reports == sorted(reports, key=key)
+    assert summarize(sweep) == summarize(reports) == {"holds": 18, "fails": 0, "skipped": 18}
+    empty = Sweep("bounds", [], [])
+    assert len(empty) == 0 and list(empty) == [] and list(report_lines(empty)) == []
+
+
+def test_no_harness_cache_grows_with_the_vectors_swept():
+    import csflab.harness as harness
+
+    assert not hasattr(harness, "_checked_vector")
+    assert not hasattr(harness, "_checked_partition")
+    # every cache in the module's namespace, also one that wraps an imported function
+    caches = {name: fn for name, fn in vars(harness).items() if hasattr(fn, "cache_info")}
+    assert {"_h_failures", "_greedy_shapes", "_h_margin_nonneg", "_row_factorials"} <= set(caches)
+    for fn in caches.values():
+        fn.cache_clear()
+
+    def sizes(n_max):
+        for conjecture in CONJECTURES:
+            run_verification(conjecture, n_max)
+        return {name: fn.cache_info().currsize for name, fn in caches.items()}
+
+    # n = 5 adds 42 vectors, but only 7 shapes and one size
+    before, after = sizes(4), sizes(5)
+    for name, fn in caches.items():
+        bounded = (fn.cache_parameters()["maxsize"] or float("inf")) <= 4096
+        assert bounded or after[name] - before[name] <= 7, (name, before[name], after[name])
+
+
+# ---------------------------------------------------------------------------
 # persistence, cache, determinism
 # ---------------------------------------------------------------------------
 
@@ -420,7 +580,7 @@ def test_emit_empty_report_list(tmp_path):
 
 
 def test_emit_single_line_field_order(tmp_path):
-    report = evaluate_task(VerificationTask("bounds", (0, 0), (1, 1)))
+    report = evaluate(VerificationTask("bounds", (0, 0), (1, 1)))
     path = tmp_path / "one.jsonl"
     emit_report([report], path)
     lines = path.read_text().splitlines()
@@ -432,7 +592,7 @@ def test_emit_single_line_field_order(tmp_path):
 
 
 def test_emit_failure_names_the_path(tmp_path):
-    report = evaluate_task(VerificationTask("bounds", (0,), (1,)))
+    report = evaluate(VerificationTask("bounds", (0,), (1,)))
     with pytest.raises(OSError, match="missing/nested.jsonl"):
         emit_report([report], tmp_path / "missing" / "nested.jsonl")
 
@@ -482,17 +642,21 @@ def test_vector_dispatch_on_half_warm_cache(tmp_path):
 @pytest.mark.parametrize("parallelism", [2, 3, 4, 5])
 @pytest.mark.parametrize("n_max", [2, 3, 4, 5, 6])
 def test_shares_partition_pending_in_order(parallelism, n_max):
-    pending = _by_vector(tasks_for("theorem-suite", n_max))
-    position = {group[0].m: i for i, group in enumerate(pending)}
+    records = tasks_for("theorem-suite", n_max)
+    pending = _largest_first(records)
+    sizes = [len(records[i][0]) for i in pending]
+    assert sorted(pending) == list(range(len(records)))
+    assert sizes == sorted(sizes, reverse=True)
+    position = {i: k for k, i in enumerate(pending)}
     shares = _shares(pending, parallelism)
     assert len(shares) == min(4 * parallelism, len(pending))
     assert all(shares)
     # dealt, not sliced: the largest vectors lead the shares, one each
     assert [share[0] for share in shares] == pending[: len(shares)]
-    dealt = sorted(position[group[0].m] for share in shares for group in share)
+    dealt = sorted(position[i] for share in shares for i in share)
     assert dealt == list(range(len(pending)))
     for share in shares:
-        order = [position[group[0].m] for group in share]
+        order = [position[i] for i in share]
         assert order == sorted(order)
 
 
@@ -518,7 +682,7 @@ def test_pool_has_no_more_workers_than_shares(monkeypatch):
 
     monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", recording_pool)
     serial = run_verification("bounds", 3)
-    assert len(_by_vector(tasks_for("bounds", 3))) == 8
+    assert len(tasks_for("bounds", 3)) == 8
     for jobs, workers in ((64, 8), (5, 5), (2, 2)):
         reports = run_verification("bounds", 3, parallelism=jobs)
         assert sizes.pop() == workers
@@ -531,8 +695,9 @@ def test_pool_workers_call_evaluate_task_by_module_name(monkeypatch):
 
     plain = harness.evaluate_task
 
-    def marked(task):
-        return dataclasses.replace(plain(task), seconds=-1.0)
+    def marked(conjecture, m, lam):
+        status, witness, _ = plain(conjecture, m, lam)
+        return status, witness, -1.0
 
     monkeypatch.setattr(harness, "evaluate_task", marked)
     reports = run_verification("bounds", 4, parallelism=2)
@@ -556,10 +721,10 @@ def test_sweep_holds_one_vectors_cached_work_at_a_time(monkeypatch):
     plain = harness.evaluate_task
     paths = []
 
-    def recorded(task):
-        report = plain(task)
-        paths.append((task.m, [prefix for prefix, _ in hikita._path]))
-        return report
+    def recorded(conjecture, m, lam):
+        row = plain(conjecture, m, lam)
+        paths.append((m, [prefix for prefix, _ in hikita._path]))
+        return row
 
     monkeypatch.setattr(harness, "evaluate_task", recorded)
     for conjecture in ("theorem-suite", "h-lower-bound"):
@@ -577,7 +742,7 @@ def test_sweep_holds_one_vectors_cached_work_at_a_time(monkeypatch):
 
 def test_records_are_slotted_and_pickle_by_fields():
     task = VerificationTask("overcount-q", (0, 0, 1), (2, 1))
-    report = evaluate_task(task)
+    report = evaluate(task)
     for record in (task, report):
         assert not hasattr(record, "__dict__")
         assert pickle.loads(pickle.dumps(record)) == record
@@ -651,19 +816,20 @@ def test_cache_audit_catches_tampering(tmp_path):
 
 
 def _vectors(conjecture, n_max):
-    """Each vector's tasks, in the order the sweep lists them."""
-    return {group[0].m: group for group in _by_vector(tasks_for(conjecture, n_max))}
+    """Each vector's shapes, in task order."""
+    return dict(tasks_for(conjecture, n_max))
 
 
 def _recording(monkeypatch):
-    """Record every task the sweep evaluates; serial sweeps only."""
+    """Record the (m, lam) of every unit the sweep evaluates; serial
+    sweeps only."""
     import csflab.harness as harness
 
     plain, seen = harness.evaluate_task, []
 
-    def recorded(task):
-        seen.append(task)
-        return plain(task)
+    def recorded(conjecture, m, lam):
+        seen.append((m, lam))
+        return plain(conjecture, m, lam)
 
     monkeypatch.setattr(harness, "evaluate_task", recorded)
     return seen
@@ -671,14 +837,20 @@ def _recording(monkeypatch):
 
 def test_cold_pool_run_stores_one_file_per_vector(tmp_path):
     cache = tmp_path / "cache"
-    run_verification("theorem-suite", 5, parallelism=2, cache_dir=str(cache))
+    sweep = run_verification("theorem-suite", 5, parallelism=2, cache_dir=str(cache))
     vectors = _vectors("theorem-suite", 5)
     stored = sorted(cache.rglob("*.json"))
-    paths = sorted(_Cache(str(cache))._path(tasks[0]) for tasks in vectors.values())
+    paths = sorted(_Cache(str(cache))._path("theorem-suite", m) for m in vectors)
     assert [str(p) for p in stored] == paths
     assert not list(cache.rglob("*.tmp"))
-    for tasks in vectors.values():
-        assert [r.task for r in _Cache(str(cache)).load(tasks)] == tasks
+    # each file holds its vector's rows in task order, seconds rounded
+    for (m, shapes), rows in zip(sweep._records, sweep._rows):
+        assert shapes == vectors[m]
+        loaded = _Cache(str(cache)).load("theorem-suite", m, shapes)
+        assert loaded == [(status, witness, round(s, 6)) for status, witness, s in rows]
+        with open(_Cache(str(cache))._path("theorem-suite", m), encoding="utf-8") as fh:
+            dicts = json.load(fh)
+        assert [(d["m"], d["lam"]) for d in dicts] == [(list(m), list(lam)) for lam in shapes]
 
 
 def test_cold_sweep_leaves_a_flat_cache_directory(tmp_path):
@@ -709,17 +881,17 @@ def test_vector_with_an_error_is_not_stored(monkeypatch, tmp_path, caplog):
 
     vectors = _vectors("theorem-suite", 4)
     store = _Cache(cache)
-    for m, tasks in vectors.items():
-        assert os.path.exists(store._path(tasks[0])) == (m != victim[0])
+    for m in vectors:
+        assert os.path.exists(store._path("theorem-suite", m)) == (m != victim[0])
 
     seen = _recording(monkeypatch)
     with caplog.at_level(logging.INFO, logger="csflab.harness"):
         again = run_verification("theorem-suite", 4, cache_dir=cache)
-    assert seen == vectors[victim[0]]
-    total = sum(len(tasks) for tasks in vectors.values())
+    assert seen == [(victim[0], lam) for lam in vectors[victim[0]]]
+    total = sum(len(shapes) for shapes in vectors.values())
     assert f"cache hits: {total - len(seen)} of {total}" in caplog.text
     assert summarize(again) == {"holds": total, "fails": 0, "skipped": 0}
-    assert os.path.exists(store._path(seen[0]))
+    assert os.path.exists(store._path("theorem-suite", victim[0]))
 
 
 @pytest.mark.parametrize("tamper", ["drop", "swap", "shape"])
@@ -727,8 +899,8 @@ def test_damaged_vector_file_is_recomputed_whole(monkeypatch, tmp_path, tamper):
     cache = str(tmp_path / "cache")
     cold = run_verification("theorem-suite", 4, cache_dir=cache)
     vectors = _vectors("theorem-suite", 4)
-    victim = vectors[(0, 0, 1, 2)]
-    path = _Cache(cache)._path(victim[0])
+    victim = (0, 0, 1, 2)
+    path = _Cache(cache)._path("theorem-suite", victim)
     with open(path, encoding="utf-8") as fh:
         rows = json.load(fh)
     if tamper == "drop":
@@ -742,11 +914,11 @@ def test_damaged_vector_file_is_recomputed_whole(monkeypatch, tmp_path, tamper):
 
     seen = _recording(monkeypatch)
     again = run_verification("theorem-suite", 4, cache_dir=cache)
-    assert seen == victim
+    assert seen == [(victim, lam) for lam in vectors[victim]]
     assert without_seconds(again) == without_seconds(cold)
     # every other vector is a replay, timing included
-    others = [r.to_json_dict() for r in again if r.task.m != victim[0].m]
-    assert others == [r.to_json_dict() for r in cold if r.task.m != victim[0].m]
+    others = [r.to_json_dict() for r in again if r.task.m != victim]
+    assert others == [r.to_json_dict() for r in cold if r.task.m != victim]
 
 
 def test_code_version_is_stable_hex():

@@ -36,6 +36,16 @@ def test_quick_tour_e_coefficient():
     assert repr(eval(code, scope)) == shown.strip()
 
 
+def test_quick_tour_sweep():
+    tour = _block("python", "from csflab import (")
+    scope = vars(csflab).copy()
+    exec(next(line for line in tour if line.startswith("reports = ")), scope)
+    for line in tour:
+        if line.startswith(("summarize(reports)", "reports[-1]")):
+            code, _, shown = line.partition("#")
+            assert repr(eval(code, scope)) == shown.strip()
+
+
 def _check_session(command_line):
     command, *shown = _block("text", command_line)
     args = shlex.split(command)[2:]
