@@ -2,11 +2,11 @@
 
 The package computes the q-weighted chromatic symmetric function of the
 incomparability graph of a (3+1)-free poset, expands it in the monomial,
-Schur, and elementary bases over exact rationals, enumerates the standard,
-strong, powerful, and insertion-reachable tableau classes that refine its
-coefficients, and ships a verification harness that sweeps the known
-identities and open positivity statements over every unit order up to a
-configurable size.
+Schur, and elementary bases with exact integer coefficients, enumerates the
+standard, strong, powerful, and insertion-reachable tableau classes that
+refine its coefficients, and ships a verification harness that sweeps the
+known identities and open positivity statements over every unit order up to
+a configurable size.
 """
 
 from .csf import (

@@ -34,7 +34,7 @@ from .csf import (
 from .harness import CONJECTURES, emit_report, report_lines, run_verification, summarize
 from .hikita import enumerate_hikita, h, prob, zeta
 from .posets import check_hessenberg, poset_from_hessenberg
-from .qcore import check_partition, parse_int_tuple
+from .qcore import check_partition, parse_int_tuple, poly_text
 from .structural import K_set
 from .tableaux import colword, enumerate_class, inv_p, is_strong, tableau_to_text
 
@@ -74,10 +74,10 @@ def _info_to_stderr():
 
 
 def _echo_expansion(f, q_at=None):
-    for part, poly in sorted(f.coeffs.items()):
-        key = ",".join(str(x) for x in part)
-        value = poly.text() if q_at is None else poly.eval_at(q_at)
-        click.echo(f"{f.basis}[{key}] {value}")
+    values = f.eval_at(q_at) if q_at is not None else {
+        part: poly_text(poly) for part, poly in sorted(f.coeffs.items())}
+    for part, value in values.items():
+        click.echo(f"{f.basis}[{','.join(map(str, part))}] {value}")
 
 
 @click.group()

@@ -24,16 +24,9 @@ import itertools
 import warnings
 
 from .hikita import e_coefficients_by_shape
-from .qcore import (
-    QPoly,
-    check_partition,
-    compositions,
-    conjugate,
-    partitions,
-    q_factorial,
-    q_int,
-    sort_desc,
-)
+from .qcore import check_partition, coeff_tuple, compositions, conjugate, int_poly_add
+from .qcore import int_poly_mul, partitions, poly_eval, poly_json, poly_text
+from .qcore import q_factorial_factors, q_int_product, sort_desc
 # Not called here: bench/spans.py wraps csf.enumerate_standard and csf.inv_p.
 from .tableaux import enumerate_standard, inv_p
 
@@ -46,25 +39,28 @@ SIZE_CAP = 10
 
 
 class SymFunc:
-    """A homogeneous symmetric function of degree n in a named basis."""
+    """A homogeneous symmetric function of degree n in a named basis: each
+    partition of n -> its nonzero coefficient tuple (``qcore.coeff_tuple``).
+    Input from outside is checked here once and made canonical; the
+    package's own routes pass ``checked=True`` with canonical tuples."""
 
     __slots__ = ("basis", "n", "coeffs")
 
-    def __init__(self, basis, n, coeffs):
-        if basis not in BASES:
-            raise ValueError(f"unknown basis {basis!r}")
-        clean = {}
-        for part, poly in coeffs.items():
-            part = check_partition(part)
-            if sum(part) != n:
-                raise ValueError(f"partition {part} does not have size {n}")
-            if not isinstance(poly, QPoly):
-                poly = QPoly.const(poly)
-            if poly:
-                clean[part] = poly
+    def __init__(self, basis, n, coeffs, *, checked=False):
+        if not checked:
+            if basis not in BASES:
+                raise ValueError(f"unknown basis {basis!r}")
+            clean = {}
+            for part, poly in coeffs.items():
+                part = check_partition(part)
+                if sum(part) != n:
+                    raise ValueError(f"partition {part} does not have size {n}")
+                if poly := coeff_tuple(poly):
+                    clean[part] = poly
+            coeffs = clean
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "coeffs", coeffs)
 
     def __setattr__(self, name, value):
         raise AttributeError("SymFunc is immutable")
@@ -80,35 +76,34 @@ class SymFunc:
 
     def __repr__(self):
         inner = ", ".join(
-            f"{part}: {poly.text()}" for part, poly in sorted(self.coeffs.items())
+            f"{part}: {poly_text(poly)}" for part, poly in sorted(self.coeffs.items())
         )
         return f"SymFunc({self.basis!r}, n={self.n}, {{{inner}}})"
 
     def coeff(self, part):
-        return self.coeffs.get(check_partition(part), QPoly.zero())
+        """The coefficient tuple of a partition of n, () when it has none; a
+        shape the function holds is not checked again."""
+        try:
+            return self.coeffs[part]
+        except (KeyError, TypeError):
+            part = check_partition(part)
+        if sum(part) != self.n:
+            raise ValueError(f"partition {part} does not have size {self.n}")
+        return self.coeffs.get(part, ())
 
     def eval_at(self, x):
         """Specialize q; returns {partition: Fraction}."""
-        return {part: poly.eval_at(x) for part, poly in sorted(self.coeffs.items())}
+        return {part: poly_eval(poly, x) for part, poly in sorted(self.coeffs.items())}
 
     def to_json_dict(self):
         return {
             "basis": self.basis,
             "n": self.n,
             "coeffs": [
-                {"partition": list(part), "poly": poly.json_coeffs()}
+                {"partition": list(part), "poly": poly_json(poly)}
                 for part, poly in sorted(self.coeffs.items())
             ],
         }
-
-    @classmethod
-    def from_json_dict(cls, data):
-        # Fraction() parses both ints and "p/q" strings, matching json_coeffs.
-        coeffs = {
-            tuple(item["partition"]): QPoly(item["poly"])
-            for item in data["coeffs"]
-        }
-        return cls(data["basis"], data["n"], coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +147,7 @@ def _coloring_counts(p):
                 bump = 0
                 for mask in later:
                     bump += (mask & used).bit_count()
-                got.extend([0] * (bump + len(sub) - len(got)))
-                for i, c in enumerate(sub, bump):
-                    got[i] += c
+                int_poly_add(got, sub, 1, bump)
             memo[used, parts] = got
         return got
 
@@ -163,10 +156,10 @@ def _coloring_counts(p):
 
 def coloring_weights(p, content):
     """q-weight generating polynomial of the proper colorings of inc(P)
-    where color i is used exactly content[i] times."""
+    where color i is used exactly content[i] times, as a coefficient tuple."""
     if sum(content) != p.n:
         raise ValueError(f"content {content} does not use {p.n} cells")
-    return QPoly(_coloring_counts(p)(0, tuple(content)))
+    return tuple(_coloring_counts(p)(0, tuple(content)))
 
 
 def csf_coloring_oracle(p):
@@ -181,7 +174,8 @@ def csf_coloring_oracle(p):
             stacklevel=2,
         )
     counts = _coloring_counts(p)
-    return SymFunc("m", p.n, {lam: QPoly(counts(0, lam)) for lam in partitions(p.n)})
+    found = {lam: tuple(c) for lam in partitions(p.n) if (c := counts(0, lam))}
+    return SymFunc("m", p.n, found, checked=True)
 
 
 # ---------------------------------------------------------------------------
@@ -211,17 +205,14 @@ def _e_in_s(mu):
 def csf_schur(p):
     """Schur expansion of X for a natural unit interval order with at most
     ``SIZE_CAP`` elements: [s_nu] = sum_mu c_mu(q) K_{nu' mu} over the
-    cached e-expansion, summed on coefficient lists.  Raises ValueError on
-    any other poset, as ``chromatic_e_expansion`` does."""
+    cached e-expansion, summed on integer coefficient lists.  Every c_mu
+    and K is nonnegative, so no sum cancels.  Raises ValueError on any
+    other poset, as ``chromatic_e_expansion`` does."""
     sums = {}
-    for mu, poly in chromatic_e_expansion(p).coeffs.items():
-        c = [int(x) if x.denominator == 1 else x for x in poly.coeffs]
+    for mu, c in chromatic_e_expansion(p).coeffs.items():
         for nu, k in _e_in_s(mu).items():
-            acc = sums.setdefault(nu, [])
-            acc.extend([0] * (len(c) - len(acc)))
-            for i, x in enumerate(c):
-                acc[i] += k * x
-    return SymFunc("s", p.n, {nu: QPoly(acc) for nu, acc in sums.items()})
+            int_poly_add(sums.setdefault(nu, []), c, k)
+    return SymFunc("s", p.n, {nu: tuple(acc) for nu, acc in sums.items()}, checked=True)
 
 
 # ---------------------------------------------------------------------------
@@ -279,46 +270,37 @@ def to_elementary(f):
     symmetric functions.
 
     Peels leading monomial coefficients in an order extending dominance,
-    on plain coefficient lists: integral coefficients enter as ``int``, so
-    a chromatic function peels without Fraction arithmetic.  A nonzero
-    residue at the end means the input was not in the span and aborts
-    loudly rather than returning a truncation.
+    on coefficient lists: a chromatic function's are ints, so it peels
+    without Fraction arithmetic.  A nonzero residue at the end means the
+    input was not in the span and aborts loudly rather than returning a
+    truncation.
     """
     if f.basis == "e":
         return f
     if f.basis != "m":
         raise ValueError(f"to_elementary takes the m or e basis, not {f.basis!r}")
-    residual = {
-        lam: [int(c) if c.denominator == 1 else c for c in poly.coeffs]
-        for lam, poly in f.coeffs.items()
-    }
+    residual = {lam: list(poly) for lam, poly in f.coeffs.items()}
     out = {}
     for lam in partitions(f.n):
         c = residual.pop(lam, None)
         if c is None or not any(c):
             continue
         e = conjugate(lam)
-        out[e] = QPoly(c)
+        out[e] = coeff_tuple(c)
         for mu, t in e_to_m(e, f.n).items():
-            if mu == lam:
-                continue
-            rest = residual.setdefault(mu, [])
-            rest.extend([0] * (len(c) - len(rest)))
-            for i, x in enumerate(c):
-                rest[i] -= t * x
+            if mu != lam:
+                int_poly_add(residual.setdefault(mu, []), c, -t)
     residue = sorted(mu for mu, rest in residual.items() if any(rest))
     if residue:
         raise ArithmeticError(
             f"input is not a nonneg-span symmetric function; residue at {residue}"
         )
-    return SymFunc("e", f.n, out)
+    return SymFunc("e", f.n, out, checked=True)
 
 
 def e_coeff(p, lam):
-    """The elementary-basis coefficient of the poset's chromatic function."""
-    lam = check_partition(lam)
-    if sum(lam) != p.n:
-        raise ValueError(f"partition {lam} does not have size {p.n}")
+    """The elementary-basis coefficient of the poset's chromatic function,
+    as an integer coefficient tuple (see ``SymFunc.coeff``)."""
     return chromatic_e_expansion(p).coeff(lam)
 
 
@@ -343,8 +325,8 @@ def chromatic_e_expansion(p):
             "specialize the oracle at q=1 for other posets"
         )
     if p.n == 0:
-        return SymFunc("e", 0, {(): QPoly.one()})
-    return SymFunc("e", p.n, {lam: QPoly(c) for lam, c in e_coefficients_by_shape(m).items()})
+        return SymFunc("e", 0, {(): (1,)}, checked=True)
+    return SymFunc("e", p.n, e_coefficients_by_shape(m), checked=True)
 
 
 # ---------------------------------------------------------------------------
@@ -357,14 +339,12 @@ def path_formula(n):
         raise ValueError("n must be at least 1")
     coeffs = {}
     for alpha in compositions(n):
-        term = QPoly.monomial(len(alpha) - 1) * q_int(alpha[-1])
+        term = [0] * (len(alpha) - 1) + [1] * alpha[-1]
         for part in alpha[:-1]:
-            term = term * q_int(part - 1)
-        if not term:
-            continue
-        key = sort_desc(alpha)
-        coeffs[key] = coeffs.get(key, QPoly.zero()) + term
-    return SymFunc("e", n, coeffs)
+            term = int_poly_mul(term, [1] * (part - 1))
+        if term:
+            int_poly_add(coeffs.setdefault(sort_desc(alpha), []), term)
+    return SymFunc("e", n, {key: tuple(c) for key, c in coeffs.items()}, checked=True)
 
 
 def _kchain_alphas(gamma, n):
@@ -399,18 +379,15 @@ def kchain_formula(gamma):
         raise ValueError(f"clique sizes must all be at least 2: {gamma}")
     l = len(gamma)
     n = sum(gamma) - (l - 1)
-    prefactor = QPoly.one()
-    for g in gamma[:-1]:
-        prefactor = prefactor * q_factorial(g - 2)
-    prefactor = prefactor * q_factorial(gamma[-1] - 1)
+    factorials = [g - 2 for g in gamma[:-1]] + [gamma[-1] - 1]
+    prefactor = q_int_product(q_factorial_factors(factorials))
     coeffs = {}
     for alpha in _kchain_alphas(gamma, n):
-        term = q_int(alpha[0])
+        term = [1] * alpha[0]
         for i in range(2, l + 1):
             a_i, cap = alpha[i - 1], gamma[i - 2] - 1
-            term = term * QPoly.monomial(min(a_i, cap)) * q_int(abs(a_i - cap))
-        if not term:
-            continue
-        key = sort_desc(tuple(a for a in alpha if a))
-        coeffs[key] = coeffs.get(key, QPoly.zero()) + term
-    return SymFunc("e", n, {part: prefactor * poly for part, poly in coeffs.items()})
+            term = int_poly_mul(term, [0] * min(a_i, cap) + [1] * abs(a_i - cap))
+        if any(term):  # else some factor is [0]_q
+            int_poly_add(coeffs.setdefault(sort_desc(tuple(a for a in alpha if a)), []), term)
+    found = {part: tuple(int_poly_mul(prefactor, c)) for part, c in coeffs.items()}
+    return SymFunc("e", n, found, checked=True)

@@ -86,8 +86,10 @@ from .posets import (
     path_hessenberg,
     poset_from_hessenberg,
 )
-from .qcore import QPoly, QRat, check_partition, int_poly_mul, partitions, q_factorial
-# Not called here: bench/spans.py wraps harness.enumerate_class, .greedy_shape_family, .inv_p.
+from .qcore import QPoly, QRat, check_partition, coeff_tuple, int_poly_add, int_poly_mul
+# Not called here: bench/spans.py wraps harness.q_factorial, .enumerate_class,
+# .greedy_shape_family and .inv_p.
+from .qcore import partitions, poly_json, q_factorial
 from .structural import K_set, displaced_shape, greedy_shape_family
 from .tableaux import colword, enumerate_class, inv_p, inv_sum, powerful_classes
 from .tableaux import q_count, standard_classes, word_key
@@ -173,10 +175,21 @@ class Report:
         }
 
 
+def _task(conjecture, m, lam):
+    """The VerificationTask of a vector and shape that ``tasks_for`` has
+    checked, built without checking them again."""
+    task = object.__new__(VerificationTask)
+    object.__setattr__(task, "conjecture", conjecture)
+    object.__setattr__(task, "m", m)
+    object.__setattr__(task, "lam", lam)
+    return task
+
+
 class Sweep(collections.abc.Sequence):
     """One conjecture's reports in report order (n, m, lam), read-only: the
     ``tasks_for`` records and each one's rows in task order.  Item i is a
-    Report built when asked for; ``report_lines`` reads the rows."""
+    Report built when asked for, and iteration walks the rows in order;
+    ``report_lines`` reads the rows."""
 
     __slots__ = ("conjecture", "_records", "_rows", "_ends")
 
@@ -193,7 +206,12 @@ class Sweep(collections.abc.Sequence):
             raise IndexError("Sweep index out of range")
         k = bisect.bisect_right(self._ends, i)
         (m, shapes), j = self._records[k], self._ends[k] - 1 - i
-        return Report(VerificationTask(self.conjecture, m, shapes[j]), *self._rows[k][j])
+        return Report(_task(self.conjecture, m, shapes[j]), *self._rows[k][j])
+
+    def __iter__(self):
+        for conjecture, m, units in _vectors(self):
+            for lam, row in units:
+                yield Report(_task(conjecture, m, lam), *row)
 
 
 def _vectors(reports):
@@ -358,7 +376,7 @@ def rat_nonneg_on_nonneg(ratio):
 
 def _check_bounds(m, lam):
     p = poset_from_hessenberg(m)
-    at_one = e_coeff(p, lam).eval_at(1)
+    at_one = sum(e_coeff(p, lam))
     n_strong = len(standard_classes(p, lam)[1])
     n_powerful = len(powerful_classes(p, lam))
     if n_strong <= at_one <= n_powerful:
@@ -370,23 +388,28 @@ def _check_bounds(m, lam):
     }
 
 
+def _difference(a, b):
+    """a - b on integer coefficient tuples, as a coefficient tuple."""
+    return coeff_tuple(int_poly_add(list(a), b, -1))
+
+
 def _integer_nonneg_verdict(margin):
-    """Holds when the margin has nonnegative integer coefficients; the
+    """Holds when the integer margin has no negative coefficient; the
     witness carries the margin unless it is zero on a unit that holds."""
-    if margin.is_nonneg() and all(c.denominator == 1 for c in margin.coeffs):
-        return "holds", {"discrepancy": margin.json_coeffs()} if margin else None
-    return "fails", {"discrepancy": margin.json_coeffs()}
+    if all(c >= 0 for c in margin):
+        return "holds", {"discrepancy": list(margin)} if margin else None
+    return "fails", {"discrepancy": list(margin)}
 
 
 def _powerful_margin(m, lam):
     """The powerful inversion sum minus c_lam."""
     p = poset_from_hessenberg(m)
-    return q_count(powerful_classes(p, lam).values()) - e_coeff(p, lam)
+    return _difference(q_count(powerful_classes(p, lam).values()), e_coeff(p, lam))
 
 
 def _check_undercount_q(m, lam):
     p = poset_from_hessenberg(m)
-    margin = e_coeff(p, lam) - q_count(standard_classes(p, lam)[1].values())
+    margin = _difference(e_coeff(p, lam), q_count(standard_classes(p, lam)[1].values()))
     return _integer_nonneg_verdict(margin)
 
 
@@ -398,13 +421,13 @@ def _check_nonzero(m, lam):
     p = poset_from_hessenberg(m)
     if standard_classes(p, lam)[1]:
         return "holds", None
-    at_one = e_coeff(p, lam).eval_at(1)
+    at_one = sum(e_coeff(p, lam))
     if at_one == 0:
         return "holds", None
     return "fails", {
         "strong_count": 0,
         "coefficient_at_one": str(at_one),
-        "coefficient": e_coeff(p, lam).json_coeffs(),
+        "coefficient": list(e_coeff(p, lam)),
     }
 
 
@@ -419,12 +442,13 @@ def _check_strong_iff_hikita(m, lam):
 
 @functools.lru_cache(maxsize=None)
 def _row_factorials(lam):
-    """The h-lower-bound floor, the product of the row q-factorials, as
-    integer coefficients."""
-    floor = QPoly.one()
+    """The h-lower-bound floor, the product of the row q-factorials, as an
+    integer coefficient tuple."""
+    floor = [1]
     for part in lam:
-        floor = floor * q_factorial(part)
-    return tuple(int(c) for c in floor.coeffs)
+        for j in range(2, part + 1):
+            floor = int_poly_mul(floor, [1] * j)
+    return tuple(floor)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -433,13 +457,8 @@ def _h_margin_nonneg(floor, num, den):
     Sturm decision runs only when some coefficient is negative.  Margins
     repeat across vectors (about 5,000 distinct ones at n <= 9), so the
     cache is shared, but bounded, so it does not grow with the sweep."""
-    margin = int_poly_mul(floor, num)
-    margin += [0] * (len(den) - len(margin))
-    for i, c in enumerate(den):
-        margin[i] -= c
-    if all(c >= 0 for c in margin):
-        return True
-    return poly_nonneg_on_nonneg(QPoly(margin))[0]
+    margin = int_poly_add(int_poly_mul(floor, num), den, -1)
+    return all(c >= 0 for c in margin) or poly_nonneg_on_nonneg(QPoly(margin))[0]
 
 
 @functools.lru_cache(maxsize=1)
@@ -472,8 +491,8 @@ def _check_h_lower_bound(m, lam):
     return "fails", {
         "tableau": [list(c) for c in cols],
         "q": str(point),
-        "margin_num": margin.num.json_coeffs(),
-        "margin_den": margin.den.json_coeffs(),
+        "margin_num": poly_json(margin.num.coeffs),
+        "margin_den": poly_json(margin.den.coeffs),
     }
 
 
@@ -481,7 +500,7 @@ def _check_barbell(m, lam, gamma):
     margin = _powerful_margin(m, lam)
     if not margin:
         return "holds", {"gamma": list(gamma)}
-    return "fails", {"gamma": list(gamma), "discrepancy": margin.json_coeffs()}
+    return "fails", {"gamma": list(gamma), "discrepancy": list(margin)}
 
 
 def _nonadjacent_subsets(indices):
@@ -551,8 +570,8 @@ def _check_theorem_suite(m, lam):
         if inv_sum(p, family) != coeff:
             return "fails", {
                 "check": "k2-identity",
-                "family_sum": inv_sum(p, family).json_coeffs(),
-                "coefficient": coeff.json_coeffs(),
+                "family_sum": list(inv_sum(p, family)),
+                "coefficient": list(coeff),
             }
         ran.append("k2-identity")
 
@@ -560,8 +579,8 @@ def _check_theorem_suite(m, lam):
         if q_count(powerful.values()) != coeff:
             return "fails", {
                 "check": "path-identity",
-                "powerful_sum": q_count(powerful.values()).json_coeffs(),
-                "coefficient": coeff.json_coeffs(),
+                "powerful_sum": list(q_count(powerful.values())),
+                "coefficient": list(coeff),
             }
         ran.append("path-identity")
 
@@ -569,8 +588,8 @@ def _check_theorem_suite(m, lam):
         if q_count(strong.values()) != coeff:
             return "fails", {
                 "check": "greedy-identity",
-                "strong_sum": q_count(strong.values()).json_coeffs(),
-                "coefficient": coeff.json_coeffs(),
+                "strong_sum": list(q_count(strong.values())),
+                "coefficient": list(coeff),
             }
         ran.append("greedy-identity")
 

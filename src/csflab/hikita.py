@@ -42,7 +42,8 @@ import itertools
 from dataclasses import dataclass
 
 from .posets import check_hessenberg
-from .qcore import QPoly, QRat, check_partition, conjugate, int_poly_divexact, q_int_product
+from .qcore import QPoly, QRat, check_partition, conjugate, int_poly_add, int_poly_divexact
+from .qcore import q_factorial_factors, q_int_product
 from .tableaux import colword
 
 
@@ -259,7 +260,7 @@ def h_unreduced_by_shape(m):
 
 def e_coefficients_by_shape(m):
     """Each shape reachable under m -> the e-coefficient c_lam of the
-    chromatic function of m, as an integer coefficient list, from Hikita's
+    chromatic function of m, as an integer coefficient tuple, from Hikita's
     identity c_lam = prod_i [lam_i]_q! * sum_T q^inv(T) h(T) over the
     reachable tableaux T of shape lam, where inv(T) = e_T + star - |m|,
     q^e_T = zeta(T) and star = sum_{i<j} lam_i lam_j.
@@ -275,10 +276,7 @@ def e_coefficients_by_shape(m):
     out = {}
     for lam, tabs in _by_shape(m).items():
         shift = (len(m) ** 2 - sum(part * part for part in lam)) // 2 - sum(m)
-        floor = {}
-        for part in lam:
-            for j in range(2, part + 1):
-                floor[j] = floor.get(j, 0) + 1
+        floor = q_factorial_factors(lam)
         terms, need = [], {}
         for cols in tabs:
             e, factors = grown[cols]
@@ -296,8 +294,6 @@ def e_coefficients_by_shape(m):
             for j, x in need.items():
                 expo[j] = expo.get(j, 0) + x
             num = q_int_product(tuple(sorted((j, x) for j, x in expo.items() if x)))
-            total.extend([0] * (offset + len(num) - len(total)))
-            for i, c in enumerate(num, offset):
-                total[i] += c
-        out[lam] = int_poly_divexact(total, q_int_product(tuple(sorted(need.items()))))
+            int_poly_add(total, num, 1, offset)
+        out[lam] = tuple(int_poly_divexact(total, q_int_product(tuple(sorted(need.items())))))
     return out

@@ -1,13 +1,13 @@
 """Exact q-arithmetic and partition/composition utilities.
 
-Everything downstream computes with polynomials in a single variable q over
-exact rationals, occasionally with ratios of such polynomials.  Coefficients
-are `fractions.Fraction`; there is no floating-point mode.  Polynomials are
-dense (degrees in this project stay tiny), rational functions are kept in a
-canonical reduced form so that equality is a plain structural comparison.
-Where a hot loop multiplies q-integers and needs no canonical form, it
-keeps plain integer coefficient lists (``int_poly_mul``): no Fraction and
-no gcd.
+A computed chromatic quantity is an integer polynomial in q, held as a
+coefficient tuple: index i holds q^i, with no trailing zeros.  The integer
+helpers (``int_poly_mul``, ``int_poly_add``, ``q_int_product``) need no
+Fraction and no gcd; ``coeff_tuple`` makes input canonical, keeping a
+rational "p/q" coefficient as a `fractions.Fraction` in the same tuple.
+`QPoly` (Fraction coefficients) and `QRat` (a canonical reduced ratio, so
+equality is structural) serve the rational boundary: h, prob and zeta, and
+the Sturm decision and its witnesses.  There is no floating-point mode.
 
 Partitions and compositions are ordinary tuples of ints.  A partition is
 weakly decreasing with positive parts; a composition is any tuple of positive
@@ -26,11 +26,10 @@ from fractions import Fraction
 # ---------------------------------------------------------------------------
 
 def _strip(coeffs):
-    last = -1
-    for i, c in enumerate(coeffs):
-        if c:
-            last = i
-    return tuple(coeffs[: last + 1])
+    """The tuple of a fresh coefficient list, its trailing zeros popped."""
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
 class QPoly:
@@ -130,12 +129,7 @@ class QPoly:
     __rmul__ = __mul__
 
     def eval_at(self, x):
-        """Exact evaluation at a rational point."""
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return poly_eval(self.coeffs, x)
 
     def divmod(self, other):
         """Euclidean division: self = Q*other + R with deg R < deg other."""
@@ -163,29 +157,40 @@ class QPoly:
         return all(c >= 0 for c in self.coeffs)
 
     def text(self):
-        """Canonical ascending-coefficient form, e.g. "[1,2,2,1]"."""
-        return "[" + ",".join(_frac_text(c) for c in self.coeffs) + "]"
-
-    @classmethod
-    def from_text(cls, s):
-        s = s.strip()
-        if not (s.startswith("[") and s.endswith("]")):
-            raise ValueError(f"bad polynomial literal: {s!r}")
-        inner = s[1:-1].strip()
-        if not inner:
-            return cls.zero()
-        return cls([Fraction(tok) for tok in inner.split(",")])
-
-    def json_coeffs(self):
-        """Coefficient list for JSON: ints where exact, else "p/q" strings."""
-        return [int(c) if c.denominator == 1 else str(c) for c in self.coeffs]
+        return poly_text(self.coeffs)
 
     def __repr__(self):
         return f"QPoly({self.text()})"
 
 
-def _frac_text(c):
-    return str(int(c)) if c.denominator == 1 else str(c)
+def poly_text(coeffs):
+    """Canonical ascending-coefficient form, e.g. "[1,2,2,1]"."""
+    return "[" + ",".join(map(str, coeffs)) + "]"
+
+
+def poly_json(coeffs):
+    """Coefficient list for JSON: ints where exact, else "p/q" strings."""
+    return [int(c) if c.denominator == 1 else str(c) for c in coeffs]
+
+
+def poly_eval(coeffs, x):
+    """Exact evaluation of a coefficient sequence at a rational point."""
+    x = Fraction(x)
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def coeff_tuple(coeffs):
+    """The canonical tuple of a sequence of ints, Fractions or "p/q"
+    strings: ints where integral, no trailing zeros."""
+    out = list(coeffs)
+    for i, c in enumerate(out):
+        if type(c) is not int:
+            c = Fraction(c)
+            out[i] = int(c) if c.denominator == 1 else c
+    return _strip(out)
 
 
 def poly_gcd(a, b):
@@ -234,10 +239,6 @@ class QRat:
         raise AttributeError("QRat is immutable")
 
     @classmethod
-    def one(cls):
-        return cls(QPoly.one())
-
-    @classmethod
     def zero(cls):
         return cls(QPoly.zero())
 
@@ -281,20 +282,6 @@ class QRat:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = _coerce_rat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not other:
-            raise ZeroDivisionError("division by zero rational function")
-        return QRat(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = _coerce_rat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
     def eval_at(self, x):
         x = Fraction(x)
         d = self.den.eval_at(x)
@@ -332,6 +319,15 @@ def int_poly_mul(a, b):
     return out
 
 
+def int_poly_add(acc, poly, k=1, shift=0):
+    """acc += k * q^shift * poly in place on coefficient lists (ints, or
+    Fractions from rational input); returns acc, trailing zeros kept."""
+    acc.extend([0] * (shift + len(poly) - len(acc)))
+    for i, c in enumerate(poly, shift):
+        acc[i] += k * c
+    return acc
+
+
 def int_poly_divexact(a, d):
     """Quotient of the integer coefficient list a by the monic integer list
     d (top coefficient 1), as a list; a nonzero remainder raises
@@ -364,6 +360,16 @@ def q_int_product(factors):
         for _ in range(x):
             out = int_poly_mul(out, [1] * j)
     return tuple(out)
+
+
+def q_factorial_factors(lam):
+    """prod_i [lam_i]_q! as the sorted (j, x) pairs that ``q_int_product``
+    takes: [j]_q appears once for each part of size at least j >= 2."""
+    counts = {}
+    for part in lam:
+        for j in range(2, part + 1):
+            counts[j] = counts.get(j, 0) + 1
+    return tuple(sorted(counts.items()))
 
 
 def q_int(n):

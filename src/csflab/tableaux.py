@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 
-from .qcore import QPoly, check_partition, compositions_with_sort, conjugate
+from .qcore import check_partition, compositions_with_sort, conjugate
 
 
 # ---------------------------------------------------------------------------
@@ -99,14 +99,14 @@ def inv_p(p, x):
 
 
 def inv_sum(p, tableaux):
-    """Sum of q^inv over a collection of tableaux (or words)."""
+    """Sum of q^inv over tableaux (or words), as an integer coefficient tuple."""
     return q_count(inv_p(p, x) for x in tableaux)
 
 
 def q_count(invs):
-    """Sum of q^k over the inversion counts k."""
+    """Sum of q^k over the inversion counts k, as an integer coefficient tuple."""
     counts = Counter(invs)
-    return QPoly([counts[i] for i in range(max(counts, default=-1) + 1)])
+    return tuple(counts[i] for i in range(max(counts, default=-1) + 1))
 
 
 # ---------------------------------------------------------------------------

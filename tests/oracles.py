@@ -30,6 +30,7 @@ from csflab.qcore import (
     QPoly,
     QRat,
     check_partition,
+    coeff_tuple,
     compositions_with_sort,
     conjugate,
     partitions,
@@ -357,12 +358,12 @@ def injective_chain_shapes(p):
 # ---------------------------------------------------------------------------
 
 def inv_sum_by_monomials(p, tableaux):
-    """Sum of q^inv added one monomial per tableau: the reference for
-    ``csflab.tableaux.inv_sum``."""
+    """Sum of q^inv added one monomial per tableau, as a coefficient tuple:
+    the reference for ``csflab.tableaux.inv_sum``."""
     total = QPoly.zero()
     for t in tableaux:
         total = total + QPoly.monomial(inv_p(p, t))
-    return total
+    return coeff_tuple(total.coeffs)
 
 
 def col_heights(cols):
@@ -863,7 +864,7 @@ def path_weights(m, cols):
     """(prob, zeta) as the products of ``phi`` and ``phi_tilde`` along the
     insertion path, one reduced QRat multiply per step; zero when a step
     lands in a column the sequence does not admit."""
-    pr, z = QRat.one(), QPoly.one()
+    pr, z = QRat(1), QPoly.one()
     while cols:
         n = tableau_size(cols)
         r = m[n - 1]
@@ -883,7 +884,7 @@ def factored_value(e, factors):
     out = QRat(QPoly.monomial(e))
     for j, x in factors.items():
         for _ in range(abs(x)):
-            out = out * q_int(j) if x > 0 else out / q_int(j)
+            out = out * (q_int(j) if x > 0 else QRat(1, q_int(j)))
     return out
 
 
@@ -893,7 +894,7 @@ def factored_value(e, factors):
 
 def coloring_weights_by_walk(p, content):
     """q-weight generating polynomial of the proper colorings of inc(P)
-    where color i is used exactly content[i] times."""
+    where color i is used exactly content[i] times, as a coefficient tuple."""
     n = p.n
     if sum(content) != n:
         raise ValueError(f"content {content} does not use {n} cells")
@@ -925,10 +926,7 @@ def coloring_weights_by_walk(p, content):
                 remaining[c] += 1
 
     walk(1, 0)
-    if not counts:
-        return QPoly.zero()
-    top = max(counts)
-    return QPoly(tuple(counts.get(i, 0) for i in range(top + 1)))
+    return tuple(counts.get(i, 0) for i in range(max(counts, default=-1) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -941,9 +939,7 @@ def e_expansion_at_one(p):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         mono = csf_coloring_oracle(p)
-    flat = {
-        part: QPoly.const(poly.eval_at(1)) for part, poly in mono.coeffs.items()
-    }
+    flat = {part: (sum(poly),) for part, poly in mono.coeffs.items()}
     return to_elementary(SymFunc("m", p.n, flat))
 
 
@@ -973,7 +969,7 @@ def schur_by_p_tableaux(p):
     for lam in partitions(p.n):
         counts = standard_inv_counts(p, conjugate(lam))
         if counts:
-            coeffs[lam] = QPoly(counts)
+            coeffs[lam] = counts
     return SymFunc("s", p.n, coeffs)
 
 
@@ -1029,8 +1025,8 @@ def schur_to_monomial(f):
     coeffs = {}
     for part, poly in f.coeffs.items():
         for mu, c in s_to_m(part, f.n).items():
-            coeffs[mu] = coeffs.get(mu, QPoly.zero()) + poly * c
-    return SymFunc("m", f.n, coeffs)
+            coeffs[mu] = coeffs.get(mu, QPoly.zero()) + QPoly(poly) * c
+    return SymFunc("m", f.n, {mu: poly.coeffs for mu, poly in coeffs.items()})
 
 
 def to_elementary_by_qpoly(f):
@@ -1038,13 +1034,13 @@ def to_elementary_by_qpoly(f):
     peel in ``csflab.csf.to_elementary``."""
     if f.basis != "m":
         raise ValueError(f"expected the m basis, got {f.basis!r}")
-    residual = dict(f.coeffs)
+    residual = {lam: QPoly(poly) for lam, poly in f.coeffs.items()}
     out = {}
     for lam in partitions(f.n):
         c = residual.pop(lam, QPoly.zero())
         if not c:
             continue
-        out[conjugate(lam)] = c
+        out[conjugate(lam)] = c.coeffs
         for mu, t in e_to_m(conjugate(lam), f.n).items():
             if mu == lam:
                 continue
@@ -1058,6 +1054,13 @@ def to_elementary_by_qpoly(f):
             f"input is not a nonneg-span symmetric function; residue at {sorted(residual)}"
         )
     return SymFunc("e", f.n, out)
+
+
+def symfunc_from_json(data):
+    """The SymFunc of a ``SymFunc.to_json_dict`` document; the constructor
+    checks it and parses "p/q" coefficients."""
+    coeffs = {tuple(item["partition"]): item["poly"] for item in data["coeffs"]}
+    return SymFunc(data["basis"], data["n"], coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
 from csflab.cli import main
 from csflab.harness import CONJECTURES, emit_report, run_verification
-from csflab.csf import SymFunc
 from csflab.posets import kchain_hessenberg
+
+from oracles import symfunc_from_json
 
 E5 = "0,0,1,1,3"
 
@@ -57,9 +60,71 @@ def test_csf_json_round_trip(tmp_path):
     result = run("csf", "--hessenberg", E5, "--basis", "e", "--json", str(out))
     assert result.exit_code == 0
     data = json.loads(out.read_text())
-    f = SymFunc.from_json_dict(data)
+    f = symfunc_from_json(data)
     assert f.basis == "e" and f.n == 5
-    assert f.coeff((3, 2)).json_coeffs() == [0, 0, 1, 1]
+    assert f.coeff((3, 2)) == (0, 0, 1, 1)
+
+
+# sha256 of ``csflab csf --hessenberg M --basis B [--q-at Q]`` stdout, and of
+# the file that ``--json`` writes, keyed "M B [Q]"; taken while the
+# coefficients were still QPoly values.
+CSF_OUTPUT_DIGESTS = {
+    "0,0,1 e": "afb0f95baed48c4679e36ef5b9d06c2f77d90065e74a9758b80df470d744c99e",
+    "0,0,1 e 1/2": "d16a48d230cee41cfd955d41bd9b385c55c4e8c3e18c8055aeaa251a9980ed69",
+    "0,0,1 s": "17e619721db24fd8fc12950aca62272852d0803cf86ccce58cbe9ce70b6098d3",
+    "0,0,1 s 1/2": "88e1ef7ff6abb967566972117b65339cb1f1ee92c81eea9d02fdb83db6d292c4",
+    "0,0,1 m": "a8fc7522643ec184350f58a2369261aad9590a5562a656a84739d53c917ff85d",
+    "0,0,1 m 1/2": "44866737af91759f4dec405a7984811a2bc8adbdfbda9be6aaf72f36551b2a29",
+    "0,1,1,2 e": "7630963762bfad262f64bac2bc7f457de6b496ca8ff7647dfc599cad138f39a6",
+    "0,1,1,2 e 1/2": "498cdbcd30d064c9a927cbdfcca4a5bc8690d0e541cd6667aaf63f9dbc53de80",
+    "0,1,1,2 s": "5253b11db24a95727944106fc5d8204ade63960131d08662dca90141a980f97f",
+    "0,1,1,2 s 1/2": "06e453290dc9f4f5789eb6941d4db31b42ec59af243decd2264e14dc9334482c",
+    "0,1,1,2 m": "1f6a41b5c4e2ba6f2193962dd747092969b45a914d900d3d20bb32ccfce89b87",
+    "0,1,1,2 m 1/2": "c286bd676893f1904dc76b2dc05d0dd1603668480a45a2327209dba02b0607f9",
+    "0,0,1,1,3 e": "f12f99d04c9fb8cff807f6eefce628419f453afcaa1f984efeebc8a1591df0d5",
+    "0,0,1,1,3 e 1/2": "1fab0c87c0d1ed9ebe40580611b774b2d26c04d5e68f2ed1565c3bc3fd687fd0",
+    "0,0,1,1,3 s": "dc346862a1307965fbc417cf486795c948fa0b99cf8782c3d041f2755b67b217",
+    "0,0,1,1,3 s 1/2": "65cfc5fd6b9c1076113cf5791b52f14a3907445c216a46824eadf47b1bb314f4",
+    "0,0,1,1,3 m": "6d1d98b293dcd27f640f82ed1c099f7a2b6c1d369bfeafdab91cd11ac90adb0b",
+    "0,0,1,1,3 m 1/2": "d016aaf7c2b141df1f18e7d6655ccf1970b203c1263983ce8283f888961614b1",
+    "0,0,0,2,4 e": "5b78f55e713130ed73a9f6a5c17aa6d57bc849138116936b49a35d8aa7ae56c3",
+    "0,0,0,2,4 e 1/2": "bf3e7ebe5823bf573a2a7d3ba79b818c42a48691877ece2ccb36183301e08b52",
+    "0,0,0,2,4 s": "fa3c44b0edb116a71146cb3348abf2590e4f2c39c041509e01975e3d28518d92",
+    "0,0,0,2,4 s 1/2": "1bc960e56197ca9fbf8d6a8a7571c719db91d7966ca9dd95a25e0162f43ffe31",
+    "0,0,0,2,4 m": "a4a3a9c548231e74e130b9626c8e1bb2f1a3aec9939851462d0f68e9934cf782",
+    "0,0,0,2,4 m 1/2": "e29007d81b066246e9f15dd2d4d7514819c3af4f0d623baa9b8cb225705a5fda",
+    "0,0,1,1,3 e --json": "27a8dceb5771072fd803a2eb0da60315ac1b903d6be662c2e8b6d2465d700386",
+    "0,0,1,1,3 s --json": "278307471f9d9aa302176d20742238379d68f8f8f20a867851d6e80a55021186",
+    "0,0,1,1,3 m --json": "c941522c32687abf9e8888e260f636fe3e302bbef03237655d3dfb1150bc6cd8",
+}
+
+
+@pytest.mark.parametrize("key", sorted(CSF_OUTPUT_DIGESTS))
+def test_csf_output_pinned(key, tmp_path):
+    m, basis, *rest = key.split()
+    args = ["csf", "--hessenberg", m, "--basis", basis]
+    if rest == ["--json"]:
+        out = tmp_path / "f.json"
+        assert run(*args, "--json", str(out)).exit_code == 0
+        text = out.read_text()
+    else:
+        result = run(*args, *(["--q-at", rest[0]] if rest else []))
+        assert result.exit_code == 0
+        text = result.output
+    assert hashlib.sha256(text.encode()).hexdigest() == CSF_OUTPUT_DIGESTS[key]
+
+
+def test_json_round_trip_keeps_rational_coefficients():
+    doc = {"basis": "m", "n": 3, "coeffs": [
+        {"partition": [2, 1], "poly": ["1/2", 0, "-7/3"]},
+        {"partition": [3], "poly": [0, 4]},
+    ]}
+    f = symfunc_from_json(doc)
+    assert f.coeffs == {(2, 1): (Fraction(1, 2), 0, Fraction(-7, 3)), (3,): (0, 4)}
+    assert [type(c) for c in f.coeffs[(2, 1)]] == [Fraction, int, Fraction]
+    assert f.to_json_dict() == doc
+    assert repr(f) == "SymFunc('m', n=3, {(2, 1): [1/2,0,-7/3], (3,): [0,4]})"
+    assert f.eval_at("1/2") == {(2, 1): Fraction(-1, 12), (3,): Fraction(2)}
 
 
 def test_csf_usage_errors():

@@ -195,8 +195,8 @@ def _overcount_fails_by_brute_force(m, lam, discrepancy, arrays, powerful, coeff
     assert brute == {tuple(map(tuple, rows)) for rows in kernel}
     images = {rows_to_cols(rows) for rows in brute}
     assert len(images) == arrays
-    assert inv_sum(p, enumerate_class(p, lam, "powerful")).json_coeffs() == powerful
-    assert e_coeff(p, lam).json_coeffs() == coefficient
+    assert list(inv_sum(p, enumerate_class(p, lam, "powerful"))) == powerful
+    assert list(e_coeff(p, lam)) == coefficient
 
 
 def test_overcount_fails_at_the_n8_unit_by_brute_force():
@@ -544,6 +544,29 @@ def test_sweep_is_a_read_only_sequence_of_reports_built_on_access():
     assert summarize(sweep) == summarize(reports) == {"holds": 18, "fails": 0, "skipped": 18}
     empty = Sweep("bounds", [], [])
     assert len(empty) == 0 and list(empty) == [] and list(report_lines(empty)) == []
+
+
+def test_sweep_iteration_equals_indexing_and_checks_nothing_again(monkeypatch):
+    import csflab.harness as harness
+
+    sweeps = [run_verification(conjecture, 5) for conjecture in CONJECTURES]
+    calls = []
+    for name in ("check_hessenberg", "check_partition"):
+        real = getattr(harness, name)
+        monkeypatch.setattr(harness, name, lambda x, real=real, name=name: (
+            calls.append(name), real(x))[1])
+    for sweep in sweeps:
+        walked = list(sweep)
+        assert walked == [sweep[i] for i in range(len(sweep))]
+        assert list(iter(sweep)) == walked and walked[0] is not list(sweep)[0]
+    assert calls == []
+    monkeypatch.undo()
+    for sweep in sweeps:  # the unchecked tasks equal checked ones, hash included
+        for report in sweep:
+            task = VerificationTask(report.task.conjecture, report.task.m, report.task.lam)
+            assert task == report.task and hash(task) == hash(report.task)
+            assert type(report.task.m) is tuple
+            assert report.task.lam is None or type(report.task.lam) is tuple
 
 
 def test_no_harness_cache_grows_with_the_vectors_swept():

@@ -1,9 +1,9 @@
 """Layout guards for ``src/csflab``.
 
 Every top-level definition in the package, and every non-dunder method of
-``Poset``, is reached from the package itself or exported in
-``csflab.__all__``; a second route that only a test reaches belongs in
-``tests/oracles.py``.  Every module boundary that the
+``Poset``, ``QPoly``, ``QRat`` and ``SymFunc``, is reached from the package
+itself or exported in ``csflab.__all__``; a second route that only a test
+reaches belongs in ``tests/oracles.py``.  Every module boundary that the
 benchmark's tracer wraps by attribute (``BOUNDARIES`` in
 ``bench/spans.py``) must still resolve.  Both checks read source with
 ``ast``; nothing under ``bench/`` is imported.
@@ -22,7 +22,9 @@ SRC = ROOT / "src" / "csflab"
 SPANS = ROOT / "bench" / "spans.py"
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-METHODS_CHECKED = ("Poset",)  # classes whose non-dunder methods must be reached too
+# classes whose non-dunder methods must be reached too; a use is matched by
+# name, so a method passes when any same-named attribute is used elsewhere
+METHODS_CHECKED = ("Poset", "QPoly", "QRat", "SymFunc")
 
 
 def _registered_command(node):

@@ -184,7 +184,7 @@ def test_concat_glues_chain_pairs():
 def test_greedy_family_example():
     assert greedy_partition(P5) == (3, 1, 1)
     assert greedy_shape_family(P5, {1}, {1: 1}) == (3, 2)
-    assert e_coeff(P5, (3, 2)) == QPoly([0, 0, 1, 1])
+    assert e_coeff(P5, (3, 2)) == (0, 0, 1, 1)
 
 
 def test_greedy_family_no_cuts():
@@ -332,7 +332,7 @@ def test_complemented_set_recovers_coefficient():
     assert len(fc) == 8
     total = inv_sum(P6, [a + b for a, b in fc])
     assert total == e_coeff(P6, (4, 2))
-    assert total == QPoly([0, 0, 1, 3, 3, 1])
+    assert total == (0, 0, 1, 3, 3, 1)
 
 
 def _routes_disagree(n):
@@ -389,7 +389,7 @@ def test_kset_split_42_census():
 
 
 def test_k_set_sum_is_the_e_coefficient():
-    assert inv_sum(P6, K_set(P6)) == QPoly([0, 0, 1, 3, 3, 1])
+    assert inv_sum(P6, K_set(P6)) == (0, 0, 1, 3, 3, 1)
 
 
 def test_mult_map_rejects_out_of_domain():
@@ -494,7 +494,7 @@ def test_bpa_sums_recover_path_coefficients():
         for alpha in compositions_with_sort(lam):
             for rows in bpa_enumerate(n, alpha):
                 total = total + QPoly.monomial(peak_inversions(alpha, peak(rows)))
-        assert total == expansion.coeff(lam)
+        assert total == QPoly(expansion.coeff(lam))
 
 
 @settings(max_examples=60)
@@ -525,7 +525,7 @@ def test_maxchain_extension_of_p5():
     standard = {t for t in fam if sum(len(c) for c in t) == 5}
     assert inv_sum(P5, standard) == e_coeff(P5, (3, 1, 1))
     # shape (2,2,1) admits no standard tableaux at all for this order
-    assert e_coeff(P5, (2, 2, 1)) == QPoly.zero()
+    assert e_coeff(P5, (2, 2, 1)) == ()
     fam = key_family(P5, (2, 2, 1))
     assert {t for t in fam if sum(len(c) for c in t) == 5} == set()
 
@@ -659,7 +659,7 @@ def test_bank_chain_free_families_still_work():
         assert fam == injective_powerful(p, lam)
         standard = {t for t in fam if sum(len(c) for c in t) == p.n}
         assert len(standard) == count
-        assert e_expansion_at_one(p).coeff(lam).eval_at(1) == count
+        assert sum(e_expansion_at_one(p).coeff(lam)) == count
 
 
 def test_bank_topped_poset_has_no_powersum_covers():
@@ -675,7 +675,7 @@ def test_bank_topped_poset_has_no_powersum_covers():
     with pytest.raises(ValueError):
         K_set(p)
     assert enumerate_class(p, (3, 2), "powerful") == []
-    assert e_expansion_at_one(p).coeff((3, 2)) == QPoly.zero()
+    assert e_expansion_at_one(p).coeff((3, 2)) == ()
 
 
 def test_bank_isolated_point_breaks_word_splitting():
