@@ -31,8 +31,10 @@ floor*num - den, where num/den is h = prob/zeta as the hikita growth
 multiplies it out.  den is a product of q-integers [j]_q with j >= 2,
 that is of cyclotomic factors Phi_d with d >= 2, each positive at every
 q >= 0; so floor*num - den has the sign of the reduced margin's num*den
-at every q >= 0 and the verdict is the same, with no gcd.  One pass per
-vector decides every shape, each tableau at most once.  Only a failing
+at every q >= 0 and the verdict is the same, with no gcd.  The verdict is
+read off the coefficient signs (``poly_nonneg_on_nonneg``); a margin they
+do not decide raises, so its vector's units are ``error`` rows.  One pass
+per vector decides every shape, each tableau at most once.  Only a failing
 unit builds the reduced QRat margin, through the public ``h``, which
 gives its witness and must agree that the unit fails.
 
@@ -87,9 +89,10 @@ from .posets import (
     poset_from_hessenberg,
 )
 from .qcore import QPoly, QRat, check_partition, coeff_tuple, int_poly_add, int_poly_mul
+from .qcore import partitions, poly_json, poly_text
 # Not called here: bench/spans.py wraps harness.q_factorial, .enumerate_class,
 # .greedy_shape_family and .inv_p.
-from .qcore import partitions, poly_json, q_factorial
+from .qcore import q_factorial
 from .structural import K_set, displaced_shape, greedy_shape_family
 from .tableaux import colword, enumerate_class, inv_p, inv_sum, powerful_classes
 from .tableaux import q_count, standard_classes, word_key
@@ -267,107 +270,47 @@ def summarize(reports):
 # exact nonnegativity of a polynomial on q >= 0
 # ---------------------------------------------------------------------------
 
-def _derivative(poly):
-    return QPoly([i * c for i, c in enumerate(poly.coeffs)][1:])
+def _cauchy_bound(coeffs):
+    """A rational point above every real root: the sign of the leading
+    coefficient holds from there on."""
+    return Fraction(1) + Fraction(max(abs(c) for c in coeffs), abs(coeffs[-1]))
 
 
-def _squarefree(poly):
-    from .qcore import poly_gcd
-
-    g = poly_gcd(poly, _derivative(poly))
-    out, _ = poly.divmod(g)
-    return out
-
-
-def _sturm_chain(poly):
-    chain = [poly, _derivative(poly)]
-    while chain[-1]:
-        _, rem = chain[-2].divmod(chain[-1])
-        if not rem:
-            break
-        chain.append(-rem)
-    return [p for p in chain if p]
-
-
-def _variations(chain, x):
-    signs = []
-    for poly in chain:
-        v = poly.eval_at(x)
-        if v:
-            signs.append(v > 0)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _cauchy_bound(poly):
-    lead = abs(poly.coeffs[-1])
-    top = max(abs(c) for c in poly.coeffs)
-    return Fraction(1) + Fraction(top, lead)
-
-
-def _tiny_positive(poly):
+def _tiny_positive(coeffs):
     """A rational point strictly below every positive root."""
-    c0 = abs(poly.coeffs[0])
-    top = max(abs(c) for c in poly.coeffs)
+    c0 = abs(coeffs[0])
+    top = max(abs(c) for c in coeffs)
     return Fraction(c0, 2 * (c0 + top))
 
 
-def _isolate(u, chain, a, b, count):
-    """Disjoint rational intervals each holding one root of u in (a, b);
-    the endpoints are never roots."""
-    if count == 0:
-        return []
-    if count == 1:
-        return [(a, b)]
-    mid = (a + b) / 2
-    if not u.eval_at(mid):
-        # nudge off the root; u has finitely many, so some candidate works
-        step = (b - a) / (2 * (u.degree + 2))
-        for j in itertools.count(1):
-            for cand in (mid + j * step, mid - j * step):
-                if a < cand < b and u.eval_at(cand):
-                    mid = cand
-                    break
-            else:
-                continue
-            break
-    left = _variations(chain, a) - _variations(chain, mid)
-    right = count - left
-    return _isolate(u, chain, a, mid, left) + _isolate(u, chain, mid, b, right)
-
-
-def poly_nonneg_on_nonneg(poly):
-    """Exact decision of poly(x) >= 0 for all real x >= 0.
+def poly_nonneg_on_nonneg(coeffs):
+    """Exact decision of p(q) >= 0 for all real q >= 0, from the signs of
+    the coefficients (ints or Fractions, index i holding q^i) alone.
 
     Returns (verdict, witness); on False the witness is a rational point
-    where the polynomial is negative.  Root analysis runs on the
-    square-free part via Sturm counts, so no floating point is involved.
+    where p is negative.  With no negative coefficient p holds; a negative
+    lowest nonzero coefficient makes p negative at or just above 0, a negative
+    leading one makes it negative past the Cauchy bound.  Any other sign
+    pattern would need real-root isolation, which no sweep up to n = 10
+    reaches, so it raises ArithmeticError rather than guess.
     """
-    if not poly:
+    if all(c >= 0 for c in coeffs):
         return True, None
-    coeffs = poly.coeffs
-    shift = next(i for i, c in enumerate(coeffs) if c)
-    reduced = QPoly(coeffs[shift:])
-    if reduced.coeffs[0] < 0:
-        witness = Fraction(0) if shift == 0 else _tiny_positive(reduced)
-        return False, witness
-    if reduced.coeffs[-1] < 0:
+    nonzero = [i for i, c in enumerate(coeffs) if c]
+    shift, top = nonzero[0], nonzero[-1]
+    reduced = coeffs[shift : top + 1]
+    if reduced[0] < 0:
+        return False, Fraction(0) if shift == 0 else _tiny_positive(reduced)
+    if reduced[-1] < 0:
         return False, _cauchy_bound(reduced)
-    if reduced.is_nonneg():
-        return True, None
-    u = _squarefree(reduced)
-    chain = _sturm_chain(u)
-    bound = _cauchy_bound(u)
-    count = _variations(chain, Fraction(0)) - _variations(chain, bound)
-    for a, b in _isolate(u, chain, Fraction(0), bound, count):
-        for x in (a, b):
-            if x and reduced.eval_at(x) < 0:
-                return False, x
-    return True, None
+    raise ArithmeticError(
+        f"the coefficient signs of {poly_text(coeffs)} do not decide its sign on q >= 0"
+    )
 
 
 def rat_nonneg_on_nonneg(ratio):
     """The same decision for a reduced rational function, away from poles."""
-    return poly_nonneg_on_nonneg(ratio.num * ratio.den)
+    return poly_nonneg_on_nonneg((ratio.num * ratio.den).coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -453,12 +396,11 @@ def _row_factorials(lam):
 
 @functools.lru_cache(maxsize=4096)
 def _h_margin_nonneg(floor, num, den):
-    """floor*num - den >= 0 at every q >= 0, on integer coefficients; the
-    Sturm decision runs only when some coefficient is negative.  Margins
-    repeat across vectors (about 5,000 distinct ones at n <= 9), so the
-    cache is shared, but bounded, so it does not grow with the sweep."""
-    margin = int_poly_add(int_poly_mul(floor, num), den, -1)
-    return all(c >= 0 for c in margin) or poly_nonneg_on_nonneg(QPoly(margin))[0]
+    """floor*num - den >= 0 at every q >= 0, decided on the integer
+    coefficients' signs.  Margins repeat across vectors (about 5,000
+    distinct ones at n <= 9), so the cache is shared, but bounded, so it
+    does not grow with the sweep."""
+    return poly_nonneg_on_nonneg(int_poly_add(int_poly_mul(floor, num), den, -1))[0]
 
 
 @functools.lru_cache(maxsize=1)

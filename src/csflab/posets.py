@@ -20,7 +20,7 @@ import functools
 def check_hessenberg(m):
     m = tuple(m)
     for i, v in enumerate(m, start=1):
-        if not isinstance(v, int) or v < 0 or v >= i:
+        if type(v) is not int or v < 0 or v >= i:
             raise ValueError(f"entry {v} at position {i} out of range in {m}")
     if any(m[i] > m[i + 1] for i in range(len(m) - 1)):
         raise ValueError(f"not weakly increasing: {m}")

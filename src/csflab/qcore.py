@@ -6,8 +6,8 @@ helpers (``int_poly_mul``, ``int_poly_add``, ``q_int_product``) need no
 Fraction and no gcd; ``coeff_tuple`` makes input canonical, keeping a
 rational "p/q" coefficient as a `fractions.Fraction` in the same tuple.
 `QPoly` (Fraction coefficients) and `QRat` (a canonical reduced ratio, so
-equality is structural) serve the rational boundary: h, prob and zeta, and
-the Sturm decision and its witnesses.  There is no floating-point mode.
+equality is structural) serve the rational boundary: h, prob, zeta and
+the reduced h margins of the witnesses.  There is no floating-point mode.
 
 Partitions and compositions are ordinary tuples of ints.  A partition is
 weakly decreasing with positive parts; a composition is any tuple of positive
@@ -151,10 +151,6 @@ class QPoly:
                 rem[k + i] -= f * c
             rem.pop()
         return QPoly(quo), QPoly(rem)
-
-    def is_nonneg(self):
-        """True when every coefficient is >= 0."""
-        return all(c >= 0 for c in self.coeffs)
 
     def text(self):
         return poly_text(self.coeffs)
@@ -394,7 +390,7 @@ def q_factorial(n):
 # ---------------------------------------------------------------------------
 
 def is_partition(parts):
-    return all(isinstance(p, int) and p > 0 for p in parts) and all(
+    return all(type(p) is int and p > 0 for p in parts) and all(
         parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
     )
 

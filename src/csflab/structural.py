@@ -52,14 +52,14 @@ def greedy_shape_family(p, cuts, weights):
     cuts = set(cuts)
     gr = greedy_partition(p)
     for i in cuts:
-        if not isinstance(i, int) or not 1 <= i <= p.n:
+        if type(i) is not int or not 1 <= i <= p.n:
             raise ValueError(f"cut index out of range: {i!r}")
         if i + 1 in cuts:
             raise ValueError(f"adjacent cut indices: {i} and {i + 1}")
     if set(weights) != cuts:
         raise ValueError("weights must be keyed exactly by the cut indices")
     for i, w in weights.items():
-        if not isinstance(w, int) or w <= 0:
+        if type(w) is not int or w <= 0:
             raise ValueError(f"displacement at {i} must be a positive integer")
     return displaced_shape(gr, cuts, weights)
 

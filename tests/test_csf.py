@@ -360,6 +360,8 @@ def test_symfunc_validation():
         SymFunc("m", 3, {(2,): (1,)})
     with pytest.raises(ValueError):
         SymFunc("m", 3, {(2, 2, -1): (1,)})
+    with pytest.raises(ValueError):  # bool is an int subclass, not a part
+        SymFunc("e", 2, {(True, True): [1]})
     f = SymFunc("m", 2, {(2,): [0], (1, 1): (1,)})
     assert f.coeffs == {(1, 1): (1,)}
     g = SymFunc("m", 2, {(2,): [0, 0], (1, 1): ["2/2", Fraction(0), 0]})

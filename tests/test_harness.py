@@ -38,9 +38,10 @@ from csflab.harness import (
     summarize,
     tasks_for,
 )
-from csflab.hikita import enumerate_hikita, h, h_unreduced
-from csflab.posets import enumerate_hessenberg, poset_from_hessenberg
-from csflab.qcore import QPoly, QRat, partitions
+from csflab.hikita import enumerate_hikita, h, h_unreduced, h_unreduced_by_shape
+from csflab.posets import check_hessenberg, enumerate_hessenberg, poset_from_hessenberg
+from csflab.qcore import QPoly, QRat, check_partition, int_poly_add, int_poly_mul, is_partition
+from csflab.qcore import partitions, poly_eval
 from csflab.tableaux import (
     enumerate_class,
     enumerate_powerful_arrays,
@@ -105,6 +106,19 @@ def test_task_validation():
             VerificationTask("bounds", (0, 0, 1), (2, 2))  # wrong size
         with pytest.raises(ValueError):
             VerificationTask("bounds", (0, 0, 1), (1, 2))  # not a partition
+
+
+def test_bools_are_not_vector_or_shape_entries():
+    # bool is an int subclass; a task of bools wrote "m": [0, True] into its
+    # report line, which is not JSON
+    for m, lam in [((0, True), (1, 1)), ((0, 0), (True, True)), ((False,), (1,))]:
+        with pytest.raises(ValueError):
+            VerificationTask("bounds", m, lam)
+    with pytest.raises(ValueError):
+        check_hessenberg((0, True))
+    with pytest.raises(ValueError):
+        check_partition((True,))
+    assert not is_partition((2, True))
 
 
 def test_failing_report_needs_witness():
@@ -337,7 +351,7 @@ def test_h_lower_bound_fails_once_at_six():
 
 def test_integer_h_margin_matches_reduced_margin():
     # every reachable tableau with n <= 6: the unreduced integer verdict
-    # equals the Sturm verdict on the reduced QRat margin
+    # equals the sign verdict on the reduced QRat margin
     verdicts = set()
     for n in range(1, 7):
         for m in enumerate_hessenberg(n):
@@ -350,6 +364,106 @@ def test_integer_h_margin_matches_reduced_margin():
                     assert verdict == rat_nonneg_on_nonneg(reduced)[0], (m, cols)
                     verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def _sign_decided_margins(n_max):
+    """(tableaux, failing) over every tableau reachable with n <= n_max:
+    each integer h margin is decided by its signs, and each failing one's
+    reduced QRat margin fails too, with a witness where both are negative."""
+    tableaux = failing = 0
+    for n in range(1, n_max + 1):
+        for m in enumerate_hessenberg(n):
+            for lam, tabs in h_unreduced_by_shape(m).items():
+                floor = _row_factorials(lam)
+                for cols, (num, den) in tabs:
+                    tableaux += 1
+                    margin = int_poly_add(int_poly_mul(floor, num), den, -1)
+                    if poly_nonneg_on_nonneg(margin)[0]:
+                        continue
+                    failing += 1
+                    ht = h(m, cols)
+                    reduced = QRat(ht.num * QPoly(floor) - ht.den, ht.den)
+                    verdict, point = rat_nonneg_on_nonneg(reduced)
+                    assert not verdict, (m, cols)
+                    assert reduced.eval_at(point) < 0 and poly_eval(margin, point) < 0
+    return tableaux, failing
+
+
+def test_h_margins_are_decided_by_their_signs():
+    assert _sign_decided_margins(8) == (16096, 60)
+
+
+@pytest.mark.skipif(
+    not os.environ.get("CSFLAB_ACCEPT_N8"),
+    reason="set CSFLAB_ACCEPT_N8=1 to decide every h margin with n <= 10",
+)
+def test_h_margins_are_decided_by_their_signs_at_n10():
+    assert _sign_decided_margins(10) == (600554, 2311)
+
+
+# sha256 of the h-lower-bound report with n <= 9 and n <= 10, ``seconds``
+# dropped, in emitted key order, as bench/run.py digests its reports
+H_BOUND_REPORTS = {
+    9: ({"holds": 185264, "fails": 327, "skipped": 0},
+        "8cd44ee263cc9bcea60405e0f06a614f9719b26ebca55832ca8281a90ac345f5"),
+    10: ({"holds": 889282, "fails": 1741, "skipped": 0},
+         "125afb231d3c849de6d4e4e8539d352b737724893ef848d816566a0d115975bd"),
+}
+
+
+@pytest.mark.skipif(
+    not os.environ.get("CSFLAB_ACCEPT_N8"),
+    reason="set CSFLAB_ACCEPT_N8=1 to pin the h-lower-bound reports at n=9 and n=10",
+)
+@pytest.mark.parametrize("n_max", [9, 10], ids=["at_n9", "at_n10"])
+def test_h_lower_bound_report_digest(n_max):
+    reports = run_verification("h-lower-bound", n_max, parallelism=JOBS, override_cap=True)
+    counts, expected = H_BOUND_REPORTS[n_max]
+    assert summarize(reports) == counts
+    digest = hashlib.sha256()
+    for report in reports:
+        row = report.to_json_dict()
+        del row["seconds"]
+        digest.update(json.dumps(row).encode() + b"\n")
+    assert digest.hexdigest() == expected
+    if n_max == 10:  # negative just above q = 0, or past the Cauchy bound
+        low = sum(Fraction(r.witness["q"]) < 1 for r in reports if r.status == "fails")
+        assert (low, counts["fails"] - low) == (1603, 138)
+
+
+def test_undecided_h_margin_is_an_error_and_never_cached(monkeypatch, tmp_path):
+    import csflab.harness as harness
+
+    victim = (0, 0, 1, 1)
+    real = harness.h_unreduced_by_shape
+
+    def forced(m):
+        """victim's first tableau gets the margin (q-1)^2, which the signs
+        do not decide."""
+        out = real(m)
+        if m == victim:
+            lam, tabs = next(iter(out.items()))
+            floor = list(_row_factorials(lam))
+            tabs[0] = tabs[0][0], ((1,), tuple(int_poly_add(floor, [1, -2, 1], -1)))
+        return out
+
+    harness._h_failures.cache_clear()
+    monkeypatch.setattr(harness, "h_unreduced_by_shape", forced)
+    reports = run_verification("h-lower-bound", 6, cache_dir=tmp_path)
+    harness._h_failures.cache_clear()
+    errors = [r for r in reports if r.status == "error"]
+    assert [r.task.lam for r in errors] == sorted(partitions(4))
+    assert all(r.task.m == victim for r in errors)
+    for r in errors:  # the margin as int_poly_add leaves it, trailing zeros kept
+        assert r.witness["error"].startswith("ArithmeticError: the coefficient signs of [1,-2,1,")
+        assert r.witness["error"].endswith("do not decide its sign on q >= 0")
+    # the one failure with n <= 6 is untouched
+    assert summarize(reports) == {"holds": len(reports) - 6, "fails": 1, "skipped": 0, "error": 5}
+    cache = _Cache(tmp_path)
+    records = tasks_for("h-lower-bound", 6)
+    assert len(list(tmp_path.iterdir())) == len(records) - 1
+    for m, shapes in records:
+        assert (cache.load("h-lower-bound", m, shapes) is None) == (m == victim)
 
 
 def test_barbell_sweep_skips_other_posets():
@@ -955,29 +1069,34 @@ def test_code_version_is_stable_hex():
 # ---------------------------------------------------------------------------
 
 def test_poly_nonneg_fixed_cases():
-    yes = [
-        QPoly([]),
-        QPoly([5]),
-        QPoly([1, -2, 1]),          # (q-1)^2
-        QPoly([0, 1, -2, 1]),       # q(q-1)^2
-        QPoly([4, -12, 13, -6, 1]), # ((q-1)(q-2))^2
-        QPoly([9, -24, 22, -8, 1]), # ((q-1)(q-3))^2
-        QPoly([1, -1, 1]),          # no real roots
-    ]
-    for poly in yes:
-        verdict, witness = poly_nonneg_on_nonneg(poly)
-        assert verdict and witness is None, poly.text()
+    # zero ends are ignored: a list from int_poly_add keeps trailing zeros
+    yes = [[], [0, 0], [5], [0, 2, 0, 3, 0], [Fraction(1, 2), 0, 1], (1, 0, 0)]
+    for coeffs in yes:
+        assert poly_nonneg_on_nonneg(coeffs) == (True, None), coeffs
     no = [
-        QPoly([-1]),
-        QPoly([0, -1]),
-        QPoly([-1, 3, -3, 1]),      # (q-1)^3
-        QPoly([3, -4, 1]),          # (q-1)(q-3), negative between the roots
-        QPoly([1, 1, -1]),          # negative leading coefficient
+        ([-1], Fraction(0)),
+        ([0, -1], Fraction(1, 4)),              # -q: just above 0
+        ([-1, 3, -3, 1], Fraction(0)),          # (q-1)^3
+        ([0, 0, -2, 5, 0], Fraction(1, 7)),
+        ([1, 1, -1], Fraction(2)),              # the Cauchy bound
+        ([1, -1, 0], Fraction(2)),              # 1 - q, a trailing zero kept
+        ([0, 3, 0, -1, 0, 0], Fraction(4)),
+        ([Fraction(1, 2), Fraction(-1, 3)], Fraction(5, 2)),
     ]
-    for poly in no:
-        verdict, witness = poly_nonneg_on_nonneg(poly)
-        assert not verdict, poly.text()
-        assert poly.eval_at(witness) < 0, poly.text()
+    for coeffs, point in no:
+        assert poly_nonneg_on_nonneg(coeffs) == (False, point), coeffs
+        assert poly_eval(coeffs, point) < 0, coeffs
+    undecided = [
+        [1, -2, 1],                             # (q-1)^2
+        [0, 1, -2, 1],                          # q(q-1)^2
+        [3, -4, 1],                             # (q-1)(q-3)
+        [1, -1, 1],                             # no real roots
+        [1, -2, 1, 0, 0],
+        [Fraction(1, 2), -1, 1],
+    ]
+    for coeffs in undecided:
+        with pytest.raises(ArithmeticError, match="do not decide"):
+            poly_nonneg_on_nonneg(coeffs)
 
 
 def test_rat_nonneg_cases():
@@ -1011,7 +1130,12 @@ def test_poly_nonneg_matches_root_construction(factors, scalar):
         if root > 0 and sum(k for r, k in factors if r == root) % 2
     }
     expected = scalar > 0 and not odd_positive
-    verdict, witness = poly_nonneg_on_nonneg(poly)
+    ends = [c for c in poly.coeffs if c]
+    if ends[0] > 0 and ends[-1] > 0 and min(ends) < 0:
+        with pytest.raises(ArithmeticError):
+            poly_nonneg_on_nonneg(poly.coeffs)
+        return
+    verdict, witness = poly_nonneg_on_nonneg(poly.coeffs)
     assert verdict == expected
     if not verdict:
-        assert poly.eval_at(witness) < 0
+        assert poly_eval(poly.coeffs, witness) < 0

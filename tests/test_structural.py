@@ -202,6 +202,10 @@ def test_greedy_family_rejects_bad_input():
         greedy_shape_family(P5, {2}, {2: 1})  # rows (3, 0, 2) not a partition
     with pytest.raises(ValueError):
         greedy_shape_family(P5, {1}, {1: 3})  # first row would vanish
+    with pytest.raises(ValueError):
+        greedy_shape_family(P5, {1}, {1: True})  # a bool is no weight
+    with pytest.raises(ValueError):
+        greedy_shape_family(P5, {True}, {True: 1})  # nor a cut index
 
 
 def test_greedy_family_members_sum_over_strong():
