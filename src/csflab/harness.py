@@ -49,8 +49,8 @@ here keeps an entry per vector.  A report's ``seconds`` is the time of
 its own (m, lam) check, and a vector's cached work is charged to the
 first unit that needs it.  The cache holds one file per (conjecture,
 vector), which the process that computes the vector stores at once,
-unless some unit of it raised.  Only the cache imports ``hashlib``, only
-the pool ``multiprocessing``.
+unless some unit of it raised.  Only the cache imports ``hashlib`` and
+``logging`` (for its hit count), only the pool ``multiprocessing``.
 
 ``run_verification`` returns a Sweep, a read-only sequence of Reports
 built on access.  Every line of a report file, a cache file or the CLI's
@@ -69,11 +69,9 @@ from __future__ import annotations
 
 import bisect
 import collections.abc
-import dataclasses
 import functools
 import itertools
 import json
-import logging
 import operator
 import os
 import time
@@ -97,8 +95,6 @@ from .structural import K_set, displaced_shape, greedy_shape_family
 from .tableaux import colword, enumerate_class, inv_p, inv_sum, powerful_classes
 from .tableaux import q_count, standard_classes, word_key
 
-log = logging.getLogger("csflab.harness")
-
 CONJECTURES = (
     "bounds",
     "undercount-q",
@@ -121,29 +117,21 @@ DEFAULT_CAP = 8
 # task and report records
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class VerificationTask:
+class VerificationTask(collections.namedtuple("VerificationTask", "conjecture m lam")):
     """One unit of work: a conjecture id, a reverse Hessenberg vector,
     and the partition it is checked at (None only for whole-poset skips)."""
 
-    conjecture: str
-    m: tuple
-    lam: tuple | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.conjecture not in CONJECTURES:
-            raise ValueError(f"unknown conjecture id {self.conjecture!r}")
-        object.__setattr__(self, "m", check_hessenberg(self.m))
-        if self.lam is not None:
-            lam = check_partition(self.lam)
-            if sum(lam) != len(self.m):
-                raise ValueError(
-                    f"partition {lam} does not match the {len(self.m)}-element poset"
-                )
-            object.__setattr__(self, "lam", lam)
-
-    def __reduce__(self):  # pickled as its fields, far faster than slot state
-        return VerificationTask, (self.conjecture, self.m, self.lam)
+    def __new__(cls, conjecture, m, lam=None):
+        if conjecture not in CONJECTURES:
+            raise ValueError(f"unknown conjecture id {conjecture!r}")
+        m = check_hessenberg(m)
+        if lam is not None:
+            lam = check_partition(lam)
+            if sum(lam) != len(m):
+                raise ValueError(f"partition {lam} does not match the {len(m)}-element poset")
+        return tuple.__new__(cls, (conjecture, m, lam))
 
 
 def _check_status(status, witness):
@@ -153,18 +141,12 @@ def _check_status(status, witness):
         raise ValueError(f"a {status} report must carry a witness")
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class Report:
-    task: VerificationTask
-    status: str
-    witness: dict | None
-    seconds: float
+class Report(collections.namedtuple("Report", "task status witness seconds")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_status(self.status, self.witness)
-
-    def __reduce__(self):
-        return Report, (self.task, self.status, self.witness, self.seconds)
+    def __new__(cls, task, status, witness, seconds):
+        _check_status(status, witness)
+        return tuple.__new__(cls, (task, status, witness, seconds))
 
     def to_json_dict(self):
         return {
@@ -181,11 +163,7 @@ class Report:
 def _task(conjecture, m, lam):
     """The VerificationTask of a vector and shape that ``tasks_for`` has
     checked, built without checking them again."""
-    task = object.__new__(VerificationTask)
-    object.__setattr__(task, "conjecture", conjecture)
-    object.__setattr__(task, "m", m)
-    object.__setattr__(task, "lam", lam)
-    return task
+    return tuple.__new__(VerificationTask, (conjecture, m, lam))
 
 
 class Sweep(collections.abc.Sequence):
@@ -681,7 +659,8 @@ def run_verification(
 
     sweep = Sweep(conjecture, records, rows)
     if cache:
-        log.info("cache hits: %d of %d tasks", hits, len(sweep))
+        import logging
+        logging.getLogger(__name__).info("cache hits: %d of %d tasks", hits, len(sweep))
     return sweep
 
 

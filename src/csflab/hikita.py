@@ -37,9 +37,9 @@ and the unfactored per-step weights ``phi`` and ``phi_tilde``.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
-from dataclasses import dataclass
 
 from .posets import check_hessenberg
 from .qcore import QPoly, QRat, check_partition, conjugate, int_poly_add, int_poly_divexact
@@ -66,13 +66,12 @@ def is_syt(cols):
 # column sequences
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ColorSequence:
+class ColorSequence(collections.namedtuple("ColorSequence", "b a")):
     """Run-length form (1^{b_0}, 0^{a_1}, 1^{b_1}, ..., 1^{b_l}, 0^{a_{l+1}})
-    of the binary column sequence of a tableau at threshold r."""
+    of the binary column sequence of a tableau at threshold r: b holds
+    b[0..l], and a[0] holds a_1, ..., a[l] holds a_{l+1}."""
 
-    b: tuple  # b[0..l]
-    a: tuple  # a[0] holds a_1, ..., a[l] holds a_{l+1}
+    __slots__ = ()
 
     @property
     def ell(self):

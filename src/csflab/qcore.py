@@ -128,9 +128,6 @@ class QPoly:
 
     __rmul__ = __mul__
 
-    def eval_at(self, x):
-        return poly_eval(self.coeffs, x)
-
     def divmod(self, other):
         """Euclidean division: self = Q*other + R with deg R < deg other."""
         if not other:
@@ -277,13 +274,6 @@ class QRat:
         return QRat(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
-
-    def eval_at(self, x):
-        x = Fraction(x)
-        d = self.den.eval_at(x)
-        if not d:
-            raise ZeroDivisionError(f"evaluation at a denominator root: q={x}")
-        return self.num.eval_at(x) / d
 
     def text(self):
         return f"{self.num.text()} / {self.den.text()}"

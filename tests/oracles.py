@@ -34,6 +34,7 @@ from csflab.qcore import (
     compositions_with_sort,
     conjugate,
     partitions,
+    poly_eval,
     q_int,
 )
 from csflab.structural import powersum_words, r_index
@@ -47,6 +48,24 @@ from csflab.tableaux import (
     rows_to_cols,
     standard_classes,
 )
+
+
+# ---------------------------------------------------------------------------
+# evaluation at a rational point (from qcore)
+# ---------------------------------------------------------------------------
+
+def qpoly_at(poly, x):
+    """A QPoly's exact value at a rational point."""
+    return poly_eval(poly.coeffs, x)
+
+
+def qrat_at(ratio, x):
+    """A QRat's exact value at a rational point, which must not be a root
+    of its denominator."""
+    den = qpoly_at(ratio.den, x)
+    if not den:
+        raise ZeroDivisionError(f"evaluation at a denominator root: q={Fraction(x)}")
+    return qpoly_at(ratio.num, x) / den
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import collections
+import contextlib
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
 
 from csflab.cli import main
 from csflab.harness import CONJECTURES, emit_report, run_verification
@@ -16,21 +21,30 @@ from oracles import symfunc_from_json
 E5 = "0,0,1,1,3"
 
 
-def run(*args, **kwargs):
-    return CliRunner().invoke(main, list(args), catch_exceptions=False, **kwargs)
+CliResult = collections.namedtuple("CliResult", "exit_code stdout stderr")
+
+
+def run(*args):
+    """``csflab ARGS...`` in this process: the code that its SystemExit
+    carries, and what it wrote to stdout and to stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as stop:
+            main(args=list(args), prog_name="csflab")
+    return CliResult(stop.value.code, out.getvalue(), err.getvalue())
 
 
 def test_help_lists_subcommands():
     result = run("--help")
     assert result.exit_code == 0
     for name in ("csf", "tableaux", "hikita", "verify", "formula"):
-        assert name in result.output
+        assert name in result.stdout
 
 
 def test_csf_elementary_expansion():
     result = run("csf", "--hessenberg", E5, "--basis", "e")
     assert result.exit_code == 0
-    assert result.output.splitlines() == [
+    assert result.stdout.splitlines() == [
         "e[3,1,1] [0,0,1,1]",
         "e[3,2] [0,0,1,1]",
         "e[4,1] [0,2,3,3,2]",
@@ -40,7 +54,7 @@ def test_csf_elementary_expansion():
 
 def test_csf_evaluated_at_one():
     result = run("csf", "--hessenberg", E5, "--basis", "e", "--q-at", "1")
-    assert result.output.splitlines() == [
+    assert result.stdout.splitlines() == [
         "e[3,1,1] 2",
         "e[3,2] 2",
         "e[4,1] 10",
@@ -50,9 +64,9 @@ def test_csf_evaluated_at_one():
 
 def test_csf_monomial_and_schur_for_antichain():
     result = run("csf", "--hessenberg", "0,0", "--basis", "m")
-    assert result.output.splitlines() == ["m[1,1] [1,1]"]
+    assert result.stdout.splitlines() == ["m[1,1] [1,1]"]
     result = run("csf", "--hessenberg", "0,0", "--basis", "s")
-    assert result.output.splitlines() == ["s[1,1] [1,1]"]
+    assert result.stdout.splitlines() == ["s[1,1] [1,1]"]
 
 
 def test_csf_json_round_trip(tmp_path):
@@ -110,7 +124,7 @@ def test_csf_output_pinned(key, tmp_path):
     else:
         result = run(*args, *(["--q-at", rest[0]] if rest else []))
         assert result.exit_code == 0
-        text = result.output
+        text = result.stdout
     assert hashlib.sha256(text.encode()).hexdigest() == CSF_OUTPUT_DIGESTS[key]
 
 
@@ -127,29 +141,40 @@ def test_json_round_trip_keeps_rational_coefficients():
     assert f.eval_at("1/2") == {(2, 1): Fraction(-1, 12), (3,): Fraction(2)}
 
 
+def usage_error(*args):
+    """The ``Error:`` line of a usage error, which exits with code 2 and
+    writes nothing to stdout."""
+    result = run(*args)
+    assert (result.exit_code, result.stdout) == (2, ""), result
+    return result.stderr.splitlines()[-1]
+
+
 def test_csf_usage_errors():
-    assert run("csf", "--hessenberg", "0,2", "--basis", "e").exit_code == 2
-    assert run("csf", "--hessenberg", "zero", "--basis", "e").exit_code == 2
-    assert run("csf", "--hessenberg", E5, "--basis", "q").exit_code == 2
-    result = run("csf", "--hessenberg", E5, "--basis", "e", "--q-at", "x")
-    assert result.exit_code == 2 and "bad rational" in result.output
+    assert usage_error("csf", "--hessenberg", "0,2", "--basis", "e") == (
+        "Error: entry 2 at position 2 out of range in (0, 2)")
+    assert usage_error("csf", "--hessenberg", "zero", "--basis", "e") == (
+        "Error: invalid literal for int() with base 10: 'zero'")
+    assert usage_error("csf", "--hessenberg", E5, "--basis", "q").startswith(
+        "Error: argument --basis: invalid choice: 'q'")
+    assert usage_error("csf", "--hessenberg", E5, "--basis", "e", "--q-at", "x") == (
+        "Error: bad rational 'x': Invalid literal for Fraction: 'x'")
 
 
 def test_tableaux_powerful_listing():
     result = run("tableaux", "--hessenberg", E5, "--shape", "3,2", "--class", "powerful")
-    lines = result.output.splitlines()
+    lines = result.stdout.splitlines()
     assert len(lines) == 3
     invs = sorted(int(line.split("inv=")[1].split()[0]) for line in lines)
     assert invs == [2, 3, 3]
     assert sum(line.endswith("strong=yes") for line in lines) == 2
 
     result = run("tableaux", "--hessenberg", E5, "--shape", "3,2", "--class", "strong")
-    assert len(result.output.splitlines()) == 2
+    assert len(result.stdout.splitlines()) == 2
 
 
 def test_tableaux_hikita_listing():
     result = run("tableaux", "--hessenberg", E5, "--shape", "3,2", "--class", "hikita")
-    lines = result.output.splitlines()
+    lines = result.stdout.splitlines()
     assert lines and all(line.endswith("strong=yes") for line in lines)
 
 
@@ -159,28 +184,30 @@ def test_tableaux_k_set_listing():
     for which in ("strong", "k-set", "powerful"):
         result = run("tableaux", "--hessenberg", m, "--shape", "4,2", "--class", which)
         assert result.exit_code == 0
-        counts[which] = len(result.output.splitlines())
+        counts[which] = len(result.stdout.splitlines())
     assert counts == {"strong": 6, "k-set": 8, "powerful": 10}
 
 
 def test_tableaux_usage_errors():
-    result = run("tableaux", "--hessenberg", E5, "--shape", "4,1", "--class", "k-set")
-    assert result.exit_code == 2 and "k-set" in result.output
+    assert usage_error("tableaux", "--hessenberg", E5, "--shape", "4,1", "--class", "k-set") == (
+        "Error: class k-set only exists for shape (3, 2), got (4, 1)")
     # (n-2, 2) is no partition at n <= 4: refused for n, not for a bogus shape
-    for m, shape in (("0", "1"), ("0,0,1", "2,1")):
-        result = run("tableaux", "--hessenberg", m, "--shape", shape, "--class", "k-set")
-        assert result.exit_code == 2 and "n > 4" in result.output, result.output
-    assert run("tableaux", "--hessenberg", E5, "--shape", "2,2", "--class", "standard").exit_code == 2
-    assert run("tableaux", "--hessenberg", E5, "--shape", "2,3", "--class", "standard").exit_code == 2
+    for m, shape, n in (("0", "1", 1), ("0,0,1", "2,1", 3)):
+        assert usage_error("tableaux", "--hessenberg", m, "--shape", shape, "--class", "k-set") == (
+            f"Error: shape (n-2, 2) needs n > 4, got {n}")
+    assert usage_error("tableaux", "--hessenberg", E5, "--shape", "2,2", "--class", "standard") == (
+        "Error: shape (2, 2) does not have size 5")
+    assert usage_error("tableaux", "--hessenberg", E5, "--shape", "2,3", "--class", "standard") == (
+        "Error: not a partition: (2, 3)")
 
 
 def test_hikita_statistics():
     result = run("hikita", "--hessenberg", "0,0", "--shape", "2")
-    assert result.output.splitlines() == ["1,2 [1] / [1]"]
+    assert result.stdout.splitlines() == ["1,2 [1] / [1]"]
     explicit = run("hikita", "--hessenberg", "0,0", "--shape", "2", "--prob")
-    assert explicit.output == result.output
+    assert explicit.stdout == result.stdout
     def values(result):
-        return [line.split(" ", 1)[1] for line in result.output.splitlines()]
+        return [line.split(" ", 1)[1] for line in result.stdout.splitlines()]
 
     zeta_out = run("hikita", "--hessenberg", E5, "--shape", "3,2", "--zeta")
     assert values(zeta_out) and all(" / " not in v for v in values(zeta_out))
@@ -193,7 +220,7 @@ def test_verify_all_holds(tmp_path):
     result = run("verify", "--conjecture", "bounds", "--max-n", "3",
                  "--report", str(report))
     assert result.exit_code == 0
-    assert "bounds n<=3: holds=20 fails=0 skipped=0" in result.output
+    assert "bounds n<=3: holds=20 fails=0 skipped=0" in result.stdout
     lines = report.read_text().splitlines()
     assert len(lines) == 20
     assert all(json.loads(line)["status"] == "holds" for line in lines)
@@ -208,7 +235,7 @@ def test_verify_failure_exits_one(monkeypatch):
     monkeypatch.setitem(harness._PER_UNIT, "nonzero", refuted)
     result = run("verify", "--conjecture", "nonzero", "--max-n", "2")
     assert result.exit_code == 1
-    assert "fails=5" in result.output
+    assert result.stdout == "nonzero n<=2: holds=0 fails=5 skipped=0\n"
 
 
 def test_verify_error_exits_three(monkeypatch):
@@ -220,9 +247,36 @@ def test_verify_error_exits_three(monkeypatch):
     monkeypatch.setitem(harness._PER_UNIT, "nonzero", boom)
     result = run("verify", "--conjecture", "nonzero", "--max-n", "2")
     assert result.exit_code == 3
-    last = result.output.strip().splitlines()[-1]
+    last = result.stdout.strip().splitlines()[-1]
     assert last == "nonzero n<=2: holds=0 fails=0 skipped=0 error=5"
-    assert "RuntimeError: forced" in result.output
+    assert "RuntimeError: forced" in result.stderr
+
+
+def test_h_lower_bound_at_six_exits_one():
+    result = run("verify", "--conjecture", "h-lower-bound", "--max-n", "6")
+    assert result.exit_code == 1
+    assert result.stdout == "h-lower-bound n<=6: holds=1835 fails=1 skipped=0\n"
+    [line] = result.stderr.splitlines()
+    assert (json.loads(line)["m"], json.loads(line)["lam"]) == ([0, 0, 1, 1, 2, 4], [3, 2, 1])
+
+
+@pytest.mark.parametrize("conjecture, max_n, code, summary", [
+    ("bounds", 3, 0, "bounds n<=3: holds=20 fails=0 skipped=0"),
+    ("h-lower-bound", 6, 1, "h-lower-bound n<=6: holds=1835 fails=1 skipped=0"),
+])
+def test_python_c_main_exits_with_the_code(conjecture, max_n, code, summary):
+    """The ``python -c 'from csflab.cli import main; main()' verify ...`` form
+    that CI runs: main's SystemExit is the process's exit code."""
+    import csflab
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(csflab.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from csflab.cli import main; main()", "verify",
+         "--conjecture", conjecture, "--max-n", str(max_n), "--jobs", "1"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout.splitlines()[-1] == summary
 
 
 @pytest.mark.parametrize("conjecture", CONJECTURES)
@@ -239,7 +293,7 @@ def test_verify_report_is_emit_report_of_run_verification(conjecture, tmp_path):
         def cli(cache, report):
             result = run("verify", "--conjecture", conjecture, "--max-n", "5",
                          "--jobs", str(jobs), "--cache", str(cache), "--report", str(report))
-            assert result.exit_code == 0, result.output
+            assert result.exit_code == 0, result
 
         def library(cache, report):
             emit_report(run_verification(conjecture, 5, jobs, cache_dir=str(cache)), report)
@@ -283,10 +337,11 @@ def test_verify_echoes_each_failing_and_erroring_report_line(monkeypatch, tmp_pa
 
 
 def test_verify_usage_errors():
-    result = run("verify", "--conjecture", "bounds", "--max-n", "9")
-    assert result.exit_code == 2 and "override" in result.output
-    assert run("verify", "--conjecture", "bounds", "--max-n", "0").exit_code == 2
-    assert run("verify", "--conjecture", "positivity", "--max-n", "3").exit_code == 2
+    cap = "Error: n_max must be between 1 and 8 (pass override_cap=True to go to 10)"
+    assert usage_error("verify", "--conjecture", "bounds", "--max-n", "9") == cap
+    assert usage_error("verify", "--conjecture", "bounds", "--max-n", "0") == cap
+    assert usage_error("verify", "--conjecture", "positivity", "--max-n", "3").startswith(
+        "Error: argument --conjecture: invalid choice: 'positivity'")
 
 
 def test_verify_verbose_logs_to_stderr_and_keeps_the_report(tmp_path):
@@ -306,16 +361,18 @@ def test_verify_verbose_logs_to_stderr_and_keeps_the_report(tmp_path):
 def test_formula_matches_direct_expansion():
     direct = run("csf", "--hessenberg", "0,0,1", "--basis", "e")
     closed = run("formula", "--path", "3")
-    assert closed.output == direct.output
+    assert closed.stdout == direct.stdout
 
     gamma = ",".join(str(g) for g in (2, 3))
     m = ",".join(str(v) for v in kchain_hessenberg((2, 3)))
     direct = run("csf", "--hessenberg", m, "--basis", "e")
     closed = run("formula", "--kchain", gamma)
-    assert closed.output == direct.output
+    assert closed.stdout == direct.stdout
 
 
 def test_formula_usage_errors():
-    assert run("formula").exit_code == 2
-    assert run("formula", "--path", "3", "--kchain", "2,2").exit_code == 2
-    assert run("formula", "--kchain", "1,2").exit_code == 2
+    one = "Error: exactly one of --path or --kchain is required"
+    assert usage_error("formula") == one
+    assert usage_error("formula", "--path", "3", "--kchain", "2,2") == one
+    assert usage_error("formula", "--kchain", "1,2") == (
+        "Error: clique sizes must all be at least 2: (1, 2)")

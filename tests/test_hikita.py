@@ -42,6 +42,8 @@ from oracles import (
     path_weights,
     phi,
     phi_tilde,
+    qpoly_at,
+    qrat_at,
     walk_by_stripping,
 )
 
@@ -144,7 +146,7 @@ def test_phi_sums_to_one():
                 ks = range(delta(t, r).ell + 1)
                 total = ZERO
                 for k in ks:
-                    assert phi_tilde(t, r, k).eval_at(1) == 1
+                    assert qpoly_at(phi_tilde(t, r, k), 1) == 1
                     total = total + phi(t, r, k)
                 assert total == ONE
 
@@ -311,7 +313,7 @@ def test_h_bounds_at_sample_points():
                 for t in enumerate_hikita(m, lam):
                     ht = h(m, t)
                     for alpha in SAMPLE_POINTS:
-                        val = ht.eval_at(alpha)
+                        val = qrat_at(ht, alpha)
                         assert 0 < val <= 1
 
 

@@ -2,7 +2,8 @@
 
 Every top-level definition in the package, and every non-dunder method of
 ``Poset``, ``QPoly``, ``QRat`` and ``SymFunc``, is reached from the package
-itself or exported in ``csflab.__all__``; a second route that only a test
+itself, exported in ``csflab.__all__``, or a console script that
+``pyproject.toml`` names; a second route that only a test
 reaches belongs in ``tests/oracles.py``.  Every module boundary that the
 benchmark's tracer wraps by attribute (``BOUNDARIES`` in
 ``bench/spans.py``) must still resolve.  Both checks read source with
@@ -14,27 +15,19 @@ from __future__ import annotations
 import ast
 import importlib
 import pathlib
+import re
 
 import csflab
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "csflab"
 SPANS = ROOT / "bench" / "spans.py"
+PYPROJECT = ROOT / "pyproject.toml"
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 # classes whose non-dunder methods must be reached too; a use is matched by
 # name, so a method passes when any same-named attribute is used elsewhere
 METHODS_CHECKED = ("Poset", "QPoly", "QRat", "SymFunc")
-
-
-def _registered_command(node):
-    """A click command: the ``@main.command()`` decorator registers it."""
-    return any(
-        isinstance(d, ast.Call)
-        and isinstance(d.func, ast.Attribute)
-        and d.func.attr in ("command", "group")
-        for d in node.decorator_list
-    )
 
 
 def _uses(trees):
@@ -68,10 +61,12 @@ def test_every_definition_is_reached_or_exported():
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
     uses = _uses(trees)
     exported = set(csflab.__all__)
+    scripts = set(re.findall(r'"csflab\.(\w+):(\w+)"', PYPROJECT.read_text()))
+    assert scripts
     unreached = []
     for module, tree in trees.items():
         for node, exportable in _definitions(tree):
-            if exportable and (node.name in exported or _registered_command(node)):
+            if exportable and (node.name in exported or (module[:-3], node.name) in scripts):
                 continue
             first = min([node.lineno] + [d.lineno for d in node.decorator_list])
             outside = [

@@ -10,10 +10,9 @@ from __future__ import annotations
 import pathlib
 import shlex
 
-from click.testing import CliRunner
-
 import csflab
-from csflab.cli import main
+
+from test_cli import run
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -49,10 +48,10 @@ def test_quick_tour_sweep():
 def _check_session(command_line):
     command, *shown = _block("text", command_line)
     args = shlex.split(command)[2:]
-    result = CliRunner().invoke(main, args, catch_exceptions=False)
-    assert result.exit_code == 0
+    result = run(*args)
+    assert (result.exit_code, result.stderr) == (0, "")
     assert len(shown) == 4
-    assert result.output.splitlines() == shown
+    assert result.stdout.splitlines() == shown
 
 
 def test_csf_elementary_session():
