@@ -36,7 +36,7 @@ from .posets import (
     path_hessenberg,
     poset_from_hessenberg,
 )
-from .qcore import QPoly, QRat, partitions, q_factorial, q_int
+from .qcore import QRat, partitions, q_factorial, q_int
 from .structural import K_set, greedy_shape_family
 from .tableaux import enumerate_class, enumerate_powerful_arrays, inv_p, is_strong
 from .tableaux import text_to_tableau
@@ -47,7 +47,6 @@ __all__ = [
     "CONJECTURES",
     "K_set",
     "Poset",
-    "QPoly",
     "QRat",
     "Report",
     "SymFunc",

@@ -28,7 +28,7 @@ from .csf import path_formula
 from .harness import CONJECTURES, emit_report, report_lines, run_verification, summarize
 from .hikita import enumerate_hikita, h, prob, zeta
 from .posets import check_hessenberg, poset_from_hessenberg
-from .qcore import check_partition, parse_int_tuple, poly_text
+from .qcore import QRat, check_partition, parse_int_tuple, poly_text
 from .structural import K_set
 from .tableaux import colword, enumerate_class, inv_p, is_strong, tableau_to_text
 
@@ -139,8 +139,9 @@ def hikita(hessenberg, shape, stat):
     m = _vector(hessenberg)
     lam = _shape(shape, len(m))
     pick = {"prob": prob, "zeta": zeta, "h": h}[stat]
+    text = poly_text if stat == "zeta" else QRat.text
     for cols in _usage(enumerate_hikita, m, lam):
-        print(f"{tableau_to_text(cols)} {pick(m, cols).text()}")
+        print(f"{tableau_to_text(cols)} {text(pick(m, cols))}")
 
 
 def verify(conjecture, max_n, jobs, report_path, cache_dir, override_cap, verbose):

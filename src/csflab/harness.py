@@ -35,8 +35,8 @@ at every q >= 0 and the verdict is the same, with no gcd.  The verdict is
 read off the coefficient signs (``poly_nonneg_on_nonneg``); a margin they
 do not decide raises, so its vector's units are ``error`` rows.  One pass
 per vector decides every shape, each tableau at most once.  Only a failing
-unit builds the reduced QRat margin, through the public ``h``, which
-gives its witness and must agree that the unit fails.
+unit builds the reduced margin, a QRat over the public ``h``, which gives
+its witness and must agree that the unit fails.
 
 A check that raises is reported with status ``error``, never as a
 counterexample, and is never stored in the cache.
@@ -86,7 +86,7 @@ from .posets import (
     path_hessenberg,
     poset_from_hessenberg,
 )
-from .qcore import QPoly, QRat, check_partition, coeff_tuple, int_poly_add, int_poly_mul
+from .qcore import QRat, check_partition, coeff_tuple, int_poly_add, int_poly_mul
 from .qcore import partitions, poly_json, poly_text
 # Not called here: bench/spans.py wraps harness.q_factorial, .enumerate_class,
 # .greedy_shape_family and .inv_p.
@@ -288,7 +288,7 @@ def poly_nonneg_on_nonneg(coeffs):
 
 def rat_nonneg_on_nonneg(ratio):
     """The same decision for a reduced rational function, away from poles."""
-    return poly_nonneg_on_nonneg((ratio.num * ratio.den).coeffs)
+    return poly_nonneg_on_nonneg(int_poly_mul(ratio.num, ratio.den))
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +402,7 @@ def _check_h_lower_bound(m, lam):
         return "holds", None
     floor = _row_factorials(lam)
     ht = h(m, cols)
-    margin = QRat(ht.num * QPoly(floor) - ht.den, ht.den)
+    margin = QRat(int_poly_add(int_poly_mul(ht.num, floor), ht.den, -1), ht.den)
     ok, point = rat_nonneg_on_nonneg(margin)
     if ok:
         raise AssertionError(
@@ -411,8 +411,8 @@ def _check_h_lower_bound(m, lam):
     return "fails", {
         "tableau": [list(c) for c in cols],
         "q": str(point),
-        "margin_num": poly_json(margin.num.coeffs),
-        "margin_den": poly_json(margin.den.coeffs),
+        "margin_num": poly_json(margin.num),
+        "margin_den": poly_json(margin.den),
     }
 
 

@@ -21,12 +21,13 @@ its path serves ``prob`` (the full product), ``zeta`` (the q-power alone)
 and ``h`` (the q-integer part, prob/zeta); a tableau it lacks has
 probability zero.  ``h_unreduced`` multiplies the q-integers out into an
 integer numerator and denominator with no gcd (``qcore.q_int_product``,
-once per factorization); ``prob`` and ``h`` build their canonical QRat
-from that same product.  ``enumerate_hikita`` buckets the map by shape, in
-column-word order; insertion only adds cells, so each bucket is what a
-growth pruned to its shape returns.  ``e_coefficients_by_shape`` sums each
-bucket into the elementary coefficients of the chromatic function through
-Hikita's identity; ``csf.chromatic_e_expansion`` reads them.
+once per factorization); ``prob`` and ``h`` build their reduced QRat from
+that same pair of coefficient tuples, and ``zeta`` is a coefficient tuple.
+``enumerate_hikita`` buckets the map by shape, in column-word order;
+insertion only adds cells, so each bucket is what a growth pruned to its
+shape returns.  ``e_coefficients_by_shape`` sums each bucket into the
+elementary coefficients of the chromatic function through Hikita's
+identity; ``csf.chromatic_e_expansion`` reads them.
 
 The tests hold the second routes in ``tests/oracles.py``:
 ``enumerate_syt``, the entry-by-entry reachability test ``is_reachable``,
@@ -42,7 +43,7 @@ import functools
 import itertools
 
 from .posets import check_hessenberg
-from .qcore import QPoly, QRat, check_partition, conjugate, int_poly_add, int_poly_divexact
+from .qcore import QRat, check_partition, conjugate, int_poly_add, int_poly_divexact
 from .qcore import q_factorial_factors, q_int_product
 from .tableaux import colword
 
@@ -194,15 +195,17 @@ def prob(m, cols):
     m, cols = _check_args(m, cols)
     path = _grown(m).get(cols)
     if path is None:
-        return QRat.zero()
+        return QRat(())
     num, den = _product(path[1])
-    return QRat(QPoly.monomial(path[0]) * QPoly(num), QPoly(den))
+    return QRat((0,) * path[0] + num, den)
 
 
 def zeta(m, cols):
+    """The monomial q^e of the insertion path as a coefficient tuple; ()
+    on a tableau of probability zero."""
     m, cols = _check_args(m, cols)
     path = _grown(m).get(cols)
-    return QPoly.zero() if path is None else QPoly.monomial(path[0])
+    return () if path is None else (0,) * path[0] + (1,)
 
 
 def h_unreduced(m, cols):
@@ -220,8 +223,7 @@ def h_unreduced(m, cols):
 
 def h(m, cols):
     """prob/zeta as a canonical QRat; only defined on reachable tableaux."""
-    num, den = h_unreduced(m, cols)
-    return QRat(QPoly(num), QPoly(den))
+    return QRat(*h_unreduced(m, cols))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Exact q-arithmetic and partition/composition utilities.
 
-A computed chromatic quantity is an integer polynomial in q, held as a
-coefficient tuple: index i holds q^i, with no trailing zeros.  The integer
-helpers (``int_poly_mul``, ``int_poly_add``, ``q_int_product``) need no
-Fraction and no gcd; ``coeff_tuple`` makes input canonical, keeping a
-rational "p/q" coefficient as a `fractions.Fraction` in the same tuple.
-`QPoly` (Fraction coefficients) and `QRat` (a canonical reduced ratio, so
-equality is structural) serve the rational boundary: h, prob, zeta and
-the reduced h margins of the witnesses.  There is no floating-point mode.
+A polynomial in q is a coefficient tuple everywhere: index i holds q^i,
+with no trailing zeros.  A computed chromatic quantity has integer
+coefficients, and the integer helpers (``int_poly_mul``, ``int_poly_add``,
+``q_int_product``) need no Fraction and no gcd; ``coeff_tuple`` makes input
+canonical, keeping a rational "p/q" coefficient as a `fractions.Fraction`
+in the same tuple.  The one rational function is `QRat`, a reduced pair of
+coefficient tuples (``poly_divmod`` and ``poly_gcd`` reduce it), which
+serves the rational boundary: prob, h and the reduced h margins of the
+witnesses.  There is no floating-point mode.
 
 Partitions and compositions are ordinary tuples of ints.  A partition is
 weakly decreasing with positive parts; a composition is any tuple of positive
@@ -17,6 +18,7 @@ the underlying combinatorics.
 
 from __future__ import annotations
 
+import collections
 import functools
 from fractions import Fraction
 
@@ -24,137 +26,6 @@ from fractions import Fraction
 # ---------------------------------------------------------------------------
 # polynomials in q
 # ---------------------------------------------------------------------------
-
-def _strip(coeffs):
-    """The tuple of a fresh coefficient list, its trailing zeros popped."""
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
-class QPoly:
-    """Dense univariate polynomial over Fraction; index i holds the q^i coefficient.
-
-    Immutable and hashable.  The zero polynomial is the empty coefficient
-    tuple; otherwise the trailing coefficient is nonzero.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        object.__setattr__(self, "coeffs", _strip([Fraction(c) for c in coeffs]))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QPoly is immutable")
-
-    @classmethod
-    def zero(cls):
-        return cls(())
-
-    @classmethod
-    def one(cls):
-        return cls((1,))
-
-    @classmethod
-    def const(cls, c):
-        return cls((Fraction(c),))
-
-    @classmethod
-    def monomial(cls, k, c=1):
-        """c * q^k."""
-        return cls((0,) * k + (Fraction(c),))
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    @property
-    def degree(self):
-        """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
-
-    def coeff(self, i):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Fraction(0)
-
-    def __eq__(self, other):
-        if isinstance(other, QPoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == QPoly.const(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("QPoly", self.coeffs))
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QPoly.const(other)
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return QPoly([self.coeff(i) + other.coeff(i) for i in range(n)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QPoly.const(other)
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QPoly([c * other for c in self.coeffs])
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        if not self or not other:
-            return QPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] += a * b
-        return QPoly(out)
-
-    __rmul__ = __mul__
-
-    def divmod(self, other):
-        """Euclidean division: self = Q*other + R with deg R < deg other."""
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quo = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
-        dlead = other.coeffs[-1]
-        dd = other.degree
-        while len(rem) - 1 >= dd and any(rem):
-            while rem and not rem[-1]:
-                rem.pop()
-            if len(rem) - 1 < dd:
-                break
-            k = len(rem) - 1 - dd
-            f = rem[-1] / dlead
-            quo[k] = f
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] -= f * c
-            rem.pop()
-        return QPoly(quo), QPoly(rem)
-
-    def text(self):
-        return poly_text(self.coeffs)
-
-    def __repr__(self):
-        return f"QPoly({self.text()})"
-
 
 def poly_text(coeffs):
     """Canonical ascending-coefficient form, e.g. "[1,2,2,1]"."""
@@ -183,118 +54,59 @@ def coeff_tuple(coeffs):
         if type(c) is not int:
             c = Fraction(c)
             out[i] = int(c) if c.denominator == 1 else c
-    return _strip(out)
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def poly_divmod(a, d):
+    """Euclidean division of coefficient sequences over the rationals:
+    (quotient, remainder) as coefficient tuples, a = quotient*d + remainder
+    with deg remainder < deg d."""
+    d = coeff_tuple(d)
+    if not d:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(coeff_tuple(a))
+    quo = [0] * max(len(rem) - len(d) + 1, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        f = quo[k] = Fraction(rem[k + len(d) - 1], d[-1])
+        for i, c in enumerate(d, k):
+            rem[i] -= f * c
+    return coeff_tuple(quo), coeff_tuple(rem)
 
 
 def poly_gcd(a, b):
-    """Monic gcd by the Euclidean algorithm over the rationals."""
+    """Monic gcd of two coefficient tuples by the Euclidean algorithm over
+    the rationals; the gcd of two zero polynomials is ()."""
     while b:
-        _, r = a.divmod(b)
-        a, b = b, r
-    if a:
-        a = a * (Fraction(1) / a.coeffs[-1])
-    return a
+        a, b = b, poly_divmod(a, b)[1]
+    return coeff_tuple([Fraction(c, a[-1]) for c in a])
 
 
-class QRat:
-    """Reduced rational function in q.
+class QRat(collections.namedtuple("QRat", "num den")):
+    """A rational function in q as a reduced pair of coefficient tuples:
+    gcd(num, den) = 1 and den monic, so equality and hashing are those of
+    the tuple.  QRat(()) is ((), (1,))."""
 
-    Canonical form: gcd(numerator, denominator) = 1 and the denominator is
-    monic, so equality and hashing are structural.
-    """
+    __slots__ = ()
 
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        if not isinstance(num, QPoly):
-            num = QPoly.const(num)
-        if den is None:
-            den = QPoly.one()
-        elif not isinstance(den, QPoly):
-            den = QPoly.const(den)
+    def __new__(cls, num, den=(1,)):
+        num, den = coeff_tuple(num), coeff_tuple(den)
         if not den:
             raise ZeroDivisionError("zero denominator")
-        if num:
-            g = poly_gcd(num, den)
-            num, _ = num.divmod(g)
-            den, _ = den.divmod(g)
-        else:
-            den = QPoly.one()
-        lead = den.coeffs[-1]
-        if lead != 1:
-            inv = Fraction(1) / lead
-            num = num * inv
-            den = den * inv
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QRat is immutable")
-
-    @classmethod
-    def zero(cls):
-        return cls(QPoly.zero())
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        other = _coerce_rat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash(("QRat", self.num.coeffs, self.den.coeffs))
-
-    def __add__(self, other):
-        other = _coerce_rat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QRat(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QRat(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = _coerce_rat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = _coerce_rat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QRat(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
+        if not num:
+            return super().__new__(cls, (), (1,))
+        g = [c * den[-1] for c in poly_gcd(num, den)]  # so den / g is monic
+        return super().__new__(cls, poly_divmod(num, g)[0], poly_divmod(den, g)[0])
 
     def text(self):
-        return f"{self.num.text()} / {self.den.text()}"
-
-    def __repr__(self):
-        return f"QRat({self.text()})"
-
-
-def _coerce_rat(x):
-    if isinstance(x, QRat):
-        return x
-    if isinstance(x, QPoly):
-        return QRat(x)
-    if isinstance(x, (int, Fraction)):
-        return QRat(QPoly.const(x))
-    return NotImplemented
+        return f"{poly_text(self.num)} / {poly_text(self.den)}"
 
 
 def int_poly_mul(a, b):
-    """Product of two integer coefficient lists (index i holds q^i), for
-    the hot loops that must not pay for Fraction or a gcd."""
+    """Product of two coefficient lists (index i holds q^i): ints in the
+    hot loops, which must not pay for Fraction or a gcd, or the Fractions
+    of a QRat at the rational boundary."""
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -359,19 +171,20 @@ def q_factorial_factors(lam):
 
 
 def q_int(n):
-    """The q-analogue of n: 1 + q + ... + q^(n-1), with q_int(0) = 0."""
+    """The q-analogue of n, 1 + q + ... + q^(n-1), as a coefficient tuple;
+    q_int(0) = ()."""
     if n < 0:
         raise ValueError(f"q_int of negative {n}")
-    return QPoly((1,) * n)
+    return (1,) * n
 
 
 def q_factorial(n):
-    """Product of q_int(1..n); empty product for n = 0."""
+    """[n]_q! = [2]_q ... [n]_q as a coefficient tuple; (1,) for n <= 1."""
     if n < 0:
         raise ValueError(f"q_factorial of negative {n}")
-    out = QPoly.one()
+    out = (1,)
     for k in range(2, n + 1):
-        out = out * q_int(k)
+        out = tuple(int_poly_mul(out, q_int(k)))
     return out
 
 

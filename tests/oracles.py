@@ -27,12 +27,13 @@ from csflab.posets import (
     poset_from_hessenberg,
 )
 from csflab.qcore import (
-    QPoly,
     QRat,
     check_partition,
     coeff_tuple,
     compositions_with_sort,
     conjugate,
+    int_poly_add,
+    int_poly_mul,
     partitions,
     poly_eval,
     q_int,
@@ -51,21 +52,43 @@ from csflab.tableaux import (
 
 
 # ---------------------------------------------------------------------------
-# evaluation at a rational point (from qcore)
+# coefficient tuples and QRat values (from qcore)
 # ---------------------------------------------------------------------------
 
-def qpoly_at(poly, x):
-    """A QPoly's exact value at a rational point."""
-    return poly_eval(poly.coeffs, x)
+def monomial(k):
+    """q^k as a coefficient tuple."""
+    return (0,) * k + (1,)
+
+
+def rat_mul(a, b):
+    return QRat(int_poly_mul(a.num, b.num), int_poly_mul(a.den, b.den))
+
+
+def rat_add(a, b):
+    return QRat(int_poly_add(int_poly_mul(a.num, b.den), int_poly_mul(b.num, a.den)),
+                int_poly_mul(a.den, b.den))
 
 
 def qrat_at(ratio, x):
     """A QRat's exact value at a rational point, which must not be a root
     of its denominator."""
-    den = qpoly_at(ratio.den, x)
+    den = poly_eval(ratio.den, x)
     if not den:
         raise ZeroDivisionError(f"evaluation at a denominator root: q={Fraction(x)}")
-    return qpoly_at(ratio.num, x) / den
+    return poly_eval(ratio.num, x) / den
+
+
+def interpolate(points, values):
+    """The coefficient tuple of the polynomial of degree below len(points)
+    that takes each value at its point, by Lagrange's formula."""
+    total = []
+    for i, (x, y) in enumerate(zip(points, values)):
+        term = [y]
+        for j, other in enumerate(points):
+            if j != i:
+                term = int_poly_mul(term, [Fraction(-other, x - other), Fraction(1, x - other)])
+        int_poly_add(total, term)
+    return coeff_tuple(total)
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +402,10 @@ def injective_chain_shapes(p):
 def inv_sum_by_monomials(p, tableaux):
     """Sum of q^inv added one monomial per tableau, as a coefficient tuple:
     the reference for ``csflab.tableaux.inv_sum``."""
-    total = QPoly.zero()
+    total = []
     for t in tableaux:
-        total = total + QPoly.monomial(inv_p(p, t))
-    return coeff_tuple(total.coeffs)
+        int_poly_add(total, (1,), 1, inv_p(p, t))
+    return coeff_tuple(total)
 
 
 def col_heights(cols):
@@ -419,15 +442,15 @@ def is_p_tableau(p, cols):
 def eval_q(p, w):
     """q^inv for words that use every element exactly once; zero otherwise."""
     if sorted(w) != list(range(1, p.n + 1)):
-        return QPoly.zero()
-    return QPoly.monomial(inv_word(p, w))
+        return ()
+    return monomial(inv_word(p, w))
 
 
 def eval_q_partial(p, w):
     """q^inv for repeat-free words; zero when any entry repeats."""
     if len(set(w)) != len(w):
-        return QPoly.zero()
-    return QPoly.monomial(inv_word(p, w))
+        return ()
+    return monomial(inv_word(p, w))
 
 
 def _sort_chain(p, values):
@@ -855,19 +878,19 @@ def phi(cols, r, k):
         raise ValueError(f"k={k} out of range; ell={ell}")
     a = lambda i: cs.a[i - 1]  # noqa: E731 - a_1..a_{l+1}
     b = lambda i: cs.b[i]  # noqa: E731 - b_0..b_l
-    result = QRat(QPoly.monomial(sum(a(i) for i in range(1, k + 1))))
+    result = QRat(monomial(sum(a(i) for i in range(1, k + 1))))
     for i in range(1, k + 1):
         num = q_int(sum(a(j) for j in range(i + 1, k + 1)) + sum(b(j) for j in range(i, k + 1)))
         den = q_int(sum(a(j) for j in range(i, k + 1)) + sum(b(j) for j in range(i, k + 1)))
         if not den:
             raise AssertionError("zero denominator in transition weight")
-        result = result * QRat(num, den)
+        result = rat_mul(result, QRat(num, den))
     for i in range(k + 1, ell + 1):
         num = q_int(sum(a(j) for j in range(k + 1, i + 1)) + sum(b(j) for j in range(k + 1, i)))
         den = q_int(sum(a(j) for j in range(k + 1, i + 1)) + sum(b(j) for j in range(k + 1, i + 1)))
         if not den:
             raise AssertionError("zero denominator in transition weight")
-        result = result * QRat(num, den)
+        result = rat_mul(result, QRat(num, den))
     return result
 
 
@@ -876,34 +899,34 @@ def phi_tilde(cols, r, k):
     cs = delta(cols, r)
     if not 0 <= k <= cs.ell:
         raise ValueError(f"k={k} out of range; ell={cs.ell}")
-    return QPoly.monomial(sum(cs.a[:k]))
+    return monomial(sum(cs.a[:k]))
 
 
 def path_weights(m, cols):
     """(prob, zeta) as the products of ``phi`` and ``phi_tilde`` along the
     insertion path, one reduced QRat multiply per step; zero when a step
     lands in a column the sequence does not admit."""
-    pr, z = QRat(1), QPoly.one()
+    pr, z = QRat((1,)), (1,)
     while cols:
         n = tableau_size(cols)
         r = m[n - 1]
         smaller, col = strip_max(cols)
         columns = delta(smaller, r).insertion_columns()
         if col not in columns:
-            return QRat.zero(), QPoly.zero()
+            return QRat(()), ()
         k = columns.index(col)
-        pr = pr * phi(smaller, r, k)
-        z = z * phi_tilde(smaller, r, k)
+        pr = rat_mul(pr, phi(smaller, r, k))
+        z = tuple(int_poly_mul(z, phi_tilde(smaller, r, k)))
         cols = smaller
     return pr, z
 
 
 def factored_value(e, factors):
     """q^e times the product of [j]_q^x, by plain QRat arithmetic."""
-    out = QRat(QPoly.monomial(e))
+    out = QRat(monomial(e))
     for j, x in factors.items():
         for _ in range(abs(x)):
-            out = out * (q_int(j) if x > 0 else QRat(1, q_int(j)))
+            out = rat_mul(out, QRat(q_int(j)) if x > 0 else QRat((1,), q_int(j)))
     return out
 
 
@@ -964,7 +987,7 @@ def e_expansion_at_one(p):
 
 # ---------------------------------------------------------------------------
 # basis changes (from csf): the P-tableau Schur sum, the Schur route into
-# m, and the QPoly m->e peel
+# m, and the m->e peel at rational points
 # ---------------------------------------------------------------------------
 
 def standard_inv_counts(p, lam):
@@ -1044,35 +1067,36 @@ def schur_to_monomial(f):
     coeffs = {}
     for part, poly in f.coeffs.items():
         for mu, c in s_to_m(part, f.n).items():
-            coeffs[mu] = coeffs.get(mu, QPoly.zero()) + QPoly(poly) * c
-    return SymFunc("m", f.n, {mu: poly.coeffs for mu, poly in coeffs.items()})
+            coeffs[mu] = int_poly_add(coeffs.get(mu, []), poly, c)
+    return SymFunc("m", f.n, {mu: coeff_tuple(poly) for mu, poly in coeffs.items()})
 
 
 def to_elementary_by_qpoly(f):
-    """The m->e peel on QPoly coefficients: the reference for the integer
-    peel in ``csflab.csf.to_elementary``."""
+    """The m->e peel on exact values: the reference for the integer peel in
+    ``csflab.csf.to_elementary``.  The change of basis is linear with
+    integer entries, so it peels the Fraction value of every coefficient at
+    deg + 1 rational points and interpolates each e-coefficient back."""
     if f.basis != "m":
         raise ValueError(f"expected the m basis, got {f.basis!r}")
-    residual = {lam: QPoly(poly) for lam, poly in f.coeffs.items()}
-    out = {}
-    for lam in partitions(f.n):
-        c = residual.pop(lam, QPoly.zero())
-        if not c:
-            continue
-        out[conjugate(lam)] = c.coeffs
-        for mu, t in e_to_m(conjugate(lam), f.n).items():
-            if mu == lam:
-                continue
-            now = residual.get(mu, QPoly.zero()) - c * t
-            if now:
-                residual[mu] = now
-            else:
-                residual.pop(mu, None)
-    if residual:
-        raise ArithmeticError(
-            f"input is not a nonneg-span symmetric function; residue at {sorted(residual)}"
-        )
-    return SymFunc("e", f.n, out)
+    points = range(max(map(len, f.coeffs.values()), default=0))
+    peeled = []
+    for x in points:
+        residual = {lam: poly_eval(poly, x) for lam, poly in f.coeffs.items()}
+        out = {}
+        for lam in partitions(f.n):
+            c = residual.pop(lam, 0)
+            out[conjugate(lam)] = c
+            for mu, t in e_to_m(conjugate(lam), f.n).items():
+                if mu != lam:
+                    residual[mu] = residual.get(mu, 0) - c * t
+        if any(residual.values()):
+            raise ArithmeticError(
+                f"input is not a nonneg-span symmetric function; residue at {sorted(residual)}"
+            )
+        peeled.append(out)
+    coeffs = {lam: interpolate(points, [out[lam] for out in peeled])
+              for lam in map(conjugate, partitions(f.n))}
+    return SymFunc("e", f.n, {lam: poly for lam, poly in coeffs.items() if poly})
 
 
 def symfunc_from_json(data):

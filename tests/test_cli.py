@@ -14,7 +14,8 @@ import pytest
 
 from csflab.cli import main
 from csflab.harness import CONJECTURES, emit_report, run_verification
-from csflab.posets import kchain_hessenberg
+from csflab.posets import enumerate_hessenberg, kchain_hessenberg
+from csflab.qcore import partitions
 
 from oracles import symfunc_from_json
 
@@ -80,8 +81,8 @@ def test_csf_json_round_trip(tmp_path):
 
 
 # sha256 of ``csflab csf --hessenberg M --basis B [--q-at Q]`` stdout, and of
-# the file that ``--json`` writes, keyed "M B [Q]"; taken while the
-# coefficients were still QPoly values.
+# the file that ``--json`` writes, keyed "M B [Q]"; taken before the
+# coefficients became integer tuples.
 CSF_OUTPUT_DIGESTS = {
     "0,0,1 e": "afb0f95baed48c4679e36ef5b9d06c2f77d90065e74a9758b80df470d744c99e",
     "0,0,1 e 1/2": "d16a48d230cee41cfd955d41bd9b385c55c4e8c3e18c8055aeaa251a9980ed69",
@@ -213,6 +214,31 @@ def test_hikita_statistics():
     assert values(zeta_out) and all(" / " not in v for v in values(zeta_out))
     h_out = run("hikita", "--hessenberg", E5, "--shape", "3,2", "--h")
     assert values(h_out) and all(" / " in v for v in values(h_out))
+
+
+# sha256 of the concatenated stdout of ``csflab hikita --hessenberg M --shape L
+# STAT`` over every vector with n = 1..6 in enumerate_hessenberg order, each
+# with every shape in partitions(n) order: 573 lines per statistic.
+HIKITA_OUTPUT_DIGESTS = {
+    "--prob": "871aaf4abcca45281ee08b9a9b8a4310fd16edd512d5253e1050131052f1611a",
+    "--zeta": "219a60e90129e03ab4a1dad3f4dd05611f049f96b7a3079716e16831327f8298",
+    "--h": "41a582d7ef937df9127710937b29d8b07136807fa200a5e2209b1f00117bb145",
+}
+
+
+@pytest.mark.parametrize("stat", sorted(HIKITA_OUTPUT_DIGESTS))
+def test_hikita_output_pinned(stat):
+    digest, lines = hashlib.sha256(), 0
+    for n in range(1, 7):
+        for m in enumerate_hessenberg(n):
+            for lam in partitions(n):
+                result = run("hikita", "--hessenberg", ",".join(map(str, m)),
+                             "--shape", ",".join(map(str, lam)), stat)
+                assert result.exit_code == 0
+                digest.update(result.stdout.encode())
+                lines += result.stdout.count("\n")
+    assert lines == 573
+    assert digest.hexdigest() == HIKITA_OUTPUT_DIGESTS[stat]
 
 
 def test_verify_all_holds(tmp_path):

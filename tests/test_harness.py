@@ -39,7 +39,7 @@ from csflab.harness import (
 )
 from csflab.hikita import enumerate_hikita, h, h_unreduced, h_unreduced_by_shape
 from csflab.posets import check_hessenberg, enumerate_hessenberg, poset_from_hessenberg
-from csflab.qcore import QPoly, QRat, check_partition, int_poly_add, int_poly_mul, is_partition
+from csflab.qcore import QRat, check_partition, int_poly_add, int_poly_mul, is_partition
 from csflab.qcore import partitions, poly_eval
 from csflab.tableaux import (
     enumerate_class,
@@ -358,7 +358,7 @@ def test_integer_h_margin_matches_reduced_margin():
                 floor = _row_factorials(lam)
                 for cols in enumerate_hikita(m, lam):
                     ht = h(m, cols)
-                    reduced = QRat(ht.num * QPoly(floor) - ht.den, ht.den)
+                    reduced = QRat(int_poly_add(int_poly_mul(ht.num, floor), ht.den, -1), ht.den)
                     verdict = _h_margin_nonneg(floor, *h_unreduced(m, cols))
                     assert verdict == rat_nonneg_on_nonneg(reduced)[0], (m, cols)
                     verdicts.add(verdict)
@@ -381,7 +381,7 @@ def _sign_decided_margins(n_max):
                         continue
                     failing += 1
                     ht = h(m, cols)
-                    reduced = QRat(ht.num * QPoly(floor) - ht.den, ht.den)
+                    reduced = QRat(int_poly_add(int_poly_mul(ht.num, floor), ht.den, -1), ht.den)
                     verdict, point = rat_nonneg_on_nonneg(reduced)
                     assert not verdict, (m, cols)
                     assert qrat_at(reduced, point) < 0 and poly_eval(margin, point) < 0
@@ -1105,10 +1105,10 @@ def test_poly_nonneg_fixed_cases():
 
 
 def test_rat_nonneg_cases():
-    assert rat_nonneg_on_nonneg(QRat(QPoly([0, 1]), QPoly([1, 1])))[0]
-    verdict, witness = rat_nonneg_on_nonneg(QRat(QPoly([-1, 1])))
+    assert rat_nonneg_on_nonneg(QRat((0, 1), (1, 1)))[0]
+    verdict, witness = rat_nonneg_on_nonneg(QRat((-1, 1)))
     assert not verdict and witness == 0
-    ratio = QRat(QPoly([1]), QPoly([-1, 1]))
+    ratio = QRat((1,), (-1, 1))
     verdict, witness = rat_nonneg_on_nonneg(ratio)
     assert not verdict and qrat_at(ratio, witness) < 0
 
@@ -1125,22 +1125,22 @@ def test_rat_nonneg_cases():
 )
 @settings(deadline=None)
 def test_poly_nonneg_matches_root_construction(factors, scalar):
-    poly = QPoly([scalar])
+    poly = [scalar]
     for root, multiplicity in factors:
         for _ in range(multiplicity):
-            poly = poly * QPoly([-root, 1])
+            poly = int_poly_mul(poly, [-root, 1])
     odd_positive = {
         root
         for root, _ in factors
         if root > 0 and sum(k for r, k in factors if r == root) % 2
     }
     expected = scalar > 0 and not odd_positive
-    ends = [c for c in poly.coeffs if c]
+    ends = [c for c in poly if c]
     if ends[0] > 0 and ends[-1] > 0 and min(ends) < 0:
         with pytest.raises(ArithmeticError):
-            poly_nonneg_on_nonneg(poly.coeffs)
+            poly_nonneg_on_nonneg(poly)
         return
-    verdict, witness = poly_nonneg_on_nonneg(poly.coeffs)
+    verdict, witness = poly_nonneg_on_nonneg(poly)
     assert verdict == expected
     if not verdict:
-        assert poly_eval(poly.coeffs, witness) < 0
+        assert poly_eval(poly, witness) < 0

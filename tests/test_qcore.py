@@ -1,4 +1,5 @@
 import itertools
+import pickle
 from fractions import Fraction
 from math import factorial
 
@@ -6,102 +7,134 @@ import pytest
 from hypothesis import given, strategies as st
 
 from csflab.qcore import (
-    QPoly,
     QRat,
+    coeff_tuple,
     compositions,
     compositions_with_sort,
     conjugate,
+    int_poly_add,
     int_poly_divexact,
     int_poly_mul,
     parse_int_tuple,
     partitions,
+    poly_divmod,
+    poly_eval,
     poly_gcd,
+    poly_text,
     q_factorial,
     q_int,
     q_int_product,
     sort_desc,
 )
 
-from oracles import add_parts, dominates, pairwise_part_products, qpoly_at, qrat_at
+from oracles import add_parts, dominates, pairwise_part_products, qrat_at, rat_add, rat_mul
 from oracles import remove_first_column
+
+COEFFS = st.lists(st.integers(-4, 4) | st.fractions(-3, 3, max_denominator=4), max_size=5)
+NONZERO = COEFFS.filter(any)
 
 
 def test_q_int_basics():
-    assert q_int(0) == QPoly.zero()
-    assert q_int(1) == QPoly.one()
-    assert q_int(5) == QPoly([1, 1, 1, 1, 1])
+    assert q_int(0) == ()
+    assert q_int(1) == (1,)
+    assert q_int(5) == (1, 1, 1, 1, 1)
 
 
 def test_q_factorial_small():
-    assert q_factorial(0) == QPoly.one()
-    assert q_factorial(2) == QPoly([1, 1])
+    assert q_factorial(0) == (1,)
+    assert q_factorial(2) == (1, 1)
     # (1+q)(1+q+q^2) expanded by hand
-    assert q_factorial(3) == QPoly([1, 2, 2, 1])
+    assert q_factorial(3) == (1, 2, 2, 1)
 
 
 def test_q_specializations_at_one():
     for n in range(21):
-        assert qpoly_at(q_int(n), 1) == n
-        assert qpoly_at(q_factorial(n), 1) == factorial(n)
+        assert poly_eval(q_int(n), 1) == n
+        assert poly_eval(q_factorial(n), 1) == factorial(n)
 
 
 def test_poly_arithmetic_and_text():
-    p = QPoly([1, 2, 2, 1])
-    assert p.text() == "[1,2,2,1]"
-    assert QPoly.zero().text() == "[]"
-    assert (p - p) == QPoly.zero()
-    assert p * QPoly.zero() == QPoly.zero()
-    assert QPoly.monomial(3) == QPoly([0, 0, 0, 1])
-    assert p.coeff(10) == 0
+    p = (1, 2, 2, 1)
+    assert poly_text(p) == "[1,2,2,1]"
+    assert poly_text(()) == "[]"
+    assert coeff_tuple(int_poly_add(list(p), p, -1)) == ()
+    assert int_poly_mul(p, ()) == []
+    assert coeff_tuple([0, 0, 0, 1, 0]) == (0, 0, 0, 1)
+    assert coeff_tuple(["1/2", Fraction(4, 2), 0]) == (Fraction(1, 2), 2)
 
 
 def test_poly_divmod_exact():
-    a = q_int(6)
-    b = q_int(3)
-    quo, rem = a.divmod(b)
-    assert rem == QPoly.zero()
-    assert quo * b == a
-    # a nontrivial remainder case
-    quo, rem = QPoly([0, 0, 0, 1]).divmod(QPoly([1, 1]))
-    assert quo * QPoly([1, 1]) + rem == QPoly([0, 0, 0, 1])
-    assert rem.degree < 1
+    quo, rem = poly_divmod(q_int(6), q_int(3))
+    assert rem == ()
+    assert quo == (1, 0, 0, 1)
+    # a nontrivial remainder case: q^3 = (q^2 - q + 1)(1 + q) - 1
+    assert poly_divmod((0, 0, 0, 1), (1, 1)) == ((1, -1, 1), (-1,))
+    with pytest.raises(ZeroDivisionError):
+        poly_divmod((1,), (0,))
+
+
+@given(COEFFS, NONZERO)
+def test_poly_divmod_is_euclidean_division(a, d):
+    quo, rem = poly_divmod(a, d)
+    assert coeff_tuple(int_poly_add(int_poly_mul(quo, d), rem)) == coeff_tuple(a)
+    assert len(rem) < len(coeff_tuple(d))
+    assert quo == coeff_tuple(quo) and rem == coeff_tuple(rem)
 
 
 def test_poly_gcd_monic():
-    g = poly_gcd(q_int(6), q_int(4))
     # common roots are the 2nd roots of unity factors: gcd = 1 + q
-    assert g == QPoly([1, 1])
+    assert poly_gcd(q_int(6), q_int(4)) == (1, 1)
+    assert poly_gcd((2, 2), ()) == (1, 1)
+    assert poly_gcd((), ()) == ()
 
 
 def test_qrat_add_to_one():
-    q = QPoly.monomial(1)
-    one_plus_q = QPoly([1, 1])
-    assert QRat(q, one_plus_q) + QRat(QPoly.one(), one_plus_q) == QRat(1)
+    one_plus_q = (1, 1)
+    assert rat_add(QRat((0, 1), one_plus_q), QRat((1,), one_plus_q)) == QRat((1,))
 
 
 def test_qrat_cancellation():
-    num = QPoly([-1, 0, 1])  # q^2 - 1
-    den = QPoly([-1, 1])  # q - 1
-    assert QRat(num, den) == QRat(QPoly([1, 1]))
+    # (q^2 - 1) / (q - 1)
+    assert QRat((-1, 0, 1), (-1, 1)) == QRat((1, 1)) == ((1, 1), (1,))
+    assert QRat(()) == QRat((0, 0), (3, 5)) == ((), (1,))
+    assert QRat((2,), (4, 2)) == ((1,), (2, 1))
+    assert QRat((1,)) != 1
+    assert [name for name in vars(QRat) if not name.startswith("_")] == ["text"]
+    with pytest.raises(ZeroDivisionError):
+        QRat((1,), ())
 
 
 def test_qrat_eval():
-    r = QRat(QPoly([1, 1]), QPoly([1, 1, 1]))
+    r = QRat((1, 1), (1, 1, 1))
     assert qrat_at(r, 1) == Fraction(2, 3)
     with pytest.raises(ZeroDivisionError):
-        qrat_at(QRat(QPoly.one(), QPoly([-1, 1])), 1)
+        qrat_at(QRat((1,), (-1, 1)), 1)
+
+
+@given(COEFFS, NONZERO, NONZERO)
+def test_qrat_is_reduced_and_canonical(a, b, g):
+    r = QRat(a, b)
+    assert QRat(int_poly_mul(a, g), int_poly_mul(b, g)) == r
+    assert r.den[-1] == 1
+    assert poly_gcd(r.num, r.den) == (1,)
+    assert r.num == coeff_tuple(r.num) and r.den == coeff_tuple(r.den)
+    copy = pickle.loads(pickle.dumps(r))
+    assert copy == r and type(copy) is QRat
+    for x in range(-2, 3):
+        if poly_eval(b, x):
+            assert qrat_at(r, x) == poly_eval(a, x) / poly_eval(b, x)
 
 
 @given(st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=4))
 def test_qrat_canonical_eq_matches_pointwise(ns):
     # build the same rational function two ways and compare structurally
-    num = QPoly.one()
+    num = (1,)
     for n in ns:
-        num = num * q_int(n)
+        num = int_poly_mul(num, q_int(n))
     r1 = QRat(num, q_int(ns[0]))
-    r2 = QRat(1)
+    r2 = QRat((1,))
     for n in ns[1:]:
-        r2 = r2 * QRat(q_int(n))
+        r2 = rat_mul(r2, QRat(q_int(n)))
     assert r1 == r2
     for pt in (Fraction(2), Fraction(1, 3), Fraction(5, 7), Fraction(3), Fraction(7, 2)):
         assert qrat_at(r1, pt) == qrat_at(r2, pt)
@@ -175,7 +208,7 @@ def test_compositions_with_sort():
 def test_q_int_product_is_cached_and_immutable():
     assert q_int_product(()) == (1,)
     assert q_int_product(((2, 1), (3, 2))) == tuple(
-        (q_int(2) * q_int(3) * q_int(3)).coeffs
+        int_poly_mul(int_poly_mul(q_int(2), q_int(3)), q_int(3))
     )
     assert q_int_product(((0, 1),)) == ()  # [0]_q = 0
     assert q_int_product(((4, 3),)) is q_int_product(((4, 3),))

@@ -15,10 +15,12 @@ from csflab.posets import (
     poset_from_hessenberg,
 )
 from csflab.qcore import (
-    QPoly,
+    coeff_tuple,
     compositions,
     compositions_with_sort,
     conjugate,
+    int_poly_add,
+    int_poly_mul,
     partitions,
     q_int,
 )
@@ -479,26 +481,26 @@ def test_bpa_inversion_counts_and_row_product():
     for n in range(1, 8):
         p = poset_from_hessenberg(path_hessenberg(n))
         for alpha in compositions(n):
-            total = QPoly.zero()
+            total = []
             for rows in bpa_enumerate(n, alpha):
                 inv = peak_inversions(alpha, peak(rows))
                 assert inv == inv_p(p, tab(p, rows))
-                total = total + QPoly.monomial(inv)
-            closed = QPoly.monomial(len(alpha) - 1) * q_int(alpha[-1])
+                int_poly_add(total, (1,), 1, inv)
+            closed = int_poly_add([], q_int(alpha[-1]), 1, len(alpha) - 1)
             for part in alpha[:-1]:
-                closed = closed * q_int(part - 1)
-            assert total == closed
+                closed = int_poly_mul(closed, q_int(part - 1))
+            assert coeff_tuple(total) == coeff_tuple(closed)
 
 
 def test_bpa_sums_recover_path_coefficients():
     n = 6
     expansion = path_formula(n)
     for lam in partitions(n):
-        total = QPoly.zero()
+        total = []
         for alpha in compositions_with_sort(lam):
             for rows in bpa_enumerate(n, alpha):
-                total = total + QPoly.monomial(peak_inversions(alpha, peak(rows)))
-        assert total == QPoly(expansion.coeff(lam))
+                int_poly_add(total, (1,), 1, peak_inversions(alpha, peak(rows)))
+        assert coeff_tuple(total) == expansion.coeff(lam)
 
 
 @settings(max_examples=60)
