@@ -97,13 +97,13 @@ def _echo_expansion(f, q_at=None):
 def csf(hessenberg, basis, q_at, json_path):
     """Expand the chromatic function of one unit order in a basis."""
     p = poset_from_hessenberg(_vector(hessenberg))
-    build = {"m": csf_coloring_oracle, "e": chromatic_e_expansion, "s": csf_schur}[basis]
-    f = _usage(build, p)
     if q_at is not None:
         try:
             q_at = Fraction(q_at)
         except (ValueError, ZeroDivisionError) as exc:
             raise _UsageError(f"bad rational {q_at!r}: {exc}") from exc
+    build = {"m": csf_coloring_oracle, "e": chromatic_e_expansion, "s": csf_schur}[basis]
+    f = _usage(build, p)
     if json_path:
         try:
             with open(json_path, "w", encoding="utf-8") as fh:

@@ -15,10 +15,14 @@ functions, which the tests use as the second e-route.  Summing q^inv over
 the P-tableaux of each shape is the Schur route's test oracle.  All
 expansions live in exactly n variables, which determines a degree-n
 symmetric function completely.
+
+An expansion is a ``SymFunc``, the named tuple (basis, n, coeffs), which
+the routes here build from canonical tuples with ``SymFunc._make``.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import warnings
@@ -38,41 +42,25 @@ BASES = ("m", "e", "s")
 SIZE_CAP = 10
 
 
-class SymFunc:
+class SymFunc(collections.namedtuple("SymFunc", "basis n coeffs")):
     """A homogeneous symmetric function of degree n in a named basis: each
     partition of n -> its nonzero coefficient tuple (``qcore.coeff_tuple``).
     Input from outside is checked here once and made canonical; the
-    package's own routes pass ``checked=True`` with canonical tuples."""
+    package's own routes build canonical tuples with ``SymFunc._make``."""
 
-    __slots__ = ("basis", "n", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, basis, n, coeffs, *, checked=False):
-        if not checked:
-            if basis not in BASES:
-                raise ValueError(f"unknown basis {basis!r}")
-            clean = {}
-            for part, poly in coeffs.items():
-                part = check_partition(part)
-                if sum(part) != n:
-                    raise ValueError(f"partition {part} does not have size {n}")
-                if poly := coeff_tuple(poly):
-                    clean[part] = poly
-            coeffs = clean
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymFunc is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, SymFunc):
-            return NotImplemented
-        return (
-            self.basis == other.basis
-            and self.n == other.n
-            and self.coeffs == other.coeffs
-        )
+    def __new__(cls, basis, n, coeffs):
+        if basis not in BASES:
+            raise ValueError(f"unknown basis {basis!r}")
+        clean = {}
+        for part, poly in coeffs.items():
+            part = check_partition(part)
+            if sum(part) != n:
+                raise ValueError(f"partition {part} does not have size {n}")
+            if poly := coeff_tuple(poly):
+                clean[part] = poly
+        return tuple.__new__(cls, (basis, n, clean))
 
     def __repr__(self):
         inner = ", ".join(
@@ -175,7 +163,7 @@ def csf_coloring_oracle(p):
         )
     counts = _coloring_counts(p)
     found = {lam: tuple(c) for lam in partitions(p.n) if (c := counts(0, lam))}
-    return SymFunc("m", p.n, found, checked=True)
+    return SymFunc._make(("m", p.n, found))
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +200,7 @@ def csf_schur(p):
     for mu, c in chromatic_e_expansion(p).coeffs.items():
         for nu, k in _e_in_s(mu).items():
             int_poly_add(sums.setdefault(nu, []), c, k)
-    return SymFunc("s", p.n, {nu: tuple(acc) for nu, acc in sums.items()}, checked=True)
+    return SymFunc._make(("s", p.n, {nu: tuple(acc) for nu, acc in sums.items()}))
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +283,7 @@ def to_elementary(f):
         raise ArithmeticError(
             f"input is not a nonneg-span symmetric function; residue at {residue}"
         )
-    return SymFunc("e", f.n, out, checked=True)
+    return SymFunc._make(("e", f.n, out))
 
 
 def e_coeff(p, lam):
@@ -325,8 +313,8 @@ def chromatic_e_expansion(p):
             "specialize the oracle at q=1 for other posets"
         )
     if p.n == 0:
-        return SymFunc("e", 0, {(): (1,)}, checked=True)
-    return SymFunc("e", p.n, e_coefficients_by_shape(m), checked=True)
+        return SymFunc._make(("e", 0, {(): (1,)}))
+    return SymFunc._make(("e", p.n, e_coefficients_by_shape(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +332,7 @@ def path_formula(n):
             term = int_poly_mul(term, [1] * (part - 1))
         if term:
             int_poly_add(coeffs.setdefault(sort_desc(alpha), []), term)
-    return SymFunc("e", n, {key: tuple(c) for key, c in coeffs.items()}, checked=True)
+    return SymFunc._make(("e", n, {key: tuple(c) for key, c in coeffs.items()}))
 
 
 def _kchain_alphas(gamma, n):
@@ -390,4 +378,4 @@ def kchain_formula(gamma):
         if any(term):  # else some factor is [0]_q
             int_poly_add(coeffs.setdefault(sort_desc(tuple(a for a in alpha if a)), []), term)
     found = {part: tuple(int_poly_mul(prefactor, c)) for part, c in coeffs.items()}
-    return SymFunc("e", n, found, checked=True)
+    return SymFunc._make(("e", n, found))

@@ -26,6 +26,11 @@ The registry:
                            (n-2,2) family, the path shapes, and the greedy
                            displacement shapes
 
+Each conjecture is one row of ``_PER_UNIT``, a check (m, lam) -> (status,
+witness); ``CONJECTURES`` is its keys.  Only ``barbell-powerful``'s check
+takes a unit without a shape, and skips it.  ``theorem-suite`` runs its
+identities as rows of one loop, each route only where its row applies.
+
 ``h-lower-bound`` decides each tableau on the unreduced integer margin
 floor*num - den, where num/den is h = prob/zeta as the hikita growth
 multiplies it out.  den is a product of q-integers [j]_q with j >= 2,
@@ -95,17 +100,6 @@ from .structural import K_set, displaced_shape, greedy_shape_family
 from .tableaux import colword, enumerate_class, inv_p, inv_sum, powerful_classes
 from .tableaux import q_count, standard_classes, word_key
 
-CONJECTURES = (
-    "bounds",
-    "undercount-q",
-    "overcount-q",
-    "nonzero",
-    "strong-iff-hikita",
-    "h-lower-bound",
-    "barbell-powerful",
-    "theorem-suite",
-)
-
 STATUSES = ("holds", "fails", "skipped", "error")
 
 #: Full sweeps above this size need the explicit override flag, which
@@ -160,12 +154,6 @@ class Report(collections.namedtuple("Report", "task status witness seconds")):
         }
 
 
-def _task(conjecture, m, lam):
-    """The VerificationTask of a vector and shape that ``tasks_for`` has
-    checked, built without checking them again."""
-    return tuple.__new__(VerificationTask, (conjecture, m, lam))
-
-
 class Sweep(collections.abc.Sequence):
     """One conjecture's reports in report order (n, m, lam), read-only: the
     ``tasks_for`` records and each one's rows in task order.  Item i is a
@@ -187,12 +175,13 @@ class Sweep(collections.abc.Sequence):
             raise IndexError("Sweep index out of range")
         k = bisect.bisect_right(self._ends, i)
         (m, shapes), j = self._records[k], self._ends[k] - 1 - i
-        return Report(_task(self.conjecture, m, shapes[j]), *self._rows[k][j])
+        task = VerificationTask._make((self.conjecture, m, shapes[j]))
+        return Report(task, *self._rows[k][j])
 
     def __iter__(self):
         for conjecture, m, units in _vectors(self):
             for lam, row in units:
-                yield Report(_task(conjecture, m, lam), *row)
+                yield Report(VerificationTask._make((conjecture, m, lam)), *row)
 
 
 def _vectors(reports):
@@ -416,7 +405,11 @@ def _check_h_lower_bound(m, lam):
     }
 
 
-def _check_barbell(m, lam, gamma):
+def _check_barbell(m, lam):
+    gamma = _barbell_vectors(len(m)).get(m)
+    if gamma is None or lam is None:
+        reason = "incomparability graph is not two cliques joined by a path"
+        return "skipped", {"reason": reason}
     margin = _powerful_margin(m, lam)
     if not margin:
         return "holds", {"gamma": list(gamma)}
@@ -484,35 +477,20 @@ def _check_theorem_suite(m, lam):
     ran.append("inclusions")
 
     coeff = e_coeff(p, lam)
-
-    if n >= 5 and lam == (n - 2, 2):
-        family = K_set(p)
-        if inv_sum(p, family) != coeff:
-            return "fails", {
-                "check": "k2-identity",
-                "family_sum": list(inv_sum(p, family)),
-                "coefficient": list(coeff),
-            }
-        ran.append("k2-identity")
-
-    if m == path_hessenberg(n):
-        if q_count(powerful.values()) != coeff:
-            return "fails", {
-                "check": "path-identity",
-                "powerful_sum": list(q_count(powerful.values())),
-                "coefficient": list(coeff),
-            }
-        ran.append("path-identity")
-
-    if lam in _greedy_shapes(m):
-        if q_count(strong.values()) != coeff:
-            return "fails", {
-                "check": "greedy-identity",
-                "strong_sum": list(q_count(strong.values())),
-                "coefficient": list(coeff),
-            }
-        ran.append("greedy-identity")
-
+    # (check, applies, witness key, route): a route runs only where it applies
+    for check, applies, key, route in (
+        ("k2-identity", n >= 5 and lam == (n - 2, 2), "family_sum",
+         lambda: inv_sum(p, K_set(p))),
+        ("path-identity", m == path_hessenberg(n), "powerful_sum",
+         lambda: q_count(powerful.values())),
+        ("greedy-identity", lam in _greedy_shapes(m), "strong_sum",
+         lambda: q_count(strong.values())),
+    ):
+        if applies:
+            total = route()
+            if total != coeff:
+                return "fails", {"check": check, key: list(total), "coefficient": list(coeff)}
+            ran.append(check)
     return "holds", {"checks": ran}
 
 
@@ -523,8 +501,11 @@ _PER_UNIT = {
     "nonzero": _check_nonzero,
     "strong-iff-hikita": _check_strong_iff_hikita,
     "h-lower-bound": _check_h_lower_bound,
+    "barbell-powerful": _check_barbell,
     "theorem-suite": _check_theorem_suite,
 }
+
+CONJECTURES = tuple(_PER_UNIT)
 
 
 def evaluate_task(conjecture, m, lam):
@@ -533,18 +514,9 @@ def evaluate_task(conjecture, m, lam):
     never a failing one."""
     start = time.perf_counter()
     try:
-        if conjecture == "barbell-powerful":
-            gamma = _barbell_vectors(len(m)).get(m)
-            if gamma is None or lam is None:
-                status, witness = "skipped", {
-                    "reason": "incomparability graph is not two cliques joined by a path"
-                }
-            else:
-                status, witness = _check_barbell(m, lam, gamma)
-        elif lam is None:
+        if lam is None and conjecture != "barbell-powerful":
             raise ValueError(f"{conjecture} needs a partition")
-        else:
-            status, witness = _PER_UNIT[conjecture](m, lam)
+        status, witness = _PER_UNIT[conjecture](m, lam)
         _check_status(status, witness)
     except Exception as exc:  # captured, never propagated: the sweep must finish
         status = "error"

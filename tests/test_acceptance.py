@@ -57,6 +57,7 @@ from oracles import (
     schur_to_monomial,
 )
 from overcount_table import E5_ELEMENTARY, E5_SCHUR, OVERCOUNT_ROWS
+from test_harness import H_BOUND_REPORTS
 from test_tableaux import CENSUS, POWERFUL_322
 
 E5 = (0, 0, 1, 1, 3)
@@ -388,8 +389,18 @@ N8_SUMMARIES = {
 }
 
 
-# sha256 of each n <= 8 report's JSON-lines with ``seconds`` dropped, in
-# emitted key order, as bench/run.py digests its reports
+def report_digest(reports):
+    """sha256 of a report's JSON-lines with ``seconds`` dropped, in emitted
+    key order, as bench/run.py digests its reports."""
+    digest = hashlib.sha256()
+    for report in reports:
+        row = report.to_json_dict()
+        del row["seconds"]
+        digest.update(json.dumps(row).encode() + b"\n")
+    return digest.hexdigest()
+
+
+# the ``report_digest`` of each n <= 8 report
 N8_DIGESTS = {
     "bounds": "b82b00db7397522a10adbfd45911849835015057c6da0a0d664b181609028aa6",
     "undercount-q": "aea111f107b1cbcc0336a622503019bf1173842182b4d2c06493e135a06f8663",
@@ -411,14 +422,57 @@ def test_criterion_11_extended_size_eight():
     for conjecture, summary in N8_SUMMARIES.items():
         reports = run_verification(conjecture, 8, parallelism=JOBS)
         assert summarize(reports) == summary, conjecture
-        digest = hashlib.sha256()
-        for report in reports:
-            row = report.to_json_dict()
-            del row["seconds"]
-            digest.update(json.dumps(row).encode() + b"\n")
-        assert digest.hexdigest() == N8_DIGESTS[conjecture], conjecture
+        assert report_digest(reports) == N8_DIGESTS[conjecture], conjecture
         if conjecture == "overcount-q":
             (bad,) = [r for r in reports if r.status == "fails"]
             assert (bad.task.m, bad.task.lam) == ((0, 0, 1, 1, 2, 3, 4, 6), (4, 4))
             assert bad.witness == {"discrepancy": [0, 0, 0, 0, 0, -1, 1, 1]}
     assert time.perf_counter() - started < 7200.0
+
+
+def _holds(count, fails=0, skipped=0):
+    return {"holds": count, "fails": fails, "skipped": skipped}
+
+
+# every conjecture's summary and ``report_digest`` at n <= 9 (185591 units,
+# 6917 vectors); h-lower-bound's is the pin of its own opt-in test
+N9_REPORTS = {
+    "bounds": (_holds(185591),
+               "5ed1d79828630c6824337f71c87dada6c4c5597f85d703a9077263558d501d3e"),
+    "undercount-q": (_holds(185591),
+                     "0e51c95555f372bea39cfcb7d46d3b91c14f1ec55c3af07e9c51cbd464e41cce"),
+    "overcount-q": (_holds(185587, fails=4),
+                    "4654478fbfe2d8b4e8b940a5dd0563a283b071c1b96c1fcd66d6f1d658a80b09"),
+    "nonzero": (_holds(185591),
+                "1033a2cfd6e16905265698f3b53ad451c153c60976f27eb2ccdaa27659f31e49"),
+    "strong-iff-hikita": (_holds(185591),
+                          "45ba68c806ee9cf40c3f9257ce831437695ae19ac235c988f3162ace0b2561f9"),
+    "h-lower-bound": H_BOUND_REPORTS[9],
+    "barbell-powerful": (_holds(1697, skipped=6833),
+                         "5e4f07a66f102f4b8b7b79884f7f4929f799272f7b886916029b8e5547336cec"),
+    "theorem-suite": (_holds(185591),
+                      "401954b9002c829b538d0684d9c61721a885e1414c167be92918e06b5246751d"),
+}
+
+# the units that fail overcount-q at n <= 9, in report order: the primitive
+# n = 8 and (5, 4) units, and the n = 8 unit with a point added above or below
+N9_OVERCOUNT_FAILURES = [
+    ((0, 0, 1, 1, 2, 3, 4, 6), (4, 4)),
+    ((0, 0, 1, 1, 2, 3, 4, 4, 6), (5, 4)),
+    ((0, 0, 1, 1, 2, 3, 4, 6, 8), (4, 4, 1)),
+    ((0, 1, 1, 2, 2, 3, 4, 5, 7), (4, 4, 1)),
+]
+
+
+@pytest.mark.skipif(
+    not os.environ.get("CSFLAB_ACCEPT_N8"),
+    reason="set CSFLAB_ACCEPT_N8=1 to sweep all eight conjectures at n=9 (about 16 min)",
+)
+def test_every_report_pinned_at_n9():
+    for conjecture, (summary, expected) in N9_REPORTS.items():
+        reports = run_verification(conjecture, 9, parallelism=JOBS, override_cap=True)
+        assert summarize(reports) == summary, conjecture
+        assert report_digest(reports) == expected, conjecture
+        if conjecture == "overcount-q":
+            bad = [(r.task.m, r.task.lam) for r in reports if r.status == "fails"]
+            assert bad == N9_OVERCOUNT_FAILURES

@@ -161,6 +161,17 @@ def test_csf_usage_errors():
         "Error: bad rational 'x': Invalid literal for Fraction: 'x'")
 
 
+def test_csf_parses_q_at_before_it_expands(monkeypatch):
+    import csflab.cli as cli
+
+    def expand(p):
+        raise AssertionError("expanded before --q-at was parsed")
+
+    monkeypatch.setattr(cli, "chromatic_e_expansion", expand)
+    assert usage_error("csf", "--hessenberg", E5, "--basis", "e", "--q-at", "1/0") == (
+        "Error: bad rational '1/0': Fraction(1, 0)")
+
+
 def test_tableaux_powerful_listing():
     result = run("tableaux", "--hessenberg", E5, "--shape", "3,2", "--class", "powerful")
     lines = result.stdout.splitlines()
@@ -239,6 +250,40 @@ def test_hikita_output_pinned(stat):
                 lines += result.stdout.count("\n")
     assert lines == 573
     assert digest.hexdigest() == HIKITA_OUTPUT_DIGESTS[stat]
+
+
+# sha256 of the concatenated stdout of ``csflab tableaux --hessenberg M --shape
+# L --class C`` over every vector with n in the class's range, in
+# enumerate_hessenberg order, each with every shape in partitions(n) order
+# (only (n-2, 2) for k-set): (sizes, lines, sha256) per class.
+TABLEAUX_OUTPUT_DIGESTS = {
+    "standard": (range(1, 6), 2065,
+                 "e8cfe98f838225318c907ed93e74d4debff05895be6f869ff91a286871e4fed4"),
+    "strong": (range(1, 6), 815,
+               "23e79086e6bab1fb00b940099ebc64ddaa6070a47c1ca2290b990397ae6dc668"),
+    "powerful": (range(1, 6), 1070,
+                 "f3f55d9900563cee1ca0c500d56b4b6120ae0c66eff4efb207b1b57e0490e130"),
+    "hikita": (range(1, 6), 125,
+               "15daf25c86b2dd75a24f40fe9de375f111652e9580a72c6de69abc771b9049f7"),
+    "k-set": (range(5, 7), 821,
+              "77d3359ffa2180b68821feacd9111fd1c257ecad4fcb18c1842e11f3bb5b81ea"),
+}
+
+
+@pytest.mark.parametrize("which", sorted(TABLEAUX_OUTPUT_DIGESTS))
+def test_tableaux_output_pinned(which):
+    sizes, expected_lines, expected = TABLEAUX_OUTPUT_DIGESTS[which]
+    digest, lines = hashlib.sha256(), 0
+    for n in sizes:
+        shapes = [(n - 2, 2)] if which == "k-set" else list(partitions(n))
+        for m in enumerate_hessenberg(n):
+            for lam in shapes:
+                result = run("tableaux", "--hessenberg", ",".join(map(str, m)),
+                             "--shape", ",".join(map(str, lam)), "--class", which)
+                assert result.exit_code == 0
+                digest.update(result.stdout.encode())
+                lines += result.stdout.count("\n")
+    assert (lines, digest.hexdigest()) == (expected_lines, expected)
 
 
 def test_verify_all_holds(tmp_path):

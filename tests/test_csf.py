@@ -368,6 +368,7 @@ def test_symfunc_validation():
     assert g.coeffs == {(1, 1): (1,)} and type(g.coeffs[(1, 1)][0]) is int
     with pytest.raises(AttributeError):
         f.basis = "e"
+    assert f == ("m", 2, {(1, 1): (1,)}) and SymFunc._make(f) == f
 
 
 def test_symfunc_eval_at():
@@ -554,7 +555,7 @@ def test_both_peels_reject_a_residue(data):
     # degree, which SymFunc itself would refuse) can leave a residue
     f = _monomial_inputs(data, st.integers(-3, 3))
     stray = data.draw(st.sampled_from(list(partitions(f.n + 1))))
-    object.__setattr__(f, "coeffs", {**f.coeffs, stray: (1,)})
+    f = SymFunc._make((f.basis, f.n, {**f.coeffs, stray: (1,)}))
     with pytest.raises(ArithmeticError):
         to_elementary(f)
     with pytest.raises(ArithmeticError):

@@ -38,7 +38,8 @@ from csflab.harness import (
     tasks_for,
 )
 from csflab.hikita import enumerate_hikita, h, h_unreduced, h_unreduced_by_shape
-from csflab.posets import check_hessenberg, enumerate_hessenberg, poset_from_hessenberg
+from csflab.posets import check_hessenberg, enumerate_hessenberg, kchain_hessenberg
+from csflab.posets import poset_from_hessenberg
 from csflab.qcore import QRat, check_partition, int_poly_add, int_poly_mul, is_partition
 from csflab.qcore import partitions, poly_eval
 from csflab.tableaux import (
@@ -81,6 +82,8 @@ def without_seconds(reports):
 # ---------------------------------------------------------------------------
 
 def test_registry_ids():
+    import csflab.harness as harness
+
     assert CONJECTURES == (
         "bounds",
         "undercount-q",
@@ -91,6 +94,19 @@ def test_registry_ids():
         "barbell-powerful",
         "theorem-suite",
     )
+    assert CONJECTURES == tuple(harness._PER_UNIT)
+
+
+def test_only_barbell_powerful_takes_a_unit_without_a_shape():
+    barbell, other = kchain_hessenberg((2, 2)), (0, 0, 0)
+    for conjecture in CONJECTURES:
+        for m in (barbell, other):
+            status, witness, _ = evaluate_task(conjecture, m, None)
+            if conjecture == "barbell-powerful":
+                assert status == "skipped" and "reason" in witness
+            else:
+                assert (status, witness) == (
+                    "error", {"error": f"ValueError: {conjecture} needs a partition"})
 
 
 def test_task_validation():
@@ -703,6 +719,36 @@ def test_no_harness_cache_grows_with_the_vectors_swept():
     for name, fn in caches.items():
         bounded = (fn.cache_parameters()["maxsize"] or float("inf")) <= 4096
         assert bounded or after[name] - before[name] <= 7, (name, before[name], after[name])
+
+
+def test_every_csflab_cache_is_inventoried():
+    import importlib
+    import pkgutil
+
+    import csflab
+
+    # each lru_cache once, named by the module that defines it (the module of
+    # the function it wraps, else the first module that binds it)
+    found = {}
+    for info in sorted(pkgutil.iter_modules(csflab.__path__), key=lambda i: i.name):
+        module = importlib.import_module(f"csflab.{info.name}")
+        for name, fn in vars(module).items():
+            if hasattr(fn, "cache_info"):
+                label = f"{info.name}.{name}"
+                if id(fn) not in found or fn.__module__ == module.__name__:
+                    found[id(fn)] = (label, fn.cache_parameters()["maxsize"])
+    # a cache keyed by a poset or a vector keeps only the latest one's entry
+    per_vector = ("csf.chromatic_e_expansion", "harness._greedy_shapes",
+                  "harness._h_failures", "hikita._by_shape", "posets._hessenberg_poset",
+                  "tableaux._pair_test")
+    # keyed by a shape, a size, a factorization or a (tableau, r) pair
+    unbounded = ("csf._e_in_s", "csf._mult_table_e", "csf.e_to_m",
+                 "harness._barbell_vectors", "harness._row_factorials",
+                 "harness.code_version", "hikita._steps", "qcore.q_int_product",
+                 "tableaux._powerful_plan")
+    expected = {**dict.fromkeys(per_vector, 1), "harness._h_margin_nonneg": 4096,
+                **dict.fromkeys(unbounded, None)}
+    assert dict(found.values()) == expected
 
 
 # ---------------------------------------------------------------------------
