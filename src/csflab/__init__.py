@@ -12,7 +12,6 @@ a configurable size.
 from .csf import (
     SymFunc,
     chromatic_e_expansion,
-    coloring_weights,
     csf_coloring_oracle,
     csf_schur,
     e_coeff,
@@ -39,7 +38,6 @@ from .posets import (
 from .qcore import QRat, partitions, q_factorial, q_int
 from .structural import K_set, greedy_shape_family
 from .tableaux import enumerate_class, enumerate_powerful_arrays, inv_p, is_strong
-from .tableaux import text_to_tableau
 
 __version__ = "0.1.0"
 
@@ -52,7 +50,6 @@ __all__ = [
     "SymFunc",
     "VerificationTask",
     "chromatic_e_expansion",
-    "coloring_weights",
     "csf_coloring_oracle",
     "csf_schur",
     "e_coeff",
@@ -76,7 +73,6 @@ __all__ = [
     "q_int",
     "run_verification",
     "summarize",
-    "text_to_tableau",
     "to_elementary",
     "zeta",
 ]

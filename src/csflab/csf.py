@@ -8,7 +8,8 @@ q-coefficients, computed by independent routes:
 * a dynamic program over proper colorings giving monomial coefficients,
 * the e-expansion times the integer table e_mu = sum_nu K_{nu' mu} s_nu
   (dual Pieri rule) for Schur coefficients,
-* closed q-integer formulas for paths and chains of complete graphs,
+* the closed q-integer formula for chains of complete graphs, which
+  gives the path as the chain of 2-cliques,
 
 plus exact change of basis from monomial into elementary symmetric
 functions, which the tests use as the second e-route.  Summing q^inv over
@@ -28,7 +29,7 @@ import itertools
 import warnings
 
 from .hikita import e_coefficients_by_shape
-from .qcore import check_partition, coeff_tuple, compositions, conjugate, int_poly_add
+from .qcore import check_partition, coeff_tuple, conjugate, int_poly_add
 from .qcore import int_poly_mul, partitions, poly_eval, poly_json, poly_text
 from .qcore import q_factorial_factors, q_int_product, sort_desc
 # Not called here: bench/spans.py wraps csf.enumerate_standard and csf.inv_p.
@@ -105,16 +106,15 @@ def _coloring_counts(p):
     having a smaller colour.  A colour class is a chain of P; placing a chain
     S adds one inversion for each u in S and each incomparable v > u in used.
     """
-    n, up, inc = p.n, p._up, p._inc
-    larger = [inc[v] & ~((2 << v) - 1) for v in range(n + 1)]
-    # chains[k]: (mask, the ``larger`` masks of its elements) per k-chain
+    n, up, hi = p.n, p._up, p._hi
+    # chains[k]: (mask, the ``_hi`` masks of its elements) per k-chain
     chains = [[] for _ in range(n + 1)]
 
     def grow(mask, later, above):
         chains[len(later)].append((mask, later))
         for v in range(1, n + 1):
             if (above >> v) & 1:
-                grow(mask | 1 << v, later + (larger[v],), up[v])
+                grow(mask | 1 << v, later + (hi[v],), up[v])
 
     grow(0, (), (1 << (n + 1)) - 2)
     memo = {}
@@ -140,14 +140,6 @@ def _coloring_counts(p):
         return got
 
     return counts
-
-
-def coloring_weights(p, content):
-    """q-weight generating polynomial of the proper colorings of inc(P)
-    where color i is used exactly content[i] times, as a coefficient tuple."""
-    if sum(content) != p.n:
-        raise ValueError(f"content {content} does not use {p.n} cells")
-    return tuple(_coloring_counts(p)(0, tuple(content)))
 
 
 def csf_coloring_oracle(p):
@@ -322,17 +314,13 @@ def chromatic_e_expansion(p):
 # ---------------------------------------------------------------------------
 
 def path_formula(n):
-    """e-expansion of the chromatic function of the n-vertex path."""
+    """e-expansion of the chromatic function of the n-vertex path: for
+    n >= 2 the chain of n - 1 complete graphs of size 2."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    coeffs = {}
-    for alpha in compositions(n):
-        term = [0] * (len(alpha) - 1) + [1] * alpha[-1]
-        for part in alpha[:-1]:
-            term = int_poly_mul(term, [1] * (part - 1))
-        if term:
-            int_poly_add(coeffs.setdefault(sort_desc(alpha), []), term)
-    return SymFunc._make(("e", n, {key: tuple(c) for key, c in coeffs.items()}))
+    if n == 1:
+        return SymFunc._make(("e", 1, {(1,): (1,)}))
+    return kchain_formula((2,) * (n - 1))
 
 
 def _kchain_alphas(gamma, n):

@@ -595,6 +595,8 @@ def run_verification(
     cache directory, finished vectors are replayed (original timing
     included) instead of recomputed.
     """
+    if type(n_max) is not int or type(parallelism) is not int:
+        raise ValueError(f"n_max and parallelism must be ints, not {n_max!r} and {parallelism!r}")
     cap = SIZE_CAP if override_cap else DEFAULT_CAP
     if not 1 <= n_max <= cap:
         raise ValueError(

@@ -34,11 +34,13 @@ class Poset:
     relation is stored as per-element bitmasks: bit j of ``_up[i]`` and bit
     i of ``_down[j]`` are set when i < j, so ``_down[j]`` is the bits
     1..m(j).  The incomparability masks ``_inc`` are cached too, since
-    tableau backtracking hammers them.  ``m`` is kept, so the entry points
-    defined on unit orders only read it instead of recovering it.
+    tableau backtracking hammers them, and so is ``_hi[v]``, the elements
+    above v in label that are incomparable to it: an inversion is such an
+    element read before v.  ``m`` is kept, so the entry points defined on
+    unit orders only read it instead of recovering it.
     """
 
-    __slots__ = ("n", "m", "_up", "_down", "_inc")
+    __slots__ = ("n", "m", "_up", "_down", "_inc", "_hi")
 
     def __init__(self, m):
         m = check_hessenberg(m)
@@ -49,7 +51,8 @@ class Poset:
         down = (0,) + tuple((1 << (v + 1)) - 2 for v in m)
         full = (1 << (n + 1)) - 2  # bits 1..n
         inc = (0,) + tuple(full & ~(up[a] | down[a] | (1 << a)) for a in range(1, n + 1))
-        for name, value in (("n", n), ("m", m), ("_up", up), ("_down", down), ("_inc", inc)):
+        hi = tuple(mask & ~((2 << a) - 1) for a, mask in enumerate(inc))
+        for name, value in zip(Poset.__slots__, (n, m, up, down, inc, hi)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):

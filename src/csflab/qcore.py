@@ -241,16 +241,6 @@ def sort_desc(alpha):
     return tuple(sorted(alpha, reverse=True))
 
 
-def compositions(n):
-    """All compositions of n (ordered tuples of positive parts)."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(n, 0, -1):
-        for rest in compositions(n - first):
-            yield (first,) + rest
-
-
 def compositions_with_sort(lam):
     """All distinct rearrangements of lam's parts, in descending lex order:
     each distinct part in turn leads, followed by the rearrangements of the

@@ -8,13 +8,14 @@ Two layouts are used throughout:
 * row layout (``rows``): a tuple of rows, used for the row-shaped arrays
   whose rows must be powersum words (see `is_powerful_array`).
 
-The textual form everywhere is rows joined by "/" with comma-separated
-entries, e.g. "1,2,4/3,5/6".
+The package writes tableaux as text only: rows joined by "/" with
+comma-separated entries, e.g. "1,2,4/3,5/6"; ``tests/oracles.py`` parses
+that form back.
 
-The hot kernels read the poset's bitmasks (``_up``, ``_down``, ``_inc``:
-bit b of ``_up[a]`` is set when a < b) into locals once per call and work
-on sets of entries as integers.  The element-by-element versions they
-replaced are kept in ``tests/oracles.py`` and checked against them.
+The hot kernels read the poset's bitmasks (``_up``, ``_down``, ``_inc``,
+``_hi``: bit b of ``_up[a]`` is set when a < b) into locals once per call
+and work on sets of entries as integers.  The element-by-element versions
+they replaced are kept in ``tests/oracles.py`` and checked against them.
 
 The class kernels name a tableau by its key: its column word packed at
 ``n.bit_length()`` bits per entry (`word_key`), comparable only within one
@@ -50,21 +51,8 @@ def rows_to_text(rows):
     return "/".join(",".join(str(v) for v in row) for row in rows)
 
 
-def text_to_rows(text):
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(
-        tuple(int(tok) for tok in part.split(",")) for part in text.split("/")
-    )
-
-
 def tableau_to_text(cols):
     return rows_to_text(cols_to_rows(cols))
-
-
-def text_to_tableau(text):
-    return rows_to_cols(text_to_rows(text))
 
 
 # ---------------------------------------------------------------------------
@@ -83,10 +71,10 @@ def inv_word(p, w):
     """Pairs read in decreasing label order whose entries are incomparable,
     for a word without repeated letters: each letter counts the larger
     letters incomparable to it that were read before it."""
-    inc = p._inc
+    hi = p._hi
     seen = total = 0
     for v in w:
-        total += (seen & inc[v] & ~((2 << v) - 1)).bit_count()
+        total += (seen & hi[v]).bit_count()
         seen |= 1 << v
     return total
 
@@ -144,9 +132,8 @@ def standard_classes(p, lam):
         raise ValueError(f"shape {lam} does not use {p.n} entries")
     if not lam:
         return {0: 0}, {0: 0}
-    down, inc, width = p._down, p._inc, p.n.bit_length()
-    pair_strong = _pair_test(inc)
-    hi = [inc[v] & ~((2 << v) - 1) for v in range(p.n + 1)]
+    down, hi, width = p._down, p._hi, p.n.bit_length()
+    pair_strong = _pair_test(p._inc)
     heights = conjugate(lam)
     # (column, row, has a cell below, has a cell to the left) in fill order
     cells = [
@@ -335,8 +322,7 @@ def enumerate_powerful_arrays(p, lam):
 
 def powerful_classes(p, lam):
     """The top-justified images of the powerful arrays as ``{key: inv}``."""
-    width, inc = p.n.bit_length(), p._inc
-    hi = [inc[v] & ~((2 << v) - 1) for v in range(p.n + 1)]
+    width, hi = p.n.bit_length(), p._hi
     images = {}
 
     def leaf(alpha, rows, image):

@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from csflab.csf import SymFunc, csf_coloring_oracle, e_to_m, to_elementary
+from csflab.csf import SymFunc, _coloring_counts, csf_coloring_oracle, e_to_m, to_elementary
 from csflab.harness import Report, VerificationTask, _Cache, evaluate_task, tasks_for
 from csflab.hikita import _steps, delta, insert, is_syt, tableau_size
 from csflab.posets import (
@@ -37,6 +37,7 @@ from csflab.qcore import (
     partitions,
     poly_eval,
     q_int,
+    sort_desc,
 )
 from csflab.structural import powersum_words, r_index
 from csflab.tableaux import (
@@ -128,6 +129,16 @@ def add_parts(mu, nu):
     return tuple(a + b for a, b in zip(mu, nu))
 
 
+def compositions(n):
+    """All compositions of n (ordered tuples of positive parts)."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(n, 0, -1):
+        for rest in compositions(n - first):
+            yield (first,) + rest
+
+
 # ---------------------------------------------------------------------------
 # posets: other constructions and brute-force invariants
 # ---------------------------------------------------------------------------
@@ -185,7 +196,9 @@ class RelationPoset(Poset):
                 down[b] |= 1 << a
         full = (1 << (n + 1)) - 2  # bits 1..n
         inc = [full & ~(up[a] | down[a] | (1 << a)) if a else 0 for a in range(n + 1)]
-        for name, value in (("n", n), ("_up", tuple(up)), ("_down", tuple(down)), ("_inc", tuple(inc))):
+        hi = tuple(mask & ~((2 << a) - 1) for a, mask in enumerate(inc))
+        for name, value in (("n", n), ("_up", tuple(up)), ("_down", tuple(down)), ("_inc", tuple(inc)),
+                            ("_hi", hi)):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "m", natural_unit_m(self))
 
@@ -398,6 +411,21 @@ def injective_chain_shapes(p):
 # ---------------------------------------------------------------------------
 # tableaux: validity, inversion sums, ladder swaps, second routes
 # ---------------------------------------------------------------------------
+
+def text_to_rows(text):
+    """The row layout of the package's text form, e.g. "1,2,4/3,5/6"."""
+    text = text.strip()
+    if not text:
+        return ()
+    return tuple(
+        tuple(int(tok) for tok in part.split(",")) for part in text.split("/")
+    )
+
+
+def text_to_tableau(text):
+    """The column layout of a tableau in the package's text form."""
+    return rows_to_cols(text_to_rows(text))
+
 
 def inv_sum_by_monomials(p, tableaux):
     """Sum of q^inv added one monomial per tableau, as a coefficient tuple:
@@ -969,6 +997,34 @@ def coloring_weights_by_walk(p, content):
 
     walk(1, 0)
     return tuple(counts.get(i, 0) for i in range(max(counts, default=-1) + 1))
+
+
+def coloring_weights(p, content):
+    """``coloring_weights_by_walk`` read off the coloring oracle's dynamic
+    program (``csflab.csf._coloring_counts``) instead of walking every
+    coloring."""
+    if sum(content) != p.n:
+        raise ValueError(f"content {content} does not use {p.n} cells")
+    return tuple(_coloring_counts(p)(0, tuple(content)))
+
+
+# ---------------------------------------------------------------------------
+# closed formulas (from csf)
+# ---------------------------------------------------------------------------
+
+def path_formula_by_compositions(n):
+    """e-expansion of the chromatic function of the n-vertex path, summed over
+    the compositions alpha of n (Shareshian and Wachs): each adds
+    [alpha_last]_q * q^(len - 1) * prod of the other [alpha_i - 1]_q to
+    e_sort(alpha), for n >= 1.  The reference for ``csflab.csf.path_formula``."""
+    coeffs = {}
+    for alpha in compositions(n):
+        term = [0] * (len(alpha) - 1) + [1] * alpha[-1]
+        for part in alpha[:-1]:
+            term = int_poly_mul(term, [1] * (part - 1))
+        if term:
+            int_poly_add(coeffs.setdefault(sort_desc(alpha), []), term)
+    return SymFunc._make(("e", n, {key: tuple(c) for key, c in coeffs.items()}))
 
 
 # ---------------------------------------------------------------------------

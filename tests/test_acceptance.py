@@ -42,7 +42,7 @@ from csflab.qcore import (
     sort_desc,
 )
 from csflab.structural import K_set
-from csflab.tableaux import enumerate_class, inv_p, inv_sum, is_strong, text_to_tableau
+from csflab.tableaux import enumerate_class, inv_p, inv_sum, is_strong
 
 from oracles import (
     RelationPoset,
@@ -55,6 +55,7 @@ from oracles import (
     pairwise_part_products,
     rat_add,
     schur_to_monomial,
+    text_to_tableau,
 )
 from overcount_table import E5_ELEMENTARY, E5_SCHUR, OVERCOUNT_ROWS
 from test_harness import H_BOUND_REPORTS

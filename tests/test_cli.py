@@ -4,6 +4,7 @@ import collections
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -283,6 +284,32 @@ def test_tableaux_output_pinned(which):
                 assert result.exit_code == 0
                 digest.update(result.stdout.encode())
                 lines += result.stdout.count("\n")
+    assert (lines, digest.hexdigest()) == (expected_lines, expected)
+
+
+# sha256 of the concatenated stdout of ``csflab formula --path N`` for
+# N = 1..14, and of ``csflab formula --kchain G`` for every G in
+# itertools.product(range(2, 6), repeat=k), k = 1..5 in that order, with at
+# most 10 vertices: (arguments, lines, sha256) per form.
+FORMULA_OUTPUT_DIGESTS = {
+    "--path": ([str(n) for n in range(1, 15)], 235,
+               "2c5cb496365242cb4fb98c3d9d655a8675a3452790fc2fdbc2c18a33e2bcdf29"),
+    "--kchain": ([",".join(map(str, gamma))
+                  for k in range(1, 6) for gamma in itertools.product(range(2, 6), repeat=k)
+                  if sum(gamma) - (k - 1) <= 10], 3231,
+                 "844b3648260c5a1ba009c63a5dbf77513b5091afb58a7c8799457b704957b2af"),
+}
+
+
+@pytest.mark.parametrize("form", sorted(FORMULA_OUTPUT_DIGESTS))
+def test_formula_output_pinned(form):
+    arguments, expected_lines, expected = FORMULA_OUTPUT_DIGESTS[form]
+    digest, lines = hashlib.sha256(), 0
+    for argument in arguments:
+        result = run("formula", form, argument)
+        assert result.exit_code == 0
+        digest.update(result.stdout.encode())
+        lines += result.stdout.count("\n")
     assert (lines, digest.hexdigest()) == (expected_lines, expected)
 
 

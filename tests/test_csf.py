@@ -12,7 +12,6 @@ from csflab import csf, harness
 from csflab.csf import (
     SymFunc,
     chromatic_e_expansion,
-    coloring_weights,
     csf_coloring_oracle,
     csf_schur,
     e_coeff,
@@ -32,11 +31,13 @@ from csflab.tableaux import powerful_classes, q_count, standard_classes
 
 from oracles import (
     RelationPoset,
+    coloring_weights,
     coloring_weights_by_walk,
     e_expansion_at_one,
     incomparability_graph,
     incomparable,
     kostka,
+    path_formula_by_compositions,
     schur_by_p_tableaux,
     schur_to_monomial,
     symfunc_from_json,
@@ -319,8 +320,10 @@ def test_kchain_formula_matches_oracle():
 
 
 def test_kchain_of_edges_is_a_path():
-    assert kchain_formula((2, 2)) == path_formula(3)
-    assert kchain_formula((2, 2, 2)) == path_formula(4)
+    """``path_formula`` reads the chain of 2-cliques off ``kchain_formula``;
+    the reference sums over the compositions of n instead."""
+    for n in range(1, 15):
+        assert path_formula(n) == path_formula_by_compositions(n), n
 
 
 def test_kchain_rejects_small_parts():

@@ -48,9 +48,8 @@ from csflab.tableaux import (
     inv_sum,
     is_powerful_array,
     rows_to_cols,
-    text_to_tableau,
 )
-from oracles import audit_cache, qrat_at
+from oracles import audit_cache, qrat_at, text_to_tableau
 
 JOBS = min(4, os.cpu_count() or 1)
 
@@ -181,6 +180,12 @@ def test_run_verification_argument_errors():
         run_verification("bounds", 3, parallelism=0)
     with pytest.raises(ValueError):
         run_verification("freshness", 3)
+
+
+@pytest.mark.parametrize("n_max, parallelism", [(3.0, 1), (True, 1), (3, 2.0), (3, True)])
+def test_run_verification_refuses_a_non_int_size_or_worker_count(n_max, parallelism):
+    with pytest.raises(ValueError, match="must be ints"):
+        run_verification("bounds", n_max, parallelism)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from csflab.qcore import (
     q_factorial,
     q_int,
 )
-from csflab.tableaux import enumerate_class, inv_p, text_to_tableau
+from csflab.tableaux import enumerate_class, inv_p
 
 from oracles import (
     color_sequence,
@@ -49,6 +49,7 @@ from oracles import (
     qrat_at,
     rat_add,
     rat_mul,
+    text_to_tableau,
     walk_by_stripping,
 )
 

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from csflab.qcore import (
     QRat,
     coeff_tuple,
-    compositions,
     compositions_with_sort,
     conjugate,
     int_poly_add,
@@ -27,7 +26,15 @@ from csflab.qcore import (
     sort_desc,
 )
 
-from oracles import add_parts, dominates, pairwise_part_products, qrat_at, rat_add, rat_mul
+from oracles import (
+    add_parts,
+    compositions,
+    dominates,
+    pairwise_part_products,
+    qrat_at,
+    rat_add,
+    rat_mul,
+)
 from oracles import remove_first_column
 
 COEFFS = st.lists(st.integers(-4, 4) | st.fractions(-3, 3, max_denominator=4), max_size=5)

@@ -16,7 +16,6 @@ from csflab.posets import (
 )
 from csflab.qcore import (
     coeff_tuple,
-    compositions,
     compositions_with_sort,
     conjugate,
     int_poly_add,
@@ -42,7 +41,6 @@ from csflab.tableaux import (
     is_strong,
     rows_to_cols,
     tab,
-    text_to_rows,
 )
 
 from oracles import (
@@ -52,6 +50,7 @@ from oracles import (
     bpa_enumerate,
     classify,
     complement_of_factorization_image,
+    compositions,
     concat,
     dominates,
     e_expansion_at_one,
@@ -69,6 +68,7 @@ from oracles import (
     remove_first_column,
     schur_by_p_tableaux,
     tab_inverse,
+    text_to_rows,
 )
 from test_csf import VECTORS_TO_7, relation_posets
 

@@ -27,8 +27,6 @@ from csflab.tableaux import (
     standard_classes,
     tab,
     tableau_to_text,
-    text_to_rows,
-    text_to_tableau,
     word_key,
 )
 
@@ -52,6 +50,8 @@ from oracles import (
     shape_from_cols,
     standard_inv_counts,
     tab_inverse,
+    text_to_rows,
+    text_to_tableau,
 )
 from test_csf import relation_posets
 
