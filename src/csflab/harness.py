@@ -26,10 +26,11 @@ The registry:
                            (n-2,2) family, the path shapes, and the greedy
                            displacement shapes
 
-Each conjecture is one row of ``_PER_UNIT``, a check (m, lam) -> (status,
-witness); ``CONJECTURES`` is its keys.  Only ``barbell-powerful``'s check
-takes a unit without a shape, and skips it.  ``theorem-suite`` runs its
-identities as rows of one loop, each route only where its row applies.
+Each conjecture is one row of ``_PER_UNIT``: a check (m, lam) -> (status,
+witness) and a scope, m -> None in reach or the reason m's poset is one
+skipped unit.  Only ``barbell-powerful`` has a scope; ``CONJECTURES`` is
+the keys.  ``theorem-suite`` runs its identities as rows of one loop, each
+route only where its row applies.
 
 ``h-lower-bound`` decides each tableau on the unreduced integer margin
 floor*num - den, where num/den is h = prob/zeta as the hikita growth
@@ -52,13 +53,15 @@ work hold one entry each, and the Hikita growth keeps only the latest
 vector's prefixes, so that work is built once, in one process; no cache
 here keeps an entry per vector.  A report's ``seconds`` is the time of
 its own (m, lam) check, and a vector's cached work is charged to the
-first unit that needs it.  The cache holds one file per (conjecture,
-vector), which the process that computes the vector stores at once,
-unless some unit of it raised.  Only the cache imports ``hashlib`` and
-``logging`` (for its hit count), only the pool ``multiprocessing``.
+first unit that needs it.  The cache keeps one JSON-lines log per sweep,
+a line per vector with no ``error`` unit, appended by the parent alone:
+after each vector at one worker, as each share comes back from the pool,
+so a killed sweep keeps every vector or share it finished.  Only the cache
+imports ``hashlib`` and ``logging`` (for its hit count), only the pool
+``multiprocessing``.
 
 ``run_verification`` returns a Sweep, a read-only sequence of Reports
-built on access.  Every line of a report file, a cache file or the CLI's
+built on access.  Every line of a report file, a cache log or the CLI's
 echo comes from one template, ``_vector_lines``, which writes the bytes of
 ``json.dumps(report.to_json_dict())`` from a row and calls ``json.dumps``
 only on a witness; a Sweep is written from its rows, without a Report.
@@ -405,11 +408,14 @@ def _check_h_lower_bound(m, lam):
     }
 
 
+def _barbell_scope(m):
+    """None for two cliques joined by a path, else why m is skipped."""
+    if m not in _barbell_vectors(len(m)):
+        return "incomparability graph is not two cliques joined by a path"
+
+
 def _check_barbell(m, lam):
-    gamma = _barbell_vectors(len(m)).get(m)
-    if gamma is None or lam is None:
-        reason = "incomparability graph is not two cliques joined by a path"
-        return "skipped", {"reason": reason}
+    gamma = _barbell_vectors(len(m))[m]
     margin = _powerful_margin(m, lam)
     if not margin:
         return "holds", {"gamma": list(gamma)}
@@ -495,14 +501,14 @@ def _check_theorem_suite(m, lam):
 
 
 _PER_UNIT = {
-    "bounds": _check_bounds,
-    "undercount-q": _check_undercount_q,
-    "overcount-q": _check_overcount_q,
-    "nonzero": _check_nonzero,
-    "strong-iff-hikita": _check_strong_iff_hikita,
-    "h-lower-bound": _check_h_lower_bound,
-    "barbell-powerful": _check_barbell,
-    "theorem-suite": _check_theorem_suite,
+    "bounds": (_check_bounds, None),
+    "undercount-q": (_check_undercount_q, None),
+    "overcount-q": (_check_overcount_q, None),
+    "nonzero": (_check_nonzero, None),
+    "strong-iff-hikita": (_check_strong_iff_hikita, None),
+    "h-lower-bound": (_check_h_lower_bound, None),
+    "barbell-powerful": (_check_barbell, _barbell_scope),
+    "theorem-suite": (_check_theorem_suite, None),
 }
 
 CONJECTURES = tuple(_PER_UNIT)
@@ -514,9 +520,11 @@ def evaluate_task(conjecture, m, lam):
     never a failing one."""
     start = time.perf_counter()
     try:
-        if lam is None and conjecture != "barbell-powerful":
+        check, scope = _PER_UNIT[conjecture]
+        reason = scope and scope(m)
+        if lam is None and not reason:
             raise ValueError(f"{conjecture} needs a partition")
-        status, witness = _PER_UNIT[conjecture](m, lam)
+        status, witness = ("skipped", {"reason": reason}) if reason else check(m, lam)
         _check_status(status, witness)
     except Exception as exc:  # captured, never propagated: the sweep must finish
         status = "error"
@@ -535,29 +543,18 @@ def tasks_for(conjecture, n_max):
     skip for a vector outside a scoped conjecture's reach."""
     if conjecture not in CONJECTURES:
         raise ValueError(f"unknown conjecture id {conjecture!r}")
-    records = []
+    scope, records = _PER_UNIT[conjecture][1], []
     for n in range(1, n_max + 1):
         shapes = tuple(check_partition(lam) for lam in partitions(n))
         for m in enumerate_hessenberg(n):
             m = check_hessenberg(m)
-            if conjecture == "barbell-powerful" and m not in _barbell_vectors(n):
-                records.append((m, (None,)))
-            else:
-                records.append((m, shapes))
+            records.append((m, (None,) if scope and scope(m) else shapes))
     return records
 
 
 def _largest_first(records):
     """The records' indices, largest vector first, so none straggles."""
     return sorted(range(len(records)), key=lambda i: -len(records[i][0]))
-
-
-def _evaluate_vector(conjecture, m, shapes, cache):
-    """One vector's rows in task order, each unit timed by ``evaluate_task``."""
-    rows = [evaluate_task(conjecture, m, lam) for lam in shapes]
-    if cache:
-        cache.store(conjecture, m, shapes, rows)
-    return rows
 
 
 #: Shares dealt per worker on the pool path: the parent reads a few
@@ -575,10 +572,10 @@ def _shares(pending, parallelism):
     return [pending[i::k] for i in range(k)]
 
 
-def _evaluate_share(share, conjecture, cache):
+def _evaluate_share(share, conjecture):
     """One pool message (index, records): the index and each vector's rows."""
     index, records = share
-    return index, [_evaluate_vector(conjecture, m, shapes, cache) for m, shapes in records]
+    return index, [[evaluate_task(conjecture, m, lam) for lam in shapes] for m, shapes in records]
 
 
 def run_verification(
@@ -619,17 +616,22 @@ def run_verification(
 
     if parallelism == 1 or len(pending) <= 1:
         for i in pending:
-            rows[i] = _evaluate_vector(conjecture, *records[i], cache)
+            m, shapes = records[i]
+            rows[i] = [evaluate_task(conjecture, m, lam) for lam in shapes]
+            if cache:
+                cache.store(conjecture, m, shapes, rows[i])
     else:
         import multiprocessing
         shares = _shares(pending, parallelism)
         messages = ((k, [records[i] for i in share]) for k, share in enumerate(shares))
-        work = functools.partial(_evaluate_share, conjecture=conjecture, cache=cache)
+        work = functools.partial(_evaluate_share, conjecture=conjecture)
         context = multiprocessing.get_context("fork")
         with context.Pool(min(parallelism, len(shares))) as pool:
             for k, share_rows in pool.imap_unordered(work, messages):
                 for i, vector_rows in zip(shares[k], share_rows):
                     rows[i] = vector_rows
+                    if cache:  # the parent is idle here while the pool works
+                        cache.store(conjecture, *records[i], vector_rows)
 
     sweep = Sweep(conjecture, records, rows)
     if cache:
@@ -668,53 +670,80 @@ def code_version():
 
 
 class _Cache:
-    """One JSON file per (conjecture, vector): that vector's report dicts in
-    task order, keyed by the package sources."""
+    """A JSON-lines log per sweep, ``DIR/<key>-<time_ns>-<pid>.jsonl``, the
+    key a digest of the package sources and the conjecture, created on the
+    first store; a line is one vector's report dicts in task order.  The
+    logs are read once, in name order: a vector's last line is replayed."""
 
     def __init__(self, root):
-        self.root = root
-        self.version = code_version()
-        os.makedirs(root, exist_ok=True)
-
-    def _path(self, conjecture, m):
-        import hashlib
-        key = json.dumps([self.version, conjecture, list(m)])
-        digest = hashlib.sha256(key.encode()).hexdigest()
-        return os.path.join(self.root, digest + ".json")
-
-    def load(self, conjecture, m, shapes):
-        """One vector's rows in task order, or None on a miss.  A file that
-        is not exactly those units' rows, in order, is a miss, so the whole
-        vector is recomputed."""
         try:
-            with open(self._path(conjecture, m), "r", encoding="utf-8") as fh:
-                stored = json.load(fh)
-            if len(stored) != len(shapes):
-                return None
-            rows = [(row["status"], row["witness"], row["seconds"]) for row in stored]
-            for lam, row, (status, witness, seconds) in zip(shapes, stored, rows):
+            os.makedirs(root, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"cannot use {root} as a cache directory: {exc.strerror}") from exc
+        self.root, self._stored, self._logs, self._shapes = root, {}, {}, {}
+
+    def _key(self, conjecture):
+        import hashlib
+        return hashlib.sha256(json.dumps([code_version(), conjecture]).encode()).hexdigest()[:32]
+
+    def _read(self, conjecture):
+        """m -> (shapes, rows) of its last line that parses in a readable
+        log (a torn line does not), or None if that line cannot replay."""
+        prefix, stored = self._key(conjecture) + "-", {}
+        for name in sorted(os.listdir(self.root)):
+            if name.startswith(prefix) and name.endswith(".jsonl"):
+                try:
+                    with open(os.path.join(self.root, name), "rb") as fh:
+                        for line in fh:
+                            try:
+                                dicts = json.loads(line)
+                                m = tuple(dicts[0]["m"])
+                                stored[m] = self._replayable(conjecture, m, dicts)
+                            except (ValueError, LookupError, TypeError):
+                                continue
+                except OSError:
+                    continue
+        return stored
+
+    def _replayable(self, conjecture, m, dicts):
+        """A line's (shapes, rows), each distinct shapes tuple kept once, or
+        None unless every row is a non-``error`` report of this vector."""
+        try:
+            rows = [(row["status"], row["witness"], row["seconds"]) for row in dicts]
+            for row, (status, witness, seconds) in zip(dicts, rows):
                 if (
-                    (row["conjecture"], row["m"], row["lam"])
-                    != (conjecture, list(m), lam and list(lam))
+                    (row["conjecture"], row["m"]) != (conjecture, list(m))
                     or status == "error"
                     or not isinstance(seconds, float)
                     or not isinstance(witness, (dict, type(None)))
                 ):
                     return None
                 _check_status(status, witness)
-            return rows
-        except (OSError, ValueError, KeyError, TypeError):
+            shapes = tuple(row["lam"] and tuple(row["lam"]) for row in dicts)
+            return self._shapes.setdefault(shapes, shapes), rows
+        except (ValueError, KeyError, TypeError):
             return None
 
+    def load(self, conjecture, m, shapes):
+        """One vector's rows in task order, or None on a miss.  A line that
+        is not exactly those units' rows, in order, is a miss, so the whole
+        vector is recomputed and its new line wins next time."""
+        if conjecture not in self._stored:
+            self._stored[conjecture] = self._read(conjecture)
+        stored = self._stored[conjecture].get(m)
+        return stored[1] if stored and stored[0] == shapes else None
+
     def store(self, conjecture, m, shapes, rows):
-        """Persist one vector's rows through the report template; nothing is
-        stored when any is an ``error``, so a transient crash is recomputed
-        rather than replayed.  The temporary file is private to this process."""
+        """Append one vector's rows, through the report template, to this
+        sweep's log; nothing is stored when any is an ``error``, so a
+        transient crash is recomputed rather than replayed."""
         if any(status == "error" for status, _, _ in rows):
             return
-        path = self._path(conjecture, m)
-        tmp = f"{path}.{os.getpid()}.tmp"
+        path, mode = self._logs.get(conjecture), "a"
+        if path is None:
+            name = f"{self._key(conjecture)}-{time.time_ns():020d}-{os.getpid()}.jsonl"
+            path, mode = os.path.join(self.root, name), "x"
         lines = _vector_lines(conjecture, m, zip(shapes, rows), {None: "null"})
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(f"[{', '.join(lines)}]")
-        os.replace(tmp, path)
+        with open(path, mode, encoding="utf-8") as fh:
+            fh.write(f"[{', '.join(lines)}]\n")
+        self._logs[conjecture] = path

@@ -1444,9 +1444,8 @@ def m_product_coeffs(mu, nu):
 
 
 def audit_cache(conjecture, n_max, cache_dir, fraction=0.1, seed=0):
-    """Recompute a random sample of the units stored in a result cache's
-    per-vector files and diff them against the stored reports (timing
-    excluded).  Returns the list of mismatches; empty means the cache is
+    """Recompute a random sample of the units a result cache would replay
+    and diff them against the stored reports (timing excluded).  Returns the list of mismatches; empty means the cache is
     faithful."""
     cache = _Cache(cache_dir)
     cached = [

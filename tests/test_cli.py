@@ -330,7 +330,7 @@ def test_verify_failure_exits_one(monkeypatch):
     def refuted(m, lam):
         return "fails", {"forced": True}
 
-    monkeypatch.setitem(harness._PER_UNIT, "nonzero", refuted)
+    monkeypatch.setitem(harness._PER_UNIT, "nonzero", (refuted, None))
     result = run("verify", "--conjecture", "nonzero", "--max-n", "2")
     assert result.exit_code == 1
     assert result.stdout == "nonzero n<=2: holds=0 fails=5 skipped=0\n"
@@ -342,7 +342,7 @@ def test_verify_error_exits_three(monkeypatch):
     def boom(m, lam):
         raise RuntimeError("forced")
 
-    monkeypatch.setitem(harness._PER_UNIT, "nonzero", boom)
+    monkeypatch.setitem(harness._PER_UNIT, "nonzero", (boom, None))
     result = run("verify", "--conjecture", "nonzero", "--max-n", "2")
     assert result.exit_code == 3
     last = result.stdout.strip().splitlines()[-1]
@@ -412,14 +412,14 @@ def test_verify_report_is_emit_report_of_run_verification(conjecture, tmp_path):
 def test_verify_echoes_each_failing_and_erroring_report_line(monkeypatch, tmp_path, jobs):
     import csflab.harness as harness
 
-    plain = harness._PER_UNIT["h-lower-bound"]
+    plain, scope = harness._PER_UNIT["h-lower-bound"]
 
     def flaky(m, lam):
         if lam == (2, 1, 1):
             raise RuntimeError('forced "quoted" \u00fc')
         return plain(m, lam)
 
-    monkeypatch.setitem(harness._PER_UNIT, "h-lower-bound", flaky)
+    monkeypatch.setitem(harness._PER_UNIT, "h-lower-bound", (flaky, scope))
     report = tmp_path / "report.jsonl"
     result = run("verify", "--conjecture", "h-lower-bound", "--max-n", "6",
                  "--jobs", str(jobs), "--report", str(report))
@@ -440,6 +440,21 @@ def test_verify_usage_errors():
     assert usage_error("verify", "--conjecture", "bounds", "--max-n", "0") == cap
     assert usage_error("verify", "--conjecture", "positivity", "--max-n", "3").startswith(
         "Error: argument --conjecture: invalid choice: 'positivity'")
+
+
+def test_verify_unusable_cache_dir_is_a_usage_error(monkeypatch, tmp_path):
+    import csflab.harness as harness
+
+    ran = []
+    monkeypatch.setattr(harness, "evaluate_task", lambda *task: ran.append(task))
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    for path, reason in [(taken, "File exists"), (taken / "cache", "Not a directory")]:
+        line = usage_error("verify", "--conjecture", "bounds", "--max-n", "3",
+                           "--cache", str(path))
+        assert line == f"Error: cannot use {path} as a cache directory: {reason}"
+    assert ran == []  # refused before any unit runs
+    assert taken.read_text() == "not a directory\n"
 
 
 def test_verify_verbose_logs_to_stderr_and_keeps_the_report(tmp_path):

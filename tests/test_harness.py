@@ -98,14 +98,19 @@ def test_registry_ids():
 
 def test_only_barbell_powerful_takes_a_unit_without_a_shape():
     barbell, other = kchain_hessenberg((2, 2)), (0, 0, 0)
+    reason = "incomparability graph is not two cliques joined by a path"
     for conjecture in CONJECTURES:
         for m in (barbell, other):
             status, witness, _ = evaluate_task(conjecture, m, None)
-            if conjecture == "barbell-powerful":
-                assert status == "skipped" and "reason" in witness
-            else:
+            if conjecture == "barbell-powerful" and m == other:
+                assert (status, witness) == ("skipped", {"reason": reason})
+            else:  # a vector in reach is checked at a shape
                 assert (status, witness) == (
                     "error", {"error": f"ValueError: {conjecture} needs a partition"})
+    # the scope, not the record, decides the skip: a shape does not bring
+    # a vector into reach
+    assert evaluate_task("barbell-powerful", other, (2, 1))[:2] == ("skipped", {"reason": reason})
+    assert evaluate_task("barbell-powerful", barbell, (2, 1))[0] == "holds"
 
 
 def test_task_validation():
@@ -481,7 +486,9 @@ def test_undecided_h_margin_is_an_error_and_never_cached(monkeypatch, tmp_path):
     assert summarize(reports) == {"holds": len(reports) - 6, "fails": 1, "skipped": 0, "error": 5}
     cache = _Cache(tmp_path)
     records = tasks_for("h-lower-bound", 6)
-    assert len(list(tmp_path.iterdir())) == len(records) - 1
+    # one log, a line for every vector but the victim
+    [logged] = _log_vectors(tmp_path)
+    assert sorted(logged) == sorted(m for m, _ in records if m != victim)
     for m, shapes in records:
         assert (cache.load("h-lower-bound", m, shapes) is None) == (m == victim)
 
@@ -557,13 +564,14 @@ def test_check_panic_becomes_error_report(monkeypatch, tmp_path):
         raise RuntimeError("wired to explode")
 
     cache = str(tmp_path / "cache")
-    monkeypatch.setitem(harness._PER_UNIT, "bounds", boom)
+    monkeypatch.setitem(harness._PER_UNIT, "bounds", (boom, None))
     reports = run_verification("bounds", 2, cache_dir=cache)
     assert all(r.status == "error" for r in reports)
     assert all("wired to explode" in r.witness["error"] for r in reports)
     assert summarize(reports) == {"holds": 0, "fails": 0, "skipped": 0, "error": 5}
-    # a crash is never cached: the next run recomputes every unit
-    assert not list((tmp_path / "cache").rglob("*.json"))
+    # a crash is never cached, and no log is created: the next run
+    # recomputes every unit
+    assert not list((tmp_path / "cache").iterdir())
     monkeypatch.undo()
     again = run_verification("bounds", 2, cache_dir=cache)
     assert summarize(again) == {"holds": 5, "fails": 0, "skipped": 0}
@@ -809,6 +817,14 @@ def test_vector_dispatch_on_half_warm_cache(tmp_path):
     cache = str(tmp_path / "cache")
     warm = run_verification("theorem-suite", 4, cache_dir=cache)
     mixed = run_verification("theorem-suite", 5, parallelism=2, cache_dir=cache)
+    # the second sweep appends only the vectors the first one lacked, in a
+    # log of its own, and a third replays across both, seconds included
+    first, second = _log_vectors(tmp_path / "cache")
+    assert sorted(first) == sorted(m for m, _ in tasks_for("theorem-suite", 4))
+    assert sorted(second) == sorted(m for m, _ in tasks_for("theorem-suite", 5) if len(m) == 5)
+    assert list(report_lines(run_verification("theorem-suite", 5, cache_dir=cache))) == list(
+        report_lines(mixed))
+    assert len(_log_vectors(tmp_path / "cache")) == 2
     cold = run_verification("theorem-suite", 5)
     a, b = tmp_path / "mixed.jsonl", tmp_path / "cold.jsonl"
     emit_report(mixed, a)
@@ -998,10 +1014,12 @@ def test_cache_audit_sample_is_clean(tmp_path):
 def test_cache_audit_catches_tampering(tmp_path):
     cache = tmp_path / "cache"
     run_verification("bounds", 3, cache_dir=str(cache))
-    victim = sorted(cache.rglob("*.json"))[0]
-    rows = json.loads(victim.read_text())
+    [log] = cache.iterdir()
+    lines = log.read_text().splitlines()
+    rows = json.loads(lines[0])
     rows[0]["status"] = "skipped"
-    victim.write_text(json.dumps(rows))
+    lines[0] = json.dumps(rows)
+    log.write_text("".join(f"{line}\n" for line in lines))
     bad = audit_cache("bounds", 3, str(cache), fraction=1.0, seed=0)
     assert len(bad) == 1
     assert bad[0]["cached"]["status"] == "skipped"
@@ -1028,31 +1046,61 @@ def _recording(monkeypatch):
     return seen
 
 
-def test_cold_pool_run_stores_one_file_per_vector(tmp_path):
+def _log_vectors(cache):
+    """The m of each line of each log in the cache directory, logs in name
+    order and lines in file order."""
+    return [[tuple(json.loads(line)[0]["m"]) for line in log.read_text().splitlines()]
+            for log in sorted(cache.glob("*.jsonl"))]
+
+
+def _tamper(log, m, edit):
+    """Rewrite m's line of ``log`` as ``edit`` leaves its parsed rows."""
+    lines = log.read_text().splitlines()
+    for k, line in enumerate(lines):
+        rows = json.loads(line)
+        if tuple(rows[0]["m"]) == m:
+            lines[k] = json.dumps(edit(rows))
+    log.write_text("".join(f"{line}\n" for line in lines))
+
+
+def test_cold_pool_run_stores_one_line_per_vector(tmp_path):
     cache = tmp_path / "cache"
     sweep = run_verification("theorem-suite", 5, parallelism=2, cache_dir=str(cache))
     vectors = _vectors("theorem-suite", 5)
-    stored = sorted(cache.rglob("*.json"))
-    paths = sorted(_Cache(str(cache))._path("theorem-suite", m) for m in vectors)
-    assert [str(p) for p in stored] == paths
-    assert not list(cache.rglob("*.tmp"))
-    # each file holds its vector's rows in task order, seconds rounded
+    # one log, named by the key, a zero-padded time and the parent's pid:
+    # the workers never touch the cache, and no temporary file is left
+    [log] = cache.iterdir()
+    key, stamp, pid = log.name.removesuffix(".jsonl").split("-")
+    assert key == hashlib.sha256(
+        json.dumps([code_version(), "theorem-suite"]).encode()).hexdigest()[:32]
+    assert len(stamp) == 20 and stamp.isdigit() and pid == str(os.getpid())
+    text = log.read_text()
+    assert text.endswith("\n")
+    lines = {tuple(json.loads(line)[0]["m"]): line for line in text.splitlines()}
+    assert len(lines) == len(text.splitlines()) == len(vectors)
+    # each line is its vector's reports in task order, seconds rounded,
+    # as json.dumps writes the list of their dicts
     for (m, shapes), rows in zip(sweep._records, sweep._rows):
         assert shapes == vectors[m]
         loaded = _Cache(str(cache)).load("theorem-suite", m, shapes)
         assert loaded == [(status, witness, round(s, 6)) for status, witness, s in rows]
-        with open(_Cache(str(cache))._path("theorem-suite", m), encoding="utf-8") as fh:
-            dicts = json.load(fh)
-        assert [(d["m"], d["lam"]) for d in dicts] == [(list(m), list(lam)) for lam in shapes]
+        reports = [Report(VerificationTask._make(("theorem-suite", m, lam)), *row)
+                   for lam, row in zip(shapes, rows)]
+        assert lines[m] == json.dumps([r.to_json_dict() for r in reports])
+    # a full replay creates no file and appends nothing
+    run_verification("theorem-suite", 5, parallelism=2, cache_dir=str(cache))
+    assert list(cache.iterdir()) == [log] and log.read_text() == text
 
 
 def test_cold_sweep_leaves_a_flat_cache_directory(tmp_path):
     cache = tmp_path / "cache"
     run_verification("theorem-suite", 4, cache_dir=str(cache))
-    entries = list(cache.iterdir())
-    assert not [e for e in entries if e.is_dir()]
-    assert len(entries) == 22 == len(_vectors("theorem-suite", 4))
-    assert all(e.suffix == ".json" for e in entries)
+    [log] = cache.iterdir()
+    assert log.is_file() and log.suffix == ".jsonl"
+    assert len(log.read_text().splitlines()) == 22 == len(_vectors("theorem-suite", 4))
+    before = log.read_bytes()
+    run_verification("theorem-suite", 4, cache_dir=str(cache))
+    assert list(cache.iterdir()) == [log] and log.read_bytes() == before
 
 
 def test_vector_with_an_error_is_not_stored(monkeypatch, tmp_path, caplog):
@@ -1060,22 +1108,21 @@ def test_vector_with_an_error_is_not_stored(monkeypatch, tmp_path, caplog):
 
     cache = str(tmp_path / "cache")
     victim = ((0, 0, 1, 2), (2, 1, 1))
-    plain = harness._PER_UNIT["theorem-suite"]
+    plain, scope = harness._PER_UNIT["theorem-suite"]
 
     def boom(m, lam):
         if (m, lam) == victim:
             raise RuntimeError("wired to explode")
         return plain(m, lam)
 
-    monkeypatch.setitem(harness._PER_UNIT, "theorem-suite", boom)
+    monkeypatch.setitem(harness._PER_UNIT, "theorem-suite", (boom, scope))
     first = run_verification("theorem-suite", 4, parallelism=2, cache_dir=cache)
     assert [(r.task.m, r.task.lam) for r in first if r.status == "error"] == [victim]
     monkeypatch.undo()
 
     vectors = _vectors("theorem-suite", 4)
-    store = _Cache(cache)
-    for m in vectors:
-        assert os.path.exists(store._path("theorem-suite", m)) == (m != victim[0])
+    [logged] = _log_vectors(tmp_path / "cache")
+    assert sorted(logged) == sorted(m for m in vectors if m != victim[0])
 
     seen = _recording(monkeypatch)
     with caplog.at_level(logging.INFO, logger="csflab.harness"):
@@ -1084,7 +1131,8 @@ def test_vector_with_an_error_is_not_stored(monkeypatch, tmp_path, caplog):
     total = sum(len(shapes) for shapes in vectors.values())
     assert f"cache hits: {total - len(seen)} of {total}" in caplog.text
     assert summarize(again) == {"holds": total, "fails": 0, "skipped": 0}
-    assert os.path.exists(store._path("theorem-suite", victim[0]))
+    # the recomputed vector is the one line of the second run's log
+    assert _log_vectors(tmp_path / "cache")[1:] == [[victim[0]]]
 
 
 @pytest.mark.parametrize("tamper", ["drop", "swap", "shape"])
@@ -1093,17 +1141,13 @@ def test_damaged_vector_file_is_recomputed_whole(monkeypatch, tmp_path, tamper):
     cold = run_verification("theorem-suite", 4, cache_dir=cache)
     vectors = _vectors("theorem-suite", 4)
     victim = (0, 0, 1, 2)
-    path = _Cache(cache)._path("theorem-suite", victim)
-    with open(path, encoding="utf-8") as fh:
-        rows = json.load(fh)
+    [log] = (tmp_path / "cache").iterdir()
     if tamper == "drop":
-        del rows[2]
+        _tamper(log, victim, lambda rows: rows[:2] + rows[3:])
     elif tamper == "swap":
-        rows[1], rows[3] = rows[3], rows[1]
+        _tamper(log, victim, lambda rows: [rows[0], rows[3], rows[2], rows[1], *rows[4:]])
     else:
-        rows = [row["status"] for row in rows]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(rows, fh)
+        _tamper(log, victim, lambda rows: rows[:1] + [row["status"] for row in rows[1:]])
 
     seen = _recording(monkeypatch)
     again = run_verification("theorem-suite", 4, cache_dir=cache)
@@ -1112,6 +1156,63 @@ def test_damaged_vector_file_is_recomputed_whole(monkeypatch, tmp_path, tamper):
     # every other vector is a replay, timing included
     others = [r.to_json_dict() for r in again if r.task.m != victim]
     assert others == [r.to_json_dict() for r in cold if r.task.m != victim]
+    # the recomputed line, in the second log, wins over the damaged one
+    assert _log_vectors(tmp_path / "cache")[1:] == [[victim]]
+    seen.clear()
+    third = run_verification("theorem-suite", 4, cache_dir=cache)
+    assert seen == [] and list(report_lines(third)) == list(report_lines(again))
+
+
+def test_torn_last_line_recomputes_only_its_vector(monkeypatch, tmp_path):
+    cache = str(tmp_path / "cache")
+    cold = run_verification("theorem-suite", 4, cache_dir=cache)
+    [log] = (tmp_path / "cache").iterdir()
+    text = log.read_text()
+    last = text.splitlines()[-1]
+    victim = tuple(json.loads(last)[0]["m"])
+    log.write_text(text[: len(text) - len(last) // 2])  # killed mid-write
+
+    seen = _recording(monkeypatch)
+    again = run_verification("theorem-suite", 4, cache_dir=cache)
+    assert seen == [(victim, lam) for lam in _vectors("theorem-suite", 4)[victim]]
+    others = [r.to_json_dict() for r in again if r.task.m != victim]
+    assert others == [r.to_json_dict() for r in cold if r.task.m != victim]
+    assert without_seconds(again) == without_seconds(cold)
+
+
+def test_later_line_of_a_vector_wins(tmp_path):
+    m, shapes = (0, 0, 1), tuple(partitions(3))
+    rows = [evaluate_task("bounds", m, lam) for lam in shapes]
+
+    def timed(seconds):
+        return [(status, witness, seconds) for status, witness, _ in rows]
+
+    first = _Cache(str(tmp_path))
+    first.store("bounds", m, shapes, timed(1.5))
+    first.store("bounds", m, shapes, timed(2.5))  # later in the same log
+    assert _Cache(str(tmp_path)).load("bounds", m, shapes) == timed(2.5)
+    _Cache(str(tmp_path)).store("bounds", m, shapes, timed(3.5))  # in a later log
+    assert _Cache(str(tmp_path)).load("bounds", m, shapes) == timed(3.5)
+    assert [len(logged) for logged in _log_vectors(tmp_path)] == [2, 1]
+
+
+def test_old_layout_files_are_ignored(monkeypatch, tmp_path):
+    """A file per (conjecture, vector), ``DIR/<digest>.json``, as an older
+    cache wrote it: here each holds failing rows, which must not replay."""
+    records = tasks_for("bounds", 3)
+    for m, shapes in records:
+        key = json.dumps([code_version(), "bounds", list(m)]).encode()
+        rows = [Report(VerificationTask("bounds", m, lam), "fails", {"forced": True}, 0.5)
+                for lam in shapes]
+        path = tmp_path / f"{hashlib.sha256(key).hexdigest()}.json"
+        path.write_text(json.dumps([r.to_json_dict() for r in rows]))
+    old = sorted(tmp_path.iterdir())
+    seen = _recording(monkeypatch)
+    sweep = run_verification("bounds", 3, cache_dir=str(tmp_path))
+    assert len(seen) == len(sweep) == 20
+    assert summarize(sweep) == {"holds": 20, "fails": 0, "skipped": 0}
+    assert len(list(tmp_path.glob("*.jsonl"))) == 1
+    assert sorted(tmp_path.glob("*.json")) == old
 
 
 def test_code_version_is_stable_hex():
