@@ -95,11 +95,9 @@ from .posets import (
     poset_from_hessenberg,
 )
 from .qcore import QRat, check_partition, coeff_tuple, int_poly_add, int_poly_mul
-from .qcore import partitions, poly_json, poly_text
-# Not called here: bench/spans.py wraps harness.q_factorial, .enumerate_class,
-# .greedy_shape_family and .inv_p.
-from .qcore import q_factorial
-from .structural import K_set, displaced_shape, greedy_shape_family
+from .qcore import partitions, poly_json, poly_text, q_factorial
+from .structural import K_set, greedy_shape_family
+# Not called here: bench/spans.py wraps harness.enumerate_class and .inv_p.
 from .tableaux import colword, enumerate_class, inv_p, inv_sum, powerful_classes
 from .tableaux import q_count, standard_classes, word_key
 
@@ -357,11 +355,7 @@ def _check_strong_iff_hikita(m, lam):
 def _row_factorials(lam):
     """The h-lower-bound floor, the product of the row q-factorials, as an
     integer coefficient tuple."""
-    floor = [1]
-    for part in lam:
-        for j in range(2, part + 1):
-            floor = int_poly_mul(floor, [1] * j)
-    return tuple(floor)
+    return tuple(functools.reduce(int_poly_mul, map(q_factorial, lam), [1]))
 
 
 @functools.lru_cache(maxsize=4096)
@@ -434,13 +428,14 @@ def _greedy_shapes(m):
     """Every shape the greedy displacement family produces for this poset."""
     from .posets import greedy_partition
 
-    base = greedy_partition(poset_from_hessenberg(m))
+    p = poset_from_hessenberg(m)
+    base = greedy_partition(p)
     shapes = set()
     for cuts in _nonadjacent_subsets(range(1, len(base) + 1)):
         ranges = [range(1, base[i - 1] + 1) for i in cuts]
         for ks in itertools.product(*ranges):
             try:
-                shapes.add(displaced_shape(base, cuts, dict(zip(cuts, ks))))
+                shapes.add(greedy_shape_family(p, cuts, dict(zip(cuts, ks))))
             except ValueError:
                 continue
     return frozenset(shapes)

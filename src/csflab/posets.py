@@ -133,7 +133,7 @@ def path_hessenberg(n):
         raise ValueError("n must be nonnegative")
     if n <= 1:
         return (0,) * n
-    return (0, 0) + tuple(range(1, n - 1))
+    return kchain_hessenberg((2,) * (n - 1))
 
 
 def kchain_hessenberg(gamma):

@@ -1,21 +1,16 @@
-"""Structural identities for powerful-tableau families.
+"""Structural identities for powerful-tableau families, one route each.
 
-Two groups of operations live here, both downstream of the tableau
-machinery:
+* ``greedy_shape_family``: shapes displaced from the greedy chain
+  partition, whose elementary coefficient is a plain sum of q^inv over
+  strong tableaux.
+* ``K_set``: the distinguished family K(n-2, 2) between the strong and
+  powerful standard tableaux.  Every powersum word of length n splits into
+  a 2-letter and an (n-2)-letter word; ``complemented_set`` maps each pair
+  that splitting misses to the one relation pattern it matches (1, 2, 4 or
+  5: the construction's pattern 3 never matches on a natural unit interval
+  order), and ``_glue`` arranges the pair into two rows as that pattern
+  dictates.
 
-* the greedy-partition displacement family, whose members are shapes
-  whose elementary coefficient is a plain sum of q^inv over strong
-  tableaux;
-* the two-row factorization/multiplication machinery: every powersum word of
-  length k splits into a 2-letter and a (k-2)-letter word, the pairs missed
-  by that splitting are characterized by mutually exclusive relation
-  patterns, and gluing each missed pair back into a two-row array yields the
-  distinguished family K(n-2, 2) sitting between the strong and powerful
-  standard tableaux.
-
-The missed pairs are computed from the relation patterns alone: of the
-construction's five, patterns 1, 2, 4 and 5 (pattern 3 never matches on a
-natural unit interval order).
 The paper's other constructions (the factorization itself and the
 complement of its image, concatenation, full-column extension at the
 longest chain, peak vectors over the path order, the tableau-side test for
@@ -32,7 +27,7 @@ loud rather than silent.
 """
 from .qcore import conjugate, is_partition
 from .posets import greedy_partition
-from .tableaux import colword, inv_word, is_powersum_word, tab
+from .tableaux import colword, inv_word, tab
 
 
 # ---------------------------------------------------------------------------
@@ -61,12 +56,6 @@ def greedy_shape_family(p, cuts, weights):
     for i, w in weights.items():
         if type(w) is not int or w <= 0:
             raise ValueError(f"displacement at {i} must be a positive integer")
-    return displaced_shape(gr, cuts, weights)
-
-
-def displaced_shape(gr, cuts, weights):
-    """`greedy_shape_family` for the greedy partition ``gr`` and cuts and
-    weights already checked."""
     parts = list(gr) + [0] * (max([len(gr)] + [i + 1 for i in cuts]) - len(gr))
     for i in cuts:
         parts[i - 1] -= weights[i]
@@ -153,7 +142,8 @@ def _missed_pattern(p, a, b, letters):
 
 
 def complemented_set(p):
-    """The (2, n-2) powersum word pairs missed by the factorization.
+    """The (2, n-2) powersum word pairs missed by the factorization, each
+    mapped to the relation pattern it matches.
 
     Each pair (a, b) uses every element of p once; it is kept exactly when
     one of the relation patterns matches.  Defined on natural unit
@@ -165,50 +155,35 @@ def complemented_set(p):
         raise ValueError("complemented_set needs a natural unit interval order")
     if p.n <= 4:
         raise ValueError(f"need n > 4, got {p.n}")
-    missed, tails = set(), {}
+    missed, tails = {}, {}
     for a in powersum_words(p, 2):
         rest = (1 << (p.n + 1)) - 2 - (1 << a[0]) - (1 << a[1])
         if rest not in tails:
             tails[rest] = _powersum_words(p, rest, p.n - 2)
-        missed.update((a, b) for b in tails[rest] if _missed_pattern(p, a, b, rest))
+        for b in tails[rest]:
+            pattern = _missed_pattern(p, a, b, rest)
+            if pattern:
+                missed[a, b] = pattern
     return missed
 
 
 # ---------------------------------------------------------------------------
-# multiplication into two-row tableaux
+# gluing into two-row tableaux
 # ---------------------------------------------------------------------------
 
-def mult_map(p, pair):
-    """Glue a missed pair into a powerful two-row tableau of shape (k-2, 2).
-
-    The row arrangement is dictated by which relation pattern the pair
-    matches; a pair matching none (i.e. one that the factorization does hit)
-    is rejected.  The result always evaluates like the concatenated pair:
-    its column word has the same inversion count.  Defined on natural unit
-    interval orders, the only posets whose missed pairs the patterns
-    characterize; ``K_set``, its one caller, refuses any other poset.
-    """
-    a, b = pair
-    a, b = tuple(a), tuple(b)
-    for half in (a, b):
-        if not is_powersum_word(p, half):
-            raise ValueError(f"not a powersum word: {half!r}")
-    if len(a) != 2 or len(b) < 3:
-        raise ValueError("expected a 2-letter and a (k-2)-letter word, k > 4")
-    pattern = _missed_pattern(p, a, b, sum(1 << v for v in set(b)))
-    if pattern == 0:
-        raise ValueError(f"pair ({a!r}, {b!r}) is in the factorization image")
-
+def _glue(p, a, b, pattern):
+    """The powerful two-row tableau of shape (n-2, 2) that the missed pair
+    (a, b) glues into; the row arrangement is dictated by its pattern.  The
+    result evaluates like the concatenated pair: its column word has the
+    same inversion count."""
     if pattern == 1:
         rows = (a, b)
     elif pattern == 2:
         rows = ((a[1], a[0]), b)
-    elif pattern == 4:
+    elif pattern == 4 or r_index(p, b) > 1:
         rows = (b, a)
-    else:
-        r = r_index(p, b)
-        rows = (b, (a[1], a[0])) if r == 1 else (b, a)
-
+    else:  # pattern 5 with r_index 1
+        rows = (b, (a[1], a[0]))
     cols = tab(p, rows)
     if inv_word(p, colword(cols)) != inv_word(p, a + b):
         raise RuntimeError(f"gluing ({a!r}, {b!r}) changed the inversion count")
@@ -229,7 +204,7 @@ def K_set(p):
     if n <= 4:
         raise ValueError(f"shape (n-2, 2) needs n > 4, got {n}")
     missed = complemented_set(p)
-    out = {mult_map(p, pair) for pair in missed}
+    out = {_glue(p, a, b, pattern) for (a, b), pattern in missed.items()}
     if len(out) != len(missed):
         raise RuntimeError("gluing map collided on distinct pairs")
     return out

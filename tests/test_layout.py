@@ -91,7 +91,7 @@ def test_every_definition_is_reached_or_exported():
 # The definitions that only their export keeps in ``src/``: no production
 # route calls them, and the tracer wraps each by name.  When the tracer
 # stops wrapping one, it moves to ``tests/oracles.py`` or is deleted.
-TRACED_ONLY = {"enumerate_powerful_arrays", "greedy_shape_family", "q_factorial", "to_elementary"}
+TRACED_ONLY = {"enumerate_powerful_arrays", "to_elementary"}
 
 
 def test_only_traced_boundaries_are_kept_by_their_export():

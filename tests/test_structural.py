@@ -29,7 +29,6 @@ from csflab.structural import (
     _powersum_words,
     complemented_set,
     greedy_shape_family,
-    mult_map,
     powersum_words,
     r_index,
 )
@@ -231,9 +230,8 @@ def test_greedy_family_members_sum_over_strong():
 
 
 def test_greedy_shapes_from_one_peel_match_public_family():
-    # the sweep displaces one peel per vector; the public function peels on
-    # every call and checks its input: the same shape set for every vector
-    # with n <= 7, every weight up to n tried
+    # the sweep tries each weight up to the length of the row it shrinks;
+    # every weight up to n gives no other shape, for every vector with n <= 7
     for n in range(1, 8):
         for m in enumerate_hessenberg(n):
             p = poset_from_hessenberg(m)
@@ -330,7 +328,7 @@ def test_complemented_set_requires_k_above_4():
 
 
 def test_complemented_set_empty_for_chain():
-    assert complemented_set(CHAIN5) == set()
+    assert complemented_set(CHAIN5) == {}
 
 
 def test_complemented_set_recovers_coefficient():
@@ -346,7 +344,7 @@ def _routes_disagree(n):
     out = []
     for m in enumerate_hessenberg(n):
         p = poset_from_hessenberg(m)
-        if complemented_set(p) != complement_of_factorization_image(p, n):
+        if complemented_set(p).keys() != complement_of_factorization_image(p, n):
             out.append(m)
     return out
 
@@ -356,6 +354,15 @@ def test_complemented_set_routes_agree_everywhere():
     # factorization image, on every unit order with 5 <= n <= 7
     for n in (5, 6, 7):
         assert _routes_disagree(n) == []
+
+
+def test_complemented_set_keeps_each_pairs_pattern():
+    # each missed pair maps to the pattern that the letter tests find
+    for n in (5, 6, 7):
+        for m in enumerate_hessenberg(n):
+            p = poset_from_hessenberg(m)
+            for (a, b), pattern in complemented_set(p).items():
+                assert pattern == missed_pattern_by_less(p, a, b), (m, a, b)
 
 
 def test_pattern_masks_match_letter_tests():
@@ -396,15 +403,6 @@ def test_kset_split_42_census():
 
 def test_k_set_sum_is_the_e_coefficient():
     assert inv_sum(P6, K_set(P6)) == (0, 0, 1, 3, 3, 1)
-
-
-def test_mult_map_rejects_out_of_domain():
-    w = (1, 2, 3, 4, 6, 5)
-    pair = factorize(P6, w)  # in the factorization image, so not glueable
-    with pytest.raises(ValueError):
-        mult_map(P6, pair)
-    with pytest.raises(ValueError):
-        mult_map(P6, ((1, 3), (2, 4, 6, 5)))  # (1, 3) is not a powersum word
 
 
 def test_k_set_between_strong_and_powerful():
