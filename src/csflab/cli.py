@@ -167,7 +167,7 @@ def verify(conjecture, max_n, jobs, report_path, cache_dir, override_cap, verbos
 
 
 def formula(path_n, gamma_text):
-    """Print a closed-form e-expansion without enumerating colorings."""
+    """Print a closed-form e-expansion without enumerating any tableaux."""
     if (path_n is None) == (gamma_text is None):
         raise _UsageError("exactly one of --path or --kchain is required")
     if path_n is not None:

@@ -1,21 +1,23 @@
 """Chromatic symmetric function of an incomparability graph, with exact
-q-coefficients, computed by independent routes:
+q-coefficients, every basis read off one e-expansion:
 
 * Hikita's identity c_lam = prod_i [lam_i]_q! * sum_T q^inv(T) h(T) over
   the insertion-reachable tableaux for elementary coefficients, summed
   over one common product of q-integers and divided by it exactly on
   integer coefficient lists,
-* a dynamic program over proper colorings giving monomial coefficients,
 * the e-expansion times the integer table e_mu = sum_nu K_{nu' mu} s_nu
   (dual Pieri rule) for Schur coefficients,
+* the e-expansion times [m_lam] e_mu = sum_nu K_{nu' mu} K_{nu lam}, both
+  Kostka numbers read off that same table, for monomial coefficients,
 * the closed q-integer formula for chains of complete graphs, which
   gives the path as the chain of 2-cliques,
 
 plus exact change of basis from monomial into elementary symmetric
-functions, which the tests use as the second e-route.  Summing q^inv over
-the P-tableaux of each shape is the Schur route's test oracle.  All
-expansions live in exactly n variables, which determines a degree-n
-symmetric function completely.
+functions.  The independent routes live in the tests: the proper-coloring
+count that defines X, peeled into the e basis, is the second e-route and
+m-route, and summing q^inv over the P-tableaux of each shape is the Schur
+route's.  All expansions live in exactly n variables, which determines a
+degree-n symmetric function completely.
 
 An expansion is a ``SymFunc``, the named tuple (basis, n, coeffs), which
 the routes here build from canonical tuples with ``SymFunc._make``.
@@ -26,7 +28,6 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
-import warnings
 
 from .hikita import e_coefficients_by_shape
 from .qcore import check_partition, coeff_tuple, conjugate, int_poly_add
@@ -37,9 +38,10 @@ from .tableaux import enumerate_standard, inv_p
 
 BASES = ("m", "e", "s")
 
-#: Largest poset the coloring oracle and the e-expansion accept, and the
-#: harness's extended sweep cap.  Either takes well under a second at
-#: n = 10; the cap bounds the size of a sweep over every vector and tableau.
+#: Largest poset the e-expansion, and so every basis read off it, accepts,
+#: and the harness's extended sweep cap.  The e-expansion takes well under a
+#: second at n = 10; the cap bounds the size of a sweep over every vector
+#: and tableau.
 SIZE_CAP = 10
 
 
@@ -96,70 +98,7 @@ class SymFunc(collections.namedtuple("SymFunc", "basis n coeffs")):
 
 
 # ---------------------------------------------------------------------------
-# coloring oracle
-# ---------------------------------------------------------------------------
-
-def _coloring_counts(p):
-    """Memoised ``counts(used, parts)``: the q^inv counts, as a coefficient
-    list, of the proper colorings of inc(P) outside ``used`` by colour
-    classes of the sizes ``parts`` in colour order, every vertex in ``used``
-    having a smaller colour.  A colour class is a chain of P; placing a chain
-    S adds one inversion for each u in S and each incomparable v > u in used.
-    """
-    n, up, hi = p.n, p._up, p._hi
-    # chains[k]: (mask, the ``_hi`` masks of its elements) per k-chain
-    chains = [[] for _ in range(n + 1)]
-
-    def grow(mask, later, above):
-        chains[len(later)].append((mask, later))
-        for v in range(1, n + 1):
-            if (above >> v) & 1:
-                grow(mask | 1 << v, later + (hi[v],), up[v])
-
-    grow(0, (), (1 << (n + 1)) - 2)
-    memo = {}
-
-    def counts(used, parts):
-        if not parts:
-            return [1]
-        got = memo.get((used, parts))
-        if got is None:
-            got = []
-            rest = parts[1:]
-            for chain, later in chains[parts[0]]:
-                if chain & used:
-                    continue
-                sub = counts(used | chain, rest)
-                if not sub:
-                    continue
-                bump = 0
-                for mask in later:
-                    bump += (mask & used).bit_count()
-                int_poly_add(got, sub, 1, bump)
-            memo[used, parts] = got
-        return got
-
-    return counts
-
-
-def csf_coloring_oracle(p):
-    """Monomial expansion from proper colorings of the incomparability graph."""
-    if p.n > SIZE_CAP:
-        raise ValueError(f"n={p.n} exceeds the size cap {SIZE_CAP}")
-    if p.n and p.m is None:
-        warnings.warn(
-            "q-weights of a poset that is not a natural unit interval order "
-            "need not assemble into a symmetric function; only the q=1 "
-            "specialization is reliable",
-            stacklevel=2,
-        )
-    counts = _coloring_counts(p)
-    found = {lam: tuple(c) for lam in partitions(p.n) if (c := counts(0, lam))}
-    return SymFunc._make(("m", p.n, found))
-
-
-# ---------------------------------------------------------------------------
-# Schur route
+# Schur and monomial routes
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
@@ -195,54 +134,39 @@ def csf_schur(p):
     return SymFunc._make(("s", p.n, {nu: tuple(acc) for nu, acc in sums.items()}))
 
 
+def csf_coloring_oracle(p):
+    """Monomial expansion of X for a natural unit interval order with at
+    most ``SIZE_CAP`` elements: [m_lam] = sum_mu c_mu(q) [m_lam] e_mu over
+    the cached e-expansion (``e_to_m``), summed on integer coefficient
+    lists.  Raises ValueError on any other poset, as
+    ``chromatic_e_expansion`` does."""
+    sums = {}
+    for mu, c in chromatic_e_expansion(p).coeffs.items():
+        for lam, k in e_to_m(mu, p.n).items():
+            int_poly_add(sums.setdefault(lam, []), c, k)
+    return SymFunc._make(("m", p.n, {lam: tuple(acc) for lam, acc in sums.items()}))
+
+
 # ---------------------------------------------------------------------------
 # basis change
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _mult_table_e(d, k, n):
-    """For each partition nu of d+k, the subsets S of the n variable slots
-    such that nu - 1_S is a partition of d, grouped as {nu: [mu, ...]}."""
-    out = {}
-    for nu in partitions(d + k, max_part=None):
-        if len(nu) > n:
-            continue
-        padded = nu + (0,) * (n - len(nu))
-        hits = []
-        for sub in itertools.combinations(range(n), k):
-            vec = list(padded)
-            ok = True
-            for pos in sub:
-                vec[pos] -= 1
-                if vec[pos] < 0:
-                    ok = False
-                    break
-            if ok:
-                hits.append(tuple(sorted((x for x in vec if x), reverse=True)))
-        out[nu] = tuple(hits)
-    return out
-
-
-@functools.lru_cache(maxsize=None)
 def e_to_m(mu, n):
     """Monomial expansion of the elementary function e_mu in n variables,
-    as {partition: integer}."""
+    as {partition: integer}: [m_lam] e_mu = sum_nu K_{nu' mu} K_{nu lam}
+    (Stanley, EC2 7.4), where ``_e_in_s(mu)`` holds K_{nu' mu} and
+    ``_e_in_s(lam)`` holds K_{nu lam} at nu'.  Only shapes with at most n
+    rows survive in n variables."""
     mu = check_partition(mu)
-    if mu and mu[0] > n:
-        return {}
-    table = {(): 1}
-    d = 0
-    for k in mu:
-        table_next = {}
-        for nu, sources in _mult_table_e(d, k, n).items():
-            total = 0
-            for src in sources:
-                total += table.get(src, 0)
+    out = {}
+    for lam in partitions(sum(mu)):
+        if len(lam) <= n:
+            k_lam = _e_in_s(lam)
+            total = sum(k * k_lam.get(conjugate(nu), 0) for nu, k in _e_in_s(mu).items())
             if total:
-                table_next[nu] = total
-        table = table_next
-        d += k
-    return table
+                out[lam] = total
+    return out
 
 
 def to_elementary(f):
@@ -293,8 +217,8 @@ def chromatic_e_expansion(p):
     h(T) over the tableaux T of shape lam reachable under the order's
     Hessenberg vector m (``hikita.e_coefficients_by_shape``): the terms
     are brought over one product of q-integers, summed as integer lists,
-    and divided exactly by that monic product.  The coloring oracle with
-    ``to_elementary`` is the second route the tests compare it against.
+    and divided exactly by that monic product.  The tests compare it against
+    a second route: the proper-coloring count, peeled by ``to_elementary``.
     """
     if p.n > SIZE_CAP:
         raise ValueError(f"n={p.n} exceeds the size cap {SIZE_CAP}")

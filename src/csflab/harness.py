@@ -599,10 +599,10 @@ def run_verification(
         raise ValueError(f"parallelism must be positive, got {parallelism}")
 
     records = tasks_for(conjecture, n_max)
-    cache = _Cache(cache_dir) if cache_dir else None
+    cache = _Cache(cache_dir, conjecture) if cache_dir else None
     rows, pending = [None] * len(records), []
     for i in _largest_first(records):
-        cached = cache.load(conjecture, *records[i]) if cache else None
+        cached = cache.load(*records[i]) if cache else None
         if cached is None:
             pending.append(i)
         else:
@@ -614,7 +614,7 @@ def run_verification(
             m, shapes = records[i]
             rows[i] = [evaluate_task(conjecture, m, lam) for lam in shapes]
             if cache:
-                cache.store(conjecture, m, shapes, rows[i])
+                cache.store(m, shapes, rows[i])
     else:
         import multiprocessing
         shares = _shares(pending, parallelism)
@@ -626,7 +626,7 @@ def run_verification(
                 for i, vector_rows in zip(shares[k], share_rows):
                     rows[i] = vector_rows
                     if cache:  # the parent is idle here while the pool works
-                        cache.store(conjecture, *records[i], vector_rows)
+                        cache.store(*records[i], vector_rows)
 
     sweep = Sweep(conjecture, records, rows)
     if cache:
@@ -665,26 +665,26 @@ def code_version():
 
 
 class _Cache:
-    """A JSON-lines log per sweep, ``DIR/<key>-<time_ns>-<pid>.jsonl``, the
-    key a digest of the package sources and the conjecture, created on the
-    first store; a line is one vector's report dicts in task order.  The
-    logs are read once, in name order: a vector's last line is replayed."""
+    """One conjecture's JSON-lines logs, ``DIR/<key>-<time_ns>-<pid>.jsonl``,
+    the key a digest of the package sources and the conjecture; this sweep's
+    log is created on its first store.  A line is one vector's report dicts
+    in task order.  The logs are read once, in name order: a vector's last
+    line is replayed."""
 
-    def __init__(self, root):
+    def __init__(self, root, conjecture):
         try:
             os.makedirs(root, exist_ok=True)
         except OSError as exc:
             raise ValueError(f"cannot use {root} as a cache directory: {exc.strerror}") from exc
-        self.root, self._stored, self._logs, self._shapes = root, {}, {}, {}
-
-    def _key(self, conjecture):
         import hashlib
-        return hashlib.sha256(json.dumps([code_version(), conjecture]).encode()).hexdigest()[:32]
+        key = hashlib.sha256(json.dumps([code_version(), conjecture]).encode()).hexdigest()[:32]
+        self.root, self.conjecture, self._key = root, conjecture, key
+        self._stored, self._log, self._shapes = None, None, {}
 
-    def _read(self, conjecture):
+    def _read(self):
         """m -> (shapes, rows) of its last line that parses in a readable
         log (a torn line does not), or None if that line cannot replay."""
-        prefix, stored = self._key(conjecture) + "-", {}
+        prefix, stored = self._key + "-", {}
         for name in sorted(os.listdir(self.root)):
             if name.startswith(prefix) and name.endswith(".jsonl"):
                 try:
@@ -693,21 +693,21 @@ class _Cache:
                             try:
                                 dicts = json.loads(line)
                                 m = tuple(dicts[0]["m"])
-                                stored[m] = self._replayable(conjecture, m, dicts)
+                                stored[m] = self._replayable(m, dicts)
                             except (ValueError, LookupError, TypeError):
                                 continue
                 except OSError:
                     continue
         return stored
 
-    def _replayable(self, conjecture, m, dicts):
+    def _replayable(self, m, dicts):
         """A line's (shapes, rows), each distinct shapes tuple kept once, or
         None unless every row is a non-``error`` report of this vector."""
         try:
             rows = [(row["status"], row["witness"], row["seconds"]) for row in dicts]
             for row, (status, witness, seconds) in zip(dicts, rows):
                 if (
-                    (row["conjecture"], row["m"]) != (conjecture, list(m))
+                    (row["conjecture"], row["m"]) != (self.conjecture, list(m))
                     or status == "error"
                     or not isinstance(seconds, float)
                     or not isinstance(witness, (dict, type(None)))
@@ -719,26 +719,26 @@ class _Cache:
         except (ValueError, KeyError, TypeError):
             return None
 
-    def load(self, conjecture, m, shapes):
+    def load(self, m, shapes):
         """One vector's rows in task order, or None on a miss.  A line that
         is not exactly those units' rows, in order, is a miss, so the whole
         vector is recomputed and its new line wins next time."""
-        if conjecture not in self._stored:
-            self._stored[conjecture] = self._read(conjecture)
-        stored = self._stored[conjecture].get(m)
+        if self._stored is None:
+            self._stored = self._read()
+        stored = self._stored.get(m)
         return stored[1] if stored and stored[0] == shapes else None
 
-    def store(self, conjecture, m, shapes, rows):
+    def store(self, m, shapes, rows):
         """Append one vector's rows, through the report template, to this
         sweep's log; nothing is stored when any is an ``error``, so a
         transient crash is recomputed rather than replayed."""
         if any(status == "error" for status, _, _ in rows):
             return
-        path, mode = self._logs.get(conjecture), "a"
+        path, mode = self._log, "a"
         if path is None:
-            name = f"{self._key(conjecture)}-{time.time_ns():020d}-{os.getpid()}.jsonl"
+            name = f"{self._key}-{time.time_ns():020d}-{os.getpid()}.jsonl"
             path, mode = os.path.join(self.root, name), "x"
-        lines = _vector_lines(conjecture, m, zip(shapes, rows), {None: "null"})
+        lines = _vector_lines(self.conjecture, m, zip(shapes, rows), {None: "null"})
         with open(path, mode, encoding="utf-8") as fh:
             fh.write(f"[{', '.join(lines)}]\n")
-        self._logs[conjecture] = path
+        self._log = path

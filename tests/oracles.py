@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from csflab.csf import SymFunc, _coloring_counts, csf_coloring_oracle, e_to_m, to_elementary
+from csflab.csf import SIZE_CAP, SymFunc, e_to_m, to_elementary
 from csflab.harness import Report, VerificationTask, _Cache, evaluate_task, tasks_for
 from csflab.hikita import _steps, delta, insert, is_syt, tableau_size
 from csflab.posets import (
@@ -959,8 +959,78 @@ def factored_value(e, factors):
 
 
 # ---------------------------------------------------------------------------
-# coloring oracle (from csf): vertex by vertex over every proper coloring
+# coloring route (from csf): the proper colorings of inc(P) that define X,
+# by a dynamic program over chains and vertex by vertex
 # ---------------------------------------------------------------------------
+
+def coloring_counts(p):
+    """Memoised ``counts(used, parts)``: the q^inv counts, as a coefficient
+    list, of the proper colorings of inc(P) outside ``used`` by colour
+    classes of the sizes ``parts`` in colour order, every vertex in ``used``
+    having a smaller colour.  A colour class is a chain of P; placing a chain
+    S adds one inversion for each u in S and each incomparable v > u in used.
+    """
+    n, up, hi = p.n, p._up, p._hi
+    # chains[k]: (mask, the ``_hi`` masks of its elements) per k-chain
+    chains = [[] for _ in range(n + 1)]
+
+    def grow(mask, later, above):
+        chains[len(later)].append((mask, later))
+        for v in range(1, n + 1):
+            if (above >> v) & 1:
+                grow(mask | 1 << v, later + (hi[v],), up[v])
+
+    grow(0, (), (1 << (n + 1)) - 2)
+    memo = {}
+
+    def counts(used, parts):
+        if not parts:
+            return [1]
+        got = memo.get((used, parts))
+        if got is None:
+            got = []
+            rest = parts[1:]
+            for chain, later in chains[parts[0]]:
+                if chain & used:
+                    continue
+                sub = counts(used | chain, rest)
+                if not sub:
+                    continue
+                bump = 0
+                for mask in later:
+                    bump += (mask & used).bit_count()
+                int_poly_add(got, sub, 1, bump)
+            memo[used, parts] = got
+        return got
+
+    return counts
+
+
+def monomial_by_colorings(p):
+    """Monomial expansion from proper colorings of the incomparability
+    graph: the second m-route for ``csflab.csf.csf_coloring_oracle``, which
+    reads it off the e-expansion.  Defined on any poset, with a warning off
+    the natural unit interval orders."""
+    if p.n > SIZE_CAP:
+        raise ValueError(f"n={p.n} exceeds the size cap {SIZE_CAP}")
+    if p.n and p.m is None:
+        warnings.warn(
+            "q-weights of a poset that is not a natural unit interval order "
+            "need not assemble into a symmetric function; only the q=1 "
+            "specialization is reliable",
+            stacklevel=2,
+        )
+    counts = coloring_counts(p)
+    found = {lam: tuple(c) for lam in partitions(p.n) if (c := counts(0, lam))}
+    return SymFunc._make(("m", p.n, found))
+
+
+def e_expansion_by_colorings(p):
+    """The second e-route: the coloring count's m-expansion peeled into the
+    e basis.  Independent of the Hikita identity that the production
+    e-expansion reads."""
+    return to_elementary(monomial_by_colorings(p))
+
 
 def coloring_weights_by_walk(p, content):
     """q-weight generating polynomial of the proper colorings of inc(P)
@@ -1000,12 +1070,11 @@ def coloring_weights_by_walk(p, content):
 
 
 def coloring_weights(p, content):
-    """``coloring_weights_by_walk`` read off the coloring oracle's dynamic
-    program (``csflab.csf._coloring_counts``) instead of walking every
-    coloring."""
+    """``coloring_weights_by_walk`` read off the dynamic program
+    ``coloring_counts`` instead of walking every coloring."""
     if sum(content) != p.n:
         raise ValueError(f"content {content} does not use {p.n} cells")
-    return tuple(_coloring_counts(p)(0, tuple(content)))
+    return tuple(coloring_counts(p)(0, tuple(content)))
 
 
 # ---------------------------------------------------------------------------
@@ -1036,14 +1105,15 @@ def e_expansion_at_one(p):
     chromatic function is symmetric (in particular every (3+1)-free one)."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        mono = csf_coloring_oracle(p)
+        mono = monomial_by_colorings(p)
     flat = {part: (sum(poly),) for part, poly in mono.coeffs.items()}
     return to_elementary(SymFunc("m", p.n, flat))
 
 
 # ---------------------------------------------------------------------------
 # basis changes (from csf): the P-tableau Schur sum, the Schur route into
-# m, and the m->e peel at rational points
+# m, e_mu into m over subsets of the variables, and the m->e peel at
+# rational points
 # ---------------------------------------------------------------------------
 
 def standard_inv_counts(p, lam):
@@ -1125,6 +1195,52 @@ def schur_to_monomial(f):
         for mu, c in s_to_m(part, f.n).items():
             coeffs[mu] = int_poly_add(coeffs.get(mu, []), poly, c)
     return SymFunc("m", f.n, {mu: coeff_tuple(poly) for mu, poly in coeffs.items()})
+
+
+@functools.lru_cache(maxsize=None)
+def mult_table_e(d, k, n):
+    """For each partition nu of d+k, the subsets S of the n variable slots
+    such that nu - 1_S is a partition of d, grouped as {nu: [mu, ...]}."""
+    out = {}
+    for nu in partitions(d + k, max_part=None):
+        if len(nu) > n:
+            continue
+        padded = nu + (0,) * (n - len(nu))
+        hits = []
+        for sub in itertools.combinations(range(n), k):
+            vec = list(padded)
+            ok = True
+            for pos in sub:
+                vec[pos] -= 1
+                if vec[pos] < 0:
+                    ok = False
+                    break
+            if ok:
+                hits.append(tuple(sorted((x for x in vec if x), reverse=True)))
+        out[nu] = tuple(hits)
+    return out
+
+
+def e_to_m_by_subsets(mu, n):
+    """Monomial expansion of e_mu in n variables, as {partition: integer},
+    multiplied out one e_k at a time over the subsets of ``mult_table_e``:
+    the reference for the Kostka product in ``csflab.csf.e_to_m``."""
+    mu = check_partition(mu)
+    if mu and mu[0] > n:
+        return {}
+    table = {(): 1}
+    d = 0
+    for k in mu:
+        table_next = {}
+        for nu, sources in mult_table_e(d, k, n).items():
+            total = 0
+            for src in sources:
+                total += table.get(src, 0)
+            if total:
+                table_next[nu] = total
+        table = table_next
+        d += k
+    return table
 
 
 def to_elementary_by_qpoly(f):
@@ -1447,11 +1563,11 @@ def audit_cache(conjecture, n_max, cache_dir, fraction=0.1, seed=0):
     """Recompute a random sample of the units a result cache would replay
     and diff them against the stored reports (timing excluded).  Returns the list of mismatches; empty means the cache is
     faithful."""
-    cache = _Cache(cache_dir)
+    cache = _Cache(cache_dir, conjecture)
     cached = [
         Report(VerificationTask(conjecture, m, lam), *row)
         for m, shapes in tasks_for(conjecture, n_max)
-        for lam, row in zip(shapes, cache.load(conjecture, m, shapes) or ())
+        for lam, row in zip(shapes, cache.load(m, shapes) or ())
     ]
     rng = random.Random(seed)
     k = max(1, round(fraction * len(cached))) if cached else 0

@@ -18,7 +18,6 @@ import pytest
 
 from csflab.csf import (
     chromatic_e_expansion,
-    csf_coloring_oracle,
     csf_schur,
     kchain_formula,
     path_formula,
@@ -47,6 +46,7 @@ from csflab.tableaux import enumerate_class, inv_p, inv_sum, is_strong
 from oracles import (
     RelationPoset,
     e_expansion_at_one,
+    e_expansion_by_colorings,
     enumerate_syt,
     factored_value,
     inc_components,
@@ -186,7 +186,7 @@ def test_criterion_05_route_equivalence():
     for n in range(1, 7):
         for m in enumerate_hessenberg(n):
             p = poset_from_hessenberg(m)
-            via_colorings = to_elementary(csf_coloring_oracle(p))
+            via_colorings = e_expansion_by_colorings(p)
             via_schur = to_elementary(schur_to_monomial(csf_schur(p)))
             assert via_colorings == via_schur, m
             assert via_colorings == chromatic_e_expansion(p), m
@@ -198,10 +198,10 @@ def test_criterion_05_route_equivalence():
 
 
 def coloring_e_expansion(m):
-    """The second e-route: the coloring oracle's m-expansion peeled into
-    the e basis.  Not cached: at n = 10 a cache would hold 16,796
+    """The second e-route: the proper-coloring count's m-expansion peeled
+    into the e basis.  Not cached: at n = 10 a cache would hold 16,796
     expansions, and the n <= 7 route costs well under a second."""
-    return to_elementary(csf_coloring_oracle(poset_from_hessenberg(m)))
+    return e_expansion_by_colorings(poset_from_hessenberg(m))
 
 
 def e_routes_disagree(sizes):

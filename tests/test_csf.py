@@ -34,9 +34,12 @@ from oracles import (
     coloring_weights,
     coloring_weights_by_walk,
     e_expansion_at_one,
+    e_expansion_by_colorings,
+    e_to_m_by_subsets,
     incomparability_graph,
     incomparable,
     kostka,
+    monomial_by_colorings,
     path_formula_by_compositions,
     schur_by_p_tableaux,
     schur_to_monomial,
@@ -62,7 +65,7 @@ P5_SCHUR = {
 
 
 def test_frozen_elementary_expansion():
-    assert to_elementary(csf_coloring_oracle(P5)).coeffs == P5_ELEMENTARY
+    assert e_expansion_by_colorings(P5).coeffs == P5_ELEMENTARY
 
 
 def test_frozen_schur_expansion():
@@ -70,9 +73,7 @@ def test_frozen_schur_expansion():
 
 
 def test_routes_agree_on_example():
-    assert to_elementary(schur_to_monomial(csf_schur(P5))) == to_elementary(
-        csf_coloring_oracle(P5)
-    )
+    assert to_elementary(schur_to_monomial(csf_schur(P5))) == e_expansion_by_colorings(P5)
 
 
 def test_e_coeff_examples():
@@ -145,6 +146,38 @@ def test_schur_expansion_matches_the_p_tableau_sum():
 )
 def test_schur_expansion_matches_the_p_tableau_sum_at_n8():
     assert schur_routes_disagree([8]) == []
+
+
+def monomial_routes_disagree(sizes):
+    """The vectors of the given sizes whose monomial expansion, read off
+    the e-expansion, is not byte-identical to the proper-coloring count."""
+    out = []
+    for n in sizes:
+        for m in enumerate_hessenberg(n):
+            p = poset_from_hessenberg(m)
+            if csf_coloring_oracle(p).to_json_dict() != monomial_by_colorings(p).to_json_dict():
+                out.append(m)
+    return out
+
+
+def test_monomial_expansion_matches_the_coloring_count():
+    assert monomial_routes_disagree(range(8)) == []
+
+
+@pytest.mark.skipif(
+    not os.environ.get("CSFLAB_ACCEPT_N8"),
+    reason="set CSFLAB_ACCEPT_N8=1 to compare the two m-routes at n=8",
+)
+def test_monomial_expansion_matches_the_coloring_count_at_n8():
+    assert monomial_routes_disagree([8]) == []
+
+
+def test_e_to_m_matches_the_subset_table():
+    # the Kostka product against multiplying out one e_k at a time
+    for size in range(12):
+        for mu in partitions(size):
+            for n in range(11):
+                assert e_to_m(mu, n) == e_to_m_by_subsets(mu, n), (mu, n)
 
 
 def e_expansion_identities_broken(sizes):
@@ -243,9 +276,7 @@ def test_routes_agree_small():
     for n in range(1, 6):
         for m in enumerate_hessenberg(n):
             p = poset_from_hessenberg(m)
-            assert to_elementary(schur_to_monomial(csf_schur(p))) == to_elementary(
-                csf_coloring_oracle(p)
-            )
+            assert to_elementary(schur_to_monomial(csf_schur(p))) == e_expansion_by_colorings(p)
 
 
 def _count_injective_arrays(p, chain_sizes):
@@ -292,7 +323,7 @@ def test_positivity_at_one():
 
 
 def chromatic_coeffs(p):
-    return sorted(to_elementary(csf_coloring_oracle(p)).coeffs.items())
+    return sorted(e_expansion_by_colorings(p).coeffs.items())
 
 
 def test_path_formula_small():
@@ -305,7 +336,7 @@ def test_path_formula_small():
 def test_path_formula_matches_oracle():
     for n in range(1, 7):
         p = poset_from_hessenberg(path_hessenberg(n))
-        assert path_formula(n) == to_elementary(csf_coloring_oracle(p))
+        assert path_formula(n) == e_expansion_by_colorings(p)
 
 
 def test_kchain_single_block_is_factorial():
@@ -316,7 +347,7 @@ def test_kchain_single_block_is_factorial():
 def test_kchain_formula_matches_oracle():
     for gamma in ((2, 2), (3, 2), (2, 3), (3, 3), (2, 2, 2), (4, 2)):
         p = poset_from_hessenberg(kchain_hessenberg(gamma))
-        assert kchain_formula(gamma) == to_elementary(csf_coloring_oracle(p))
+        assert kchain_formula(gamma) == e_expansion_by_colorings(p)
 
 
 def test_kchain_of_edges_is_a_path():
@@ -375,7 +406,7 @@ def test_symfunc_validation():
 
 
 def test_symfunc_eval_at():
-    f = to_elementary(csf_coloring_oracle(P5))
+    f = chromatic_e_expansion(P5)
     assert f.eval_at(1) == {
         (3, 1, 1): 2,
         (3, 2): 2,
@@ -391,7 +422,7 @@ def test_symfunc_eval_at():
 
 
 def test_json_shape_and_roundtrip():
-    f = to_elementary(csf_coloring_oracle(P5))
+    f = chromatic_e_expansion(P5)
     doc = f.to_json_dict()
     assert doc == {
         "basis": "e",
@@ -420,10 +451,16 @@ TWO_PLUS_TWO = RelationPoset(4, [(1, 2), (3, 4)])
 
 def test_oracle_warns_off_unit_orders():
     with pytest.warns(UserWarning):
-        csf_coloring_oracle(TWO_PLUS_TWO)
+        monomial_by_colorings(TWO_PLUS_TWO)
     # the Schur route reads the e-expansion, which refuses non-unit orders
     with pytest.raises(ValueError):
         csf_schur(TWO_PLUS_TWO)
+
+
+def test_monomial_route_refused_off_unit_orders():
+    # it reads the e-expansion too, so it raises instead of warning
+    with pytest.raises(ValueError, match="natural unit interval order"):
+        csf_coloring_oracle(TWO_PLUS_TWO)
 
 
 def test_symbolic_e_extraction_refused_off_unit_orders():
@@ -441,8 +478,8 @@ def test_e_expansion_at_one_off_unit_orders():
 
 
 def test_oracle_bound():
-    # the extended sweep cap and the cap of the coloring oracle and the
-    # e-expansion are one constant
+    # the extended sweep cap and the cap of the e-expansion, which every
+    # basis reads, are one constant
     assert harness.SIZE_CAP == csf.SIZE_CAP == 10
     with pytest.raises(ValueError):
         csf_coloring_oracle(poset_from_hessenberg((0,) * 11))

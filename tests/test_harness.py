@@ -484,13 +484,13 @@ def test_undecided_h_margin_is_an_error_and_never_cached(monkeypatch, tmp_path):
         assert r.witness["error"].endswith("do not decide its sign on q >= 0")
     # the one failure with n <= 6 is untouched
     assert summarize(reports) == {"holds": len(reports) - 6, "fails": 1, "skipped": 0, "error": 5}
-    cache = _Cache(tmp_path)
+    cache = _Cache(tmp_path, "h-lower-bound")
     records = tasks_for("h-lower-bound", 6)
     # one log, a line for every vector but the victim
     [logged] = _log_vectors(tmp_path)
     assert sorted(logged) == sorted(m for m, _ in records if m != victim)
     for m, shapes in records:
-        assert (cache.load("h-lower-bound", m, shapes) is None) == (m == victim)
+        assert (cache.load(m, shapes) is None) == (m == victim)
 
 
 def test_barbell_sweep_skips_other_posets():
@@ -755,7 +755,7 @@ def test_every_csflab_cache_is_inventoried():
                   "harness._h_failures", "hikita._by_shape", "posets._hessenberg_poset",
                   "tableaux._pair_test")
     # keyed by a shape, a size, a factorization or a (tableau, r) pair
-    unbounded = ("csf._e_in_s", "csf._mult_table_e", "csf.e_to_m",
+    unbounded = ("csf._e_in_s", "csf.e_to_m",
                  "harness._barbell_vectors", "harness._row_factorials",
                  "harness.code_version", "hikita._steps", "qcore.q_int_product",
                  "tableaux._powerful_plan")
@@ -1082,7 +1082,7 @@ def test_cold_pool_run_stores_one_line_per_vector(tmp_path):
     # as json.dumps writes the list of their dicts
     for (m, shapes), rows in zip(sweep._records, sweep._rows):
         assert shapes == vectors[m]
-        loaded = _Cache(str(cache)).load("theorem-suite", m, shapes)
+        loaded = _Cache(str(cache), "theorem-suite").load(m, shapes)
         assert loaded == [(status, witness, round(s, 6)) for status, witness, s in rows]
         reports = [Report(VerificationTask._make(("theorem-suite", m, lam)), *row)
                    for lam, row in zip(shapes, rows)]
@@ -1187,12 +1187,12 @@ def test_later_line_of_a_vector_wins(tmp_path):
     def timed(seconds):
         return [(status, witness, seconds) for status, witness, _ in rows]
 
-    first = _Cache(str(tmp_path))
-    first.store("bounds", m, shapes, timed(1.5))
-    first.store("bounds", m, shapes, timed(2.5))  # later in the same log
-    assert _Cache(str(tmp_path)).load("bounds", m, shapes) == timed(2.5)
-    _Cache(str(tmp_path)).store("bounds", m, shapes, timed(3.5))  # in a later log
-    assert _Cache(str(tmp_path)).load("bounds", m, shapes) == timed(3.5)
+    first = _Cache(str(tmp_path), "bounds")
+    first.store(m, shapes, timed(1.5))
+    first.store(m, shapes, timed(2.5))  # later in the same log
+    assert _Cache(str(tmp_path), "bounds").load(m, shapes) == timed(2.5)
+    _Cache(str(tmp_path), "bounds").store(m, shapes, timed(3.5))  # in a later log
+    assert _Cache(str(tmp_path), "bounds").load(m, shapes) == timed(3.5)
     assert [len(logged) for logged in _log_vectors(tmp_path)] == [2, 1]
 
 
