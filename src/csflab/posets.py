@@ -100,6 +100,7 @@ def enumerate_hessenberg(n):
     return list(rec(1, 0))
 
 
+@functools.lru_cache(maxsize=1)  # the latest poset's peel, which the greedy family reads again
 def greedy_partition(p):
     """The dominance-maximum partition of n into disjoint chain sizes.
 
@@ -127,6 +128,7 @@ def greedy_partition(p):
     return tuple(sorted(sizes, reverse=True))
 
 
+@functools.lru_cache(maxsize=None)  # one vector per size
 def path_hessenberg(n):
     """The order whose incomparability graph is the n-vertex path."""
     if n < 0:

@@ -14,7 +14,9 @@ that form back.
 
 The hot kernels read the poset's bitmasks (``_up``, ``_down``, ``_inc``,
 ``_hi``: bit b of ``_up[a]`` is set when a < b) into locals once per call
-and work on sets of entries as integers.  The element-by-element versions
+and work on sets of entries as integers.  The standard walk and the
+powerful fill place one cell at a time into a flat grid, along a cell
+table cached per shape.  The element-by-element and nested-list versions
 they replaced are kept in ``tests/oracles.py`` and checked against them.
 
 The class kernels name a tableau by its key: its column word packed at
@@ -26,6 +28,7 @@ and `enumerate_powerful_arrays` stay public.
 from __future__ import annotations
 
 import functools
+import itertools
 from collections import Counter
 
 from .qcore import check_partition, compositions_with_sort, conjugate
@@ -121,11 +124,11 @@ def standard_classes(p, lam):
     """The tableaux of the given row shape using each of 1..n once, and the
     strong ones (see `is_strong`), as ``{key: inv}`` in key order.
 
-    Cells are filled along the column word (leftmost column bottom-to-top
-    first) trying small values first, so keys come in increasing order.  A
-    cell takes the unused values below the cell under it and not below the
-    cell to its left.  Each entry adds the larger incomparable entries
-    already placed (`inv_word`), and a column pair is tested once complete.
+    Cells are filled in the order of the column word (`_standard_plan`),
+    trying small values first, so keys come in increasing order.  A cell
+    takes the unused values below the cell under it and not below the cell
+    to its left.  Each entry adds the larger incomparable entries already
+    placed (`inv_word`), and a column pair is tested once complete.
     """
     lam = check_partition(lam)
     if sum(lam) != p.n:
@@ -134,37 +137,30 @@ def standard_classes(p, lam):
         return {0: 0}, {0: 0}
     down, hi, width = p._down, p._hi, p.n.bit_length()
     pair_strong = _pair_test(p._inc)
-    heights = conjugate(lam)
-    # (column, row, has a cell below, has a cell to the left) in fill order
-    cells = [
-        (j, i, i + 1 < heights[j], j > 0)
-        for j in range(lam[0])
-        for i in range(heights[j] - 1, -1, -1)
-    ]
+    cells = _standard_plan(lam)
     last = len(cells) - 1
-    grid = [[0] * height for height in heights]
+    grid = [0] * p.n
     done = [0] * lam[0]  # the entries of each completed column, as a mask
     standard, strong = {}, {}
 
     def place(idx, free, inv, key, col, ok):
-        j, i, below, left = cells[idx]
+        below, left, j, top = cells[idx]
         cand = free
-        if below:
-            cand &= down[grid[j][i + 1]]
-        if left:
-            cand &= ~down[grid[j - 1][i]]
-        column = grid[j]
+        if below is not None:
+            cand &= down[grid[below]]
+        if left is not None:
+            cand &= ~down[grid[left]]
         while cand:
             low = cand & -cand
             cand ^= low
-            v = column[i] = low.bit_length() - 1
+            v = grid[idx] = low.bit_length() - 1
             now = inv + (hi[v] & ~free).bit_count()
             code = key << width | v
-            if i:
+            if not top:
                 place(idx + 1, free ^ low, now, code, col | low, ok)
                 continue
             full = col | low
-            pair = ok and (not left or pair_strong(done[j - 1], full))
+            pair = ok and (left is None or pair_strong(done[j - 1], full))
             if idx < last:
                 done[j] = full
                 place(idx + 1, free ^ low, now, code, 0, pair)
@@ -175,6 +171,15 @@ def standard_classes(p, lam):
 
     place(0, (1 << (p.n + 1)) - 2, 0, 0, 0, True)
     return standard, strong
+
+
+@functools.lru_cache(maxsize=None)
+def _standard_plan(lam):
+    """The cells of lam in the walk's order: (the grid index of the cell
+    below, of the cell to the left, or None; the column; tops the column)."""
+    order = [(j, i) for j, height in enumerate(conjugate(lam)) for i in reversed(range(height))]
+    index = {cell: k for k, cell in enumerate(order)}
+    return tuple((index.get((j, i + 1)), index.get((j - 1, i)), j, not i) for j, i in order)
 
 
 def enumerate_standard(p, lam):
@@ -260,75 +265,63 @@ def tab(p, rows):
 
 
 def _fill_powerful(p, lam, leaf):
-    """Call ``leaf(alpha, rows, image)`` on every row-shaped powerful array
-    using 1..n once, over every ordering alpha of lam's parts; ``rows`` is
-    valid only during the call, and ``image`` comes from `_powerful_plan`.
+    """Call ``leaf(alpha, grid, image)`` on every row-shaped powerful array
+    using 1..n once, over every ordering alpha of lam's parts; ``grid`` holds
+    the rows one after another, valid only during the call, and ``alpha``'s
+    cell table and ``image`` come from `_powerful_plan`.
 
-    Rows are filled left to right trying small values first.  A value may
-    not step down from its left neighbour and must sit above the anchor of
-    every earlier row: that row's entry in the same column, or its last
-    entry when the row is shorter.  ``pending`` holds the entries of the
-    row so far that sit below everything after them; the last entry must
-    clear them all, which makes the row a powersum word.  A value is also
-    dropped when too few unused values sit above it to fill the cells of
-    later rows that it anchors.
+    Cells are filled in grid order trying small values first.  A value may
+    not step down from its left neighbour and must sit above each of its
+    anchors.  ``pending`` holds the entries of the row so far that sit below
+    everything after them; the row's last entry must clear them all, which
+    makes the row a powersum word.  A value is also dropped when fewer unused
+    values than its cell's need sit above it.
     """
     lam = check_partition(lam)
     if sum(lam) != p.n:
         raise ValueError(f"shape {lam} does not use {p.n} entries")
-    up, down = p._up, p._down
-    full = (1 << (p.n + 1)) - 2
+    up, down, size = p._up, p._down, p.n
+    grid = [0] * size
 
-    def fill_row(alpha, need, image, rows, free):
-        if len(rows) == len(alpha):
-            leaf(alpha, rows, image)
-            return
-        width, wanted = alpha[len(rows)], need[len(rows)]
-        anchored = [full] * width
-        for prev in rows:
-            for pos in range(width):
-                anchored[pos] &= up[prev[pos] if pos < len(prev) else prev[-1]]
-        row = [0] * width
+    def place(idx, free, allowed, pending):
+        if idx == size:
+            return leaf(alpha, grid, image)
+        anchors, need, ends = cells[idx]
+        cand = free & allowed
+        for a in anchors:
+            cand &= up[grid[a]]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            v = grid[idx] = low.bit_length() - 1
+            rest = free ^ low
+            if (rest & up[v]).bit_count() < need:
+                continue
+            if not ends:
+                if rest & ~up[v]:  # else v sits below the rest of its row
+                    place(idx + 1, rest, ~down[v], (pending & down[v]) | low)
+            elif not pending & down[v]:
+                place(idx + 1, rest, -1, 0)
 
-        def fill(pos, free, allowed, pending):
-            cand = free & allowed & anchored[pos]
-            last = pos + 1 == width
-            while cand:
-                low = cand & -cand
-                cand ^= low
-                v = row[pos] = low.bit_length() - 1
-                rest = free ^ low
-                if (rest & up[v]).bit_count() < wanted[pos]:
-                    continue
-                if not last and rest & ~up[v]:  # else v sits below the rest of its row
-                    fill(pos + 1, rest, ~down[v], (pending & down[v]) | low)
-                elif last and not pending & down[v]:
-                    rows.append(tuple(row))
-                    fill_row(alpha, need, image, rows, rest)
-                    rows.pop()
-
-        fill(0, free, -1, 0)
-
-    for alpha, need, image in _powerful_plan(lam):
-        fill_row(alpha, need, image, [], full)
+    for alpha, cells, image in _powerful_plan(lam):
+        place(0, (1 << (size + 1)) - 2, -1, 0)
 
 
 def enumerate_powerful_arrays(p, lam):
     """The (row_shape, rows) pairs of `_fill_powerful`, in its order."""
     out = []
-    _fill_powerful(p, lam, lambda alpha, rows, image: out.append((alpha, tuple(rows))))
+    _fill_powerful(p, lam, lambda alpha, grid, image: out.append((alpha, tuple(
+        tuple(grid[end - w : end]) for w, end in zip(alpha, itertools.accumulate(alpha))))))
     return out
 
 
 def powerful_classes(p, lam):
     """The top-justified images of the powerful arrays as ``{key: inv}``."""
-    width, hi = p.n.bit_length(), p._hi
-    images = {}
+    width, hi, images = p.n.bit_length(), p._hi, {}
 
-    def leaf(alpha, rows, image):
+    def leaf(alpha, grid, image):
         key = seen = inv = 0
-        for r, pos in image:
-            v = rows[r][pos]
+        for v in map(grid.__getitem__, image):
             key = key << width | v
             inv += (seen & hi[v]).bit_count()
             seen |= 1 << v
@@ -340,19 +333,24 @@ def powerful_classes(p, lam):
 
 @functools.lru_cache(maxsize=None)
 def _powerful_plan(lam):
-    """Each ordering alpha of lam's parts with its table need[r][pos]: the
-    cells of later rows that must sit above row r's entry at pos (the same
-    column, and every column from there on when pos is the row's last);
-    and its image: the (r, pos) cells in the column word of `tab`'s result."""
-    return tuple(
-        (alpha, tuple(
-            tuple(sum(max(0, part - pos) if pos + 1 == width else part > pos
-                      for part in alpha[r + 1 :]) for pos in range(width))
-            for r, width in enumerate(alpha)
-        ), tuple((r, pos) for pos in range(max(alpha, default=0))
-                 for r in reversed(range(len(alpha))) if alpha[r] > pos))
-        for alpha in compositions_with_sort(lam)
-    )
+    """Each ordering alpha of lam's parts with its cell table, in the order
+    of a grid that holds alpha's rows one after another, and its image: the
+    grid indices in the column word of `tab`'s result.  A cell's entry is
+    the grid indices of its anchors (each earlier row's cell in its column,
+    or that row's last cell when the row is shorter); its need, the cells of
+    later rows that must sit above it (the same column, and every column
+    from there on when it ends its row); and whether it ends its row."""
+    plan = []
+    for alpha in compositions_with_sort(lam):
+        start = tuple(itertools.accumulate(alpha, initial=0))
+        plan.append((alpha, tuple(
+            (tuple(start[q] + min(pos, alpha[q] - 1) for q in range(r)),
+             sum(max(0, part - pos) if pos + 1 == width else part > pos for part in alpha[r + 1 :]),
+             pos + 1 == width)
+            for r, width in enumerate(alpha) for pos in range(width)
+        ), tuple(start[r] + pos for pos in range(max(alpha, default=0))
+                 for r in reversed(range(len(alpha))) if alpha[r] > pos)))
+    return tuple(plan)
 
 
 def enumerate_class(p, lam, which):

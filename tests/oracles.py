@@ -41,6 +41,7 @@ from csflab.qcore import (
 )
 from csflab.structural import powersum_words, r_index
 from csflab.tableaux import (
+    _pair_test,
     colword,
     enumerate_standard,
     inv_p,
@@ -769,6 +770,149 @@ def enumerate_powerful_arrays_by_less(p, lam):
 
         fill_row(0, 0, [])
     return out
+
+
+# ---------------------------------------------------------------------------
+# the nested-list kernels that the cell tables of csflab.tableaux replaced
+# ---------------------------------------------------------------------------
+
+def standard_classes_by_nested_grid(p, lam):
+    """`standard_classes` over a grid of columns, each cell reading the
+    cells below and to its left as ``grid[j][i + 1]`` and ``grid[j - 1][i]``."""
+    lam = check_partition(lam)
+    if sum(lam) != p.n:
+        raise ValueError(f"shape {lam} does not use {p.n} entries")
+    if not lam:
+        return {0: 0}, {0: 0}
+    down, hi, width = p._down, p._hi, p.n.bit_length()
+    pair_strong = _pair_test(p._inc)
+    heights = conjugate(lam)
+    # (column, row, has a cell below, has a cell to the left) in fill order
+    cells = [
+        (j, i, i + 1 < heights[j], j > 0)
+        for j in range(lam[0])
+        for i in range(heights[j] - 1, -1, -1)
+    ]
+    last = len(cells) - 1
+    grid = [[0] * height for height in heights]
+    done = [0] * lam[0]  # the entries of each completed column, as a mask
+    standard, strong = {}, {}
+
+    def place(idx, free, inv, key, col, ok):
+        j, i, below, left = cells[idx]
+        cand = free
+        if below:
+            cand &= down[grid[j][i + 1]]
+        if left:
+            cand &= ~down[grid[j - 1][i]]
+        column = grid[j]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            v = column[i] = low.bit_length() - 1
+            now = inv + (hi[v] & ~free).bit_count()
+            code = key << width | v
+            if i:
+                place(idx + 1, free ^ low, now, code, col | low, ok)
+                continue
+            full = col | low
+            pair = ok and (not left or pair_strong(done[j - 1], full))
+            if idx < last:
+                done[j] = full
+                place(idx + 1, free ^ low, now, code, 0, pair)
+            else:
+                standard[code] = now
+                if pair:
+                    strong[code] = now
+
+    place(0, (1 << (p.n + 1)) - 2, 0, 0, 0, True)
+    return standard, strong
+
+
+def powerful_plan_by_rows(lam):
+    """Each ordering alpha of lam's parts with its table need[r][pos]: the
+    cells of later rows that must sit above row r's entry at pos (the same
+    column, and every column from there on when pos is the row's last);
+    and its image: the (r, pos) cells in the column word of `tab`'s result."""
+    return tuple(
+        (alpha, tuple(
+            tuple(sum(max(0, part - pos) if pos + 1 == width else part > pos
+                      for part in alpha[r + 1 :]) for pos in range(width))
+            for r, width in enumerate(alpha)
+        ), tuple((r, pos) for pos in range(max(alpha, default=0))
+                 for r in reversed(range(len(alpha))) if alpha[r] > pos))
+        for alpha in compositions_with_sort(lam)
+    )
+
+
+def fill_powerful_by_rows(p, lam, leaf):
+    """The powerful fill one row at a time: ``leaf(alpha, rows, image)`` on
+    every row-shaped powerful array, with a new closure, anchor list and
+    row list for each row and every finished row copied into ``rows``;
+    ``image`` comes from `powerful_plan_by_rows`."""
+    lam = check_partition(lam)
+    if sum(lam) != p.n:
+        raise ValueError(f"shape {lam} does not use {p.n} entries")
+    up, down = p._up, p._down
+    full = (1 << (p.n + 1)) - 2
+
+    def fill_row(alpha, need, image, rows, free):
+        if len(rows) == len(alpha):
+            leaf(alpha, rows, image)
+            return
+        width, wanted = alpha[len(rows)], need[len(rows)]
+        anchored = [full] * width
+        for prev in rows:
+            for pos in range(width):
+                anchored[pos] &= up[prev[pos] if pos < len(prev) else prev[-1]]
+        row = [0] * width
+
+        def fill(pos, free, allowed, pending):
+            cand = free & allowed & anchored[pos]
+            last = pos + 1 == width
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                v = row[pos] = low.bit_length() - 1
+                rest = free ^ low
+                if (rest & up[v]).bit_count() < wanted[pos]:
+                    continue
+                if not last and rest & ~up[v]:  # else v sits below the rest of its row
+                    fill(pos + 1, rest, ~down[v], (pending & down[v]) | low)
+                elif last and not pending & down[v]:
+                    rows.append(tuple(row))
+                    fill_row(alpha, need, image, rows, rest)
+                    rows.pop()
+
+        fill(0, free, -1, 0)
+
+    for alpha, need, image in powerful_plan_by_rows(lam):
+        fill_row(alpha, need, image, [], full)
+
+
+def powerful_arrays_by_rows(p, lam):
+    """`enumerate_powerful_arrays` over `fill_powerful_by_rows`."""
+    out = []
+    fill_powerful_by_rows(p, lam, lambda alpha, rows, image: out.append((alpha, tuple(rows))))
+    return out
+
+
+def powerful_classes_by_rows(p, lam):
+    """`powerful_classes` over `fill_powerful_by_rows`."""
+    width, hi = p.n.bit_length(), p._hi
+    images = {}
+
+    def leaf(alpha, rows, image):
+        key = seen = inv = 0
+        for r, pos in image:
+            v = rows[r][pos]
+            key = key << width | v
+            inv += (seen & hi[v]).bit_count()
+            seen |= 1 << v
+        images[key] = inv
+
+    fill_powerful_by_rows(p, lam, leaf)
+    return images
 
 
 # ---------------------------------------------------------------------------

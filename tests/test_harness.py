@@ -753,12 +753,12 @@ def test_every_csflab_cache_is_inventoried():
     # a cache keyed by a poset or a vector keeps only the latest one's entry
     per_vector = ("csf.chromatic_e_expansion", "harness._greedy_shapes",
                   "harness._h_failures", "hikita._by_shape", "posets._hessenberg_poset",
-                  "tableaux._pair_test")
+                  "posets.greedy_partition", "tableaux._pair_test")
     # keyed by a shape, a size, a factorization or a (tableau, r) pair
     unbounded = ("csf._e_in_s", "csf.e_to_m",
                  "harness._barbell_vectors", "harness._row_factorials",
-                 "harness.code_version", "hikita._steps", "qcore.q_int_product",
-                 "tableaux._powerful_plan")
+                 "harness.code_version", "hikita._steps", "posets.path_hessenberg",
+                 "qcore.q_int_product", "tableaux._powerful_plan", "tableaux._standard_plan")
     expected = {**dict.fromkeys(per_vector, 1), "harness._h_margin_nonneg": 4096,
                 **dict.fromkeys(unbounded, None)}
     assert dict(found.values()) == expected
@@ -917,9 +917,12 @@ def test_sweep_holds_one_vectors_cached_work_at_a_time(monkeypatch):
         posets._hessenberg_poset,
         harness._h_failures,
         harness._greedy_shapes,
+        posets.greedy_partition,
         tableaux._pair_test,
     )
     assert all(c.cache_parameters()["maxsize"] == 1 for c in one_vector)
+    harness._greedy_shapes.cache_clear()
+    posets.greedy_partition.cache_clear()
 
     plain = harness.evaluate_task
     paths = []
@@ -933,6 +936,8 @@ def test_sweep_holds_one_vectors_cached_work_at_a_time(monkeypatch):
     for conjecture in ("theorem-suite", "h-lower-bound"):
         reports = run_verification(conjecture, 5)
         assert summarize(reports) == {"holds": 384, "fails": 0, "skipped": 0}
+    # the greedy family reads each poset's peel from the cache: one peel a vector
+    assert posets.greedy_partition.cache_info().misses == len({r.task.m for r in reports})
     # after each unit the growth path is exactly its vector's prefixes
     assert len(paths) == 2 * 384
     assert all(path == [m[:i] for i in range(len(m) + 1)] for m, path in paths)

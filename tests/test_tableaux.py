@@ -46,8 +46,11 @@ from oracles import (
     ladder_swap,
     ladders,
     monomial,
+    powerful_arrays_by_rows,
+    powerful_classes_by_rows,
     same_or_incomparable,
     shape_from_cols,
+    standard_classes_by_nested_grid,
     standard_inv_counts,
     tab_inverse,
     text_to_rows,
@@ -482,6 +485,35 @@ def test_keyed_classes_match_oracles_at_seven_sampled(m):
 def test_keyed_classes_match_oracles_at_seven_in_full():
     for m in VECTORS_7:
         _keyed_classes_match_oracles(m)
+
+
+# -- cell-table kernels against the nested-list kernels they replaced ---------
+
+def _cell_tables_match_nested_kernels(m):
+    """On every shape: the same powerful arrays, the same powerful keys and
+    invs, and the same standard and strong keys and invs, in the same order."""
+    p = poset_from_hessenberg(m)
+    for lam in partitions(p.n):
+        assert enumerate_powerful_arrays(p, lam) == powerful_arrays_by_rows(p, lam), lam
+        assert list(powerful_classes(p, lam).items()) == list(
+            powerful_classes_by_rows(p, lam).items()
+        ), lam
+        walk, nested = standard_classes(p, lam), standard_classes_by_nested_grid(p, lam)
+        assert [list(d.items()) for d in walk] == [list(d.items()) for d in nested], lam
+
+
+def test_cell_table_kernels_match_nested_kernels_to_seven():
+    for m in [()] + VECTORS_TO_7:  # (): one shape with no cells, one leaf call
+        _cell_tables_match_nested_kernels(m)
+
+
+@pytest.mark.skipif(
+    not os.environ.get("CSFLAB_ACCEPT_N8"),
+    reason="set CSFLAB_ACCEPT_N8=1 to check every unit order with n=8",
+)
+def test_cell_table_kernels_match_nested_kernels_at_n8():
+    for m in enumerate_hessenberg(8):
+        _cell_tables_match_nested_kernels(m)
 
 
 def test_tableau_keys_roundtrip_in_column_word_order():
