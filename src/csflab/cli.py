@@ -10,8 +10,9 @@ and glued-clique orders.
 Exit codes: 0 when everything holds, 1 when a verification fails,
 2 on usage errors, 3 when a check raised inside ``verify`` (an ``error``
 unit is a crash, not a counterexample).  Domain validation errors (bad
-vectors, mismatched shapes) count as usage errors.  The command line
-needs only the standard library, and imports ``logging`` only for ``-v``.
+vectors, mismatched shapes) and an output path that cannot be written
+count as usage errors.  The command line needs only the standard
+library, and imports ``logging`` only for ``-v``.
 """
 
 from __future__ import annotations
@@ -51,12 +52,6 @@ def _usage(fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-
-
-def _failure(message):
-    """Print ``Error: message`` to stderr and exit with code 1."""
-    print(f"Error: {message}", file=sys.stderr)
-    raise SystemExit(1)
 
 
 def _vector(text):
@@ -110,7 +105,7 @@ def csf(hessenberg, basis, q_at, json_path):
                 json.dump(f.to_json_dict(), fh, indent=2)
                 fh.write("\n")
         except OSError as exc:
-            _failure(f"cannot write {json_path}: {exc}")
+            raise _UsageError(f"cannot write {json_path}: {exc}") from exc
     _echo_expansion(f, q_at)
 
 
@@ -153,7 +148,7 @@ def verify(conjecture, max_n, jobs, report_path, cache_dir, override_cap, verbos
         try:
             emit_report(reports, report_path)
         except OSError as exc:
-            _failure(exc)
+            raise _UsageError(str(exc)) from exc
     counts = summarize(reports)
     for line in report_lines(reports, ("fails", "error")):
         print(line, file=sys.stderr)

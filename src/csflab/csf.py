@@ -121,30 +121,30 @@ def _e_in_s(mu):
     return out
 
 
-def csf_schur(p):
-    """Schur expansion of X for a natural unit interval order with at most
-    ``SIZE_CAP`` elements: [s_nu] = sum_mu c_mu(q) K_{nu' mu} over the
-    cached e-expansion, summed on integer coefficient lists.  Every c_mu
-    and K is nonnegative, so no sum cancels.  Raises ValueError on any
-    other poset, as ``chromatic_e_expansion`` does."""
+def _read_off_e(p, basis, table):
+    """[b_nu] = sum_mu c_mu(q) table(mu)[nu] over the cached e-expansion of
+    p, summed on integer coefficient lists."""
     sums = {}
     for mu, c in chromatic_e_expansion(p).coeffs.items():
-        for nu, k in _e_in_s(mu).items():
+        for nu, k in table(mu).items():
             int_poly_add(sums.setdefault(nu, []), c, k)
-    return SymFunc._make(("s", p.n, {nu: tuple(acc) for nu, acc in sums.items()}))
+    return SymFunc._make((basis, p.n, {nu: tuple(acc) for nu, acc in sums.items()}))
+
+
+def csf_schur(p):
+    """Schur expansion of X for a natural unit interval order with at most
+    ``SIZE_CAP`` elements: [s_nu] = sum_mu c_mu(q) K_{nu' mu}.  Every c_mu
+    and K is nonnegative, so no sum cancels.  Raises ValueError on any
+    other poset, as ``chromatic_e_expansion`` does."""
+    return _read_off_e(p, "s", _e_in_s)
 
 
 def csf_coloring_oracle(p):
     """Monomial expansion of X for a natural unit interval order with at
-    most ``SIZE_CAP`` elements: [m_lam] = sum_mu c_mu(q) [m_lam] e_mu over
-    the cached e-expansion (``e_to_m``), summed on integer coefficient
-    lists.  Raises ValueError on any other poset, as
+    most ``SIZE_CAP`` elements: [m_lam] = sum_mu c_mu(q) [m_lam] e_mu
+    (``e_to_m``).  Raises ValueError on any other poset, as
     ``chromatic_e_expansion`` does."""
-    sums = {}
-    for mu, c in chromatic_e_expansion(p).coeffs.items():
-        for lam, k in e_to_m(mu, p.n).items():
-            int_poly_add(sums.setdefault(lam, []), c, k)
-    return SymFunc._make(("m", p.n, {lam: tuple(acc) for lam, acc in sums.items()}))
+    return _read_off_e(p, "m", lambda mu: e_to_m(mu, p.n))
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +224,7 @@ def chromatic_e_expansion(p):
         raise ValueError(f"n={p.n} exceeds the size cap {SIZE_CAP}")
     m = p.m
     if m is None:
-        raise ValueError(
-            "symbolic e-expansion requires a natural unit interval order; "
-            "specialize the oracle at q=1 for other posets"
-        )
+        raise ValueError("symbolic e-expansion requires a natural unit interval order")
     if p.n == 0:
         return SymFunc._make(("e", 0, {(): (1,)}))
     return SymFunc._make(("e", p.n, e_coefficients_by_shape(m)))

@@ -416,29 +416,21 @@ def _check_barbell(m, lam):
     return "fails", {"gamma": list(gamma), "discrepancy": list(margin)}
 
 
-def _nonadjacent_subsets(indices):
-    subsets = [()]
-    for i in indices:
-        subsets += [s + (i,) for s in subsets if not s or s[-1] != i - 1]
-    return subsets
-
-
 @functools.lru_cache(maxsize=1)
 def _greedy_shapes(m):
-    """Every shape the greedy displacement family produces for this poset."""
+    """Every shape the greedy displacement family produces for this poset:
+    cut i may move w cells from row i to row i+1 exactly when 2w <= row_i -
+    row_{i+1} (a missing row is 0), and cuts that are not adjacent move
+    independently, so only displacements that form a partition are built."""
     from .posets import greedy_partition
 
     p = poset_from_hessenberg(m)
     base = greedy_partition(p)
-    shapes = set()
-    for cuts in _nonadjacent_subsets(range(1, len(base) + 1)):
-        ranges = [range(1, base[i - 1] + 1) for i in cuts]
-        for ks in itertools.product(*ranges):
-            try:
-                shapes.add(greedy_shape_family(p, cuts, dict(zip(cuts, ks))))
-            except ValueError:
-                continue
-    return frozenset(shapes)
+    moves = [{}]  # each nonadjacent cut set with room -> its weights
+    for i, (row, below) in enumerate(zip(base, base[1:] + (0,)), 1):
+        moves += [{**d, i: w} for d in moves if i - 1 not in d
+                  for w in range(1, (row - below) // 2 + 1)]
+    return frozenset(greedy_shape_family(p, set(d), d) for d in moves)
 
 
 @functools.lru_cache(maxsize=None)

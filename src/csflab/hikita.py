@@ -7,9 +7,11 @@ columns strictly increase.  A tableau of size n is grown by inserting
 n+1 at the bottom of an admissible column; which columns are admissible,
 and with what weight, is read off a binary column sequence.
 
-Each step's weight is q^(a_1 + ... + a_k) times a ratio of q-integers of
-run sums (Hikita, arXiv:2410.12758), kept factored: a q-power and the net
-exponent of each [j]_q.
+``_steps`` is the one definition of a step: it reads the runs of the
+sequence once and builds from them each admissible column and its weight,
+q^(a_1 + ... + a_k) times a ratio of q-integers of run sums (Hikita,
+arXiv:2410.12758), kept factored: a q-power and the net exponent of each
+[j]_q.
 
 The growth is shared across prefixes.  Every prefix of a Hessenberg vector
 is one, and a tableau reachable under m is one insertion step from a
@@ -31,14 +33,15 @@ identity; ``csf.chromatic_e_expansion`` reads them.
 
 The tests hold the second routes in ``tests/oracles.py``:
 ``enumerate_syt``, the entry-by-entry reachability test ``is_reachable``,
-the shape-pruned growth ``enumerate_hikita_by_pruning``, the path weight
+the step reference (``delta``'s run-length ``ColorSequence``, its
+``insertion_columns`` and ``weight``, and ``insert``), the shape-pruned
+growth ``enumerate_hikita_by_pruning``, the path weight
 ``walk_by_stripping`` found by removing the largest entry step by step,
 and the unfactored per-step weights ``phi`` and ``phi_tilde``.
 """
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 
@@ -64,89 +67,43 @@ def is_syt(cols):
 
 
 # ---------------------------------------------------------------------------
-# column sequences
+# insertion steps
 # ---------------------------------------------------------------------------
-
-class ColorSequence(collections.namedtuple("ColorSequence", "b a")):
-    """Run-length form (1^{b_0}, 0^{a_1}, 1^{b_1}, ..., 1^{b_l}, 0^{a_{l+1}})
-    of the binary column sequence of a tableau at threshold r: b holds
-    b[0..l], and a[0] holds a_1, ..., a[l] holds a_{l+1}."""
-
-    __slots__ = ()
-
-    @property
-    def ell(self):
-        return len(self.b) - 1
-
-    def insertion_columns(self):
-        """c_k = 1 + a_1 + ... + a_k + b_0 + ... + b_k for 0 <= k <= l."""
-        return [1 + sum(self.a[:k]) + sum(self.b[: k + 1]) for k in range(self.ell + 1)]
-
-    def weight(self, k):
-        """Transition weight for the k-th admissible column, factored as
-        (e, {j: x}): q^(a_1 + ... + a_k) times the product of [j]_q^x.
-
-        The ratios are [A(i+1..k) + B(i..k)] / [A(i..k) + B(i..k)] for
-        1 <= i <= k and [A(k+1..i) + B(k+1..i-1)] / [A(k+1..i) + B(k+1..i)]
-        for k < i <= l, with A and B the run sums; [1]_q factors and zero
-        exponents are dropped, and a [0]_q numerator stays (weight zero).
-        """
-        if not 0 <= k <= self.ell:
-            raise ValueError(f"k={k} out of range; ell={self.ell}")
-        a, b = self.a, self.b  # a[i - 1] holds a_i, b[i] holds b_i
-        ratios = [(sum(a[i:k]) + sum(b[i : k + 1]), sum(a[i - 1 : k]) + sum(b[i : k + 1]))
-                  for i in range(1, k + 1)]
-        ratios += [(sum(a[k:i]) + sum(b[k + 1 : i]), sum(a[k:i]) + sum(b[k + 1 : i + 1]))
-                   for i in range(k + 1, self.ell + 1)]
-        factors = {}
-        for num, den in ratios:
-            if not den:
-                raise AssertionError("zero denominator in transition weight")
-            factors[num] = factors.get(num, 0) + 1
-            factors[den] = factors.get(den, 0) - 1
-        return sum(a[:k]), {j: x for j, x in factors.items() if x and j != 1}
-
-
-def delta(cols, r):
-    """Column sequence of length n+1: a one marks a column whose largest
-    entry exceeds r, absent columns count as zeros."""
-    seq = [int(i < len(cols) and bool(cols[i]) and cols[i][-1] > r)
-           for i in range(tableau_size(cols) + 1)]
-    runs = [len(list(run)) for _, run in itertools.groupby(seq)]
-    if seq[0] == 0:
-        runs.insert(0, 0)  # b_0 = 0: the sequence opens with zeros
-    # the sequence always ends on a zero (column n+1 is absent), so the
-    # runs alternate b_0, a_1, b_1, ..., b_l, a_{l+1}
-    return ColorSequence(tuple(runs[0::2]), tuple(runs[1::2]))
-
-
-def insert(cols, r, k):
-    """Grow the tableau by n+1 at the bottom of its k-th admissible column."""
-    cs = delta(cols, r)
-    columns = cs.insertion_columns()
-    if not 0 <= k < len(columns):
-        raise ValueError(f"k={k} out of range; {len(columns)} insertion columns")
-    c = columns[k]
-    v = tableau_size(cols) + 1
-    if c <= len(cols):
-        out = list(cols)
-        out[c - 1] = out[c - 1] + (v,)
-    else:
-        if c != len(cols) + 1:
-            raise AssertionError(f"insertion column {c} skips an empty column")
-        out = list(cols) + [(v,)]
-    heights = [len(col) for col in out]
-    if any(heights[i] < heights[i + 1] for i in range(len(heights) - 1)):
-        raise AssertionError("insertion broke the partition shape")
-    return tuple(out)
-
 
 @functools.lru_cache(maxsize=None)
 def _steps(cols, r):
     """Every insertion step out of ``cols`` at threshold r, in column order:
-    (the grown tableau, the step's factored weight)."""
-    cs = delta(cols, r)
-    return tuple((insert(cols, r, k), cs.weight(k)) for k in range(cs.ell + 1))
+    (the grown tableau, the step's factored weight (e, {j: x})).
+
+    A column is a one when its largest entry exceeds r; column n+1 is
+    absent, a zero.  The runs of this sequence are b_0, a_1, b_1, ..., b_l,
+    a_{l+1}, with b_0 = 0 when it opens with a zero.  Step k puts n+1 at
+    the bottom of column c_k = 1 + a_1 + ... + a_k + b_0 + ... + b_k; its
+    weight is q^(a_1 + ... + a_k) times the ratios
+    [A(i+1..k) + B(i..k)] / [A(i..k) + B(i..k)] for 1 <= i <= k and
+    [A(k+1..i) + B(k+1..i-1)] / [A(k+1..i) + B(k+1..i)] for k < i <= l,
+    with A and B the run sums.  Each ratio holds a positive run, so none
+    is [0]_q; [1]_q factors and zero exponents are dropped.
+    """
+    runs = [len(list(run)) for _, run in itertools.groupby(
+        [1] + [int(col[-1] > r) for col in cols] + [0])]
+    runs[0] -= 1  # the leading one only opens b_0, which may be 0
+    b, a = runs[0::2], runs[1::2]  # b[i] holds b_i, a[i - 1] holds a_i
+    v = tableau_size(cols) + 1
+    steps = []
+    for k in range(len(b)):
+        ratios = [(sum(a[i:k]) + sum(b[i : k + 1]), sum(a[i - 1 : k]) + sum(b[i : k + 1]))
+                  for i in range(1, k + 1)]
+        ratios += [(sum(a[k:i]) + sum(b[k + 1 : i]), sum(a[k:i]) + sum(b[k + 1 : i + 1]))
+                   for i in range(k + 1, len(b))]
+        factors = {}
+        for num, den in ratios:
+            factors[num] = factors.get(num, 0) + 1
+            factors[den] = factors.get(den, 0) - 1
+        c = sum(a[:k]) + sum(b[: k + 1])  # c_k - 1, at most len(cols)
+        grown = cols[:c] + ((cols[c] if c < len(cols) else ()) + (v,),) + cols[c + 1 :]
+        steps.append((grown, (sum(a[:k]), {j: x for j, x in factors.items() if x and j != 1})))
+    return tuple(steps)
 
 
 # ---------------------------------------------------------------------------

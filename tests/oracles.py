@@ -10,6 +10,7 @@ agreement of the two routes is still checked.  The module has no
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import random
@@ -19,10 +20,11 @@ from fractions import Fraction
 
 from csflab.csf import SIZE_CAP, SymFunc, e_to_m, to_elementary
 from csflab.harness import Report, VerificationTask, _Cache, evaluate_task, tasks_for
-from csflab.hikita import _steps, delta, insert, is_syt, tableau_size
+from csflab.hikita import _steps, is_syt, tableau_size
 from csflab.posets import (
     Poset,
     check_hessenberg,
+    greedy_partition,
     path_hessenberg,
     poset_from_hessenberg,
 )
@@ -39,7 +41,7 @@ from csflab.qcore import (
     q_int,
     sort_desc,
 )
-from csflab.structural import powersum_words, r_index
+from csflab.structural import greedy_shape_family, powersum_words, r_index
 from csflab.tableaux import (
     _pair_test,
     colword,
@@ -928,6 +930,80 @@ def enumerate_syt(lam):
     return enumerate_standard(chain, lam)
 
 
+class ColorSequence(collections.namedtuple("ColorSequence", "b a")):
+    """Run-length form (1^{b_0}, 0^{a_1}, 1^{b_1}, ..., 1^{b_l}, 0^{a_{l+1}})
+    of the binary column sequence of a tableau at threshold r: b holds
+    b[0..l], and a[0] holds a_1, ..., a[l] holds a_{l+1}."""
+
+    __slots__ = ()
+
+    @property
+    def ell(self):
+        return len(self.b) - 1
+
+    def insertion_columns(self):
+        """c_k = 1 + a_1 + ... + a_k + b_0 + ... + b_k for 0 <= k <= l."""
+        return [1 + sum(self.a[:k]) + sum(self.b[: k + 1]) for k in range(self.ell + 1)]
+
+    def weight(self, k):
+        """Transition weight for the k-th admissible column, factored as
+        (e, {j: x}): q^(a_1 + ... + a_k) times the product of [j]_q^x.
+
+        The ratios are [A(i+1..k) + B(i..k)] / [A(i..k) + B(i..k)] for
+        1 <= i <= k and [A(k+1..i) + B(k+1..i-1)] / [A(k+1..i) + B(k+1..i)]
+        for k < i <= l, with A and B the run sums; [1]_q factors and zero
+        exponents are dropped, and a [0]_q numerator stays (weight zero).
+        """
+        if not 0 <= k <= self.ell:
+            raise ValueError(f"k={k} out of range; ell={self.ell}")
+        a, b = self.a, self.b  # a[i - 1] holds a_i, b[i] holds b_i
+        ratios = [(sum(a[i:k]) + sum(b[i : k + 1]), sum(a[i - 1 : k]) + sum(b[i : k + 1]))
+                  for i in range(1, k + 1)]
+        ratios += [(sum(a[k:i]) + sum(b[k + 1 : i]), sum(a[k:i]) + sum(b[k + 1 : i + 1]))
+                   for i in range(k + 1, self.ell + 1)]
+        factors = {}
+        for num, den in ratios:
+            if not den:
+                raise AssertionError("zero denominator in transition weight")
+            factors[num] = factors.get(num, 0) + 1
+            factors[den] = factors.get(den, 0) - 1
+        return sum(a[:k]), {j: x for j, x in factors.items() if x and j != 1}
+
+
+def delta(cols, r):
+    """Column sequence of length n+1: a one marks a column whose largest
+    entry exceeds r, absent columns count as zeros."""
+    seq = [int(i < len(cols) and bool(cols[i]) and cols[i][-1] > r)
+           for i in range(tableau_size(cols) + 1)]
+    runs = [len(list(run)) for _, run in itertools.groupby(seq)]
+    if seq[0] == 0:
+        runs.insert(0, 0)  # b_0 = 0: the sequence opens with zeros
+    # the sequence always ends on a zero (column n+1 is absent), so the
+    # runs alternate b_0, a_1, b_1, ..., b_l, a_{l+1}
+    return ColorSequence(tuple(runs[0::2]), tuple(runs[1::2]))
+
+
+def insert(cols, r, k):
+    """Grow the tableau by n+1 at the bottom of its k-th admissible column."""
+    cs = delta(cols, r)
+    columns = cs.insertion_columns()
+    if not 0 <= k < len(columns):
+        raise ValueError(f"k={k} out of range; {len(columns)} insertion columns")
+    c = columns[k]
+    v = tableau_size(cols) + 1
+    if c <= len(cols):
+        out = list(cols)
+        out[c - 1] = out[c - 1] + (v,)
+    else:
+        if c != len(cols) + 1:
+            raise AssertionError(f"insertion column {c} skips an empty column")
+        out = list(cols) + [(v,)]
+    heights = [len(col) for col in out]
+    if any(heights[i] < heights[i + 1] for i in range(len(heights) - 1)):
+        raise AssertionError("insertion broke the partition shape")
+    return tuple(out)
+
+
 def color_sequence(cs):
     """The binary column sequence that a ColorSequence run-length encodes."""
     out = [1] * cs.b[0]
@@ -1434,6 +1510,31 @@ def concat(s_cols, t_cols):
     decides which predicate the result must satisfy.
     """
     return tuple(tuple(c) for c in s_cols) + tuple(tuple(c) for c in t_cols)
+
+
+def _nonadjacent_subsets(indices):
+    subsets = [()]
+    for i in indices:
+        subsets += [s + (i,) for s in subsets if not s or s[-1] != i - 1]
+    return subsets
+
+
+def greedy_shapes_by_trial(m):
+    """Every shape the greedy displacement family produces for this poset,
+    by trying each nonadjacent cut set with every weight up to the row it
+    shrinks and dropping the displacements that are no partition: the
+    reference for ``csflab.harness._greedy_shapes``."""
+    p = poset_from_hessenberg(m)
+    base = greedy_partition(p)
+    shapes = set()
+    for cuts in _nonadjacent_subsets(range(1, len(base) + 1)):
+        ranges = [range(1, base[i - 1] + 1) for i in cuts]
+        for ks in itertools.product(*ranges):
+            try:
+                shapes.add(greedy_shape_family(p, cuts, dict(zip(cuts, ks))))
+            except ValueError:
+                continue
+    return frozenset(shapes)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from csflab.csf import (
     to_elementary,
 )
 from csflab.harness import _greedy_shapes, run_verification, summarize
-from csflab.hikita import delta, enumerate_hikita, h_unreduced, zeta
+from csflab.hikita import _steps, enumerate_hikita, h_unreduced, zeta
 from csflab.posets import (
     enumerate_hessenberg,
     kchain_hessenberg,
@@ -289,9 +289,8 @@ def test_criterion_06_insertion_identities():
             for t in enumerate_syt(lam):
                 for r in range(size + 1):
                     total = ZERO
-                    cs = delta(t, r)
-                    for k in range(cs.ell + 1):
-                        total = rat_add(total, factored_value(*cs.weight(k)))
+                    for _, weight in _steps(t, r):
+                        total = rat_add(total, factored_value(*weight))
                     assert total == ONE
 
     # the inversion statistic is the zeta power, shifted between the

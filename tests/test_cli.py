@@ -457,6 +457,22 @@ def test_verify_unusable_cache_dir_is_a_usage_error(monkeypatch, tmp_path):
     assert taken.read_text() == "not a directory\n"
 
 
+
+def test_verify_unwritable_report_is_a_usage_error(tmp_path):
+    # every unit holds, so exit 1 would misreport a failed verification
+    path = tmp_path / "missing" / "r.jsonl"
+    line = usage_error("verify", "--conjecture", "bounds", "--max-n", "3",
+                       "--report", str(path))
+    assert line.startswith(f"Error: cannot write report file {path}: ")
+    assert not path.parent.exists()
+
+
+def test_csf_unwritable_json_is_a_usage_error(tmp_path):
+    path = tmp_path / "missing" / "e.json"
+    line = usage_error("csf", "--hessenberg", "0,0,1", "--basis", "e", "--json", str(path))
+    assert line.startswith(f"Error: cannot write {path}: ")
+    assert not path.parent.exists()
+
 def test_verify_verbose_logs_to_stderr_and_keeps_the_report(tmp_path):
     args = ("verify", "--conjecture", "bounds", "--max-n", "3",
             "--cache", str(tmp_path / "cache"))

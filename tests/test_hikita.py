@@ -9,14 +9,12 @@ from hypothesis import given, settings, strategies as st
 from csflab import hikita
 from csflab.csf import e_coeff
 from csflab.hikita import (
-    ColorSequence,
     _grown,
     _product,
-    delta,
+    _steps,
     enumerate_hikita,
     h,
     h_unreduced,
-    insert,
     is_syt,
     prob,
     zeta,
@@ -36,10 +34,12 @@ from csflab.tableaux import enumerate_class, inv_p
 
 from oracles import (
     color_sequence,
+    delta,
     enumerate_hikita_by_pruning,
     enumerate_syt,
     factored_value,
     grown_by_recursion,
+    insert,
     is_reachable,
     monomial,
     pairwise_part_products,
@@ -132,6 +132,16 @@ def test_insert_always_valid():
                     assert sum(len(c) for c in bigger) == n + 1
 
 
+def test_steps_match_the_run_length_reference():
+    # every standard Young tableau with at most 8 cells, at every threshold
+    for n in range(9):
+        for _, t in all_syt(n):
+            for r in range(n + 1):
+                cs = delta(t, r)
+                reference = tuple((insert(t, r, k), cs.weight(k)) for k in range(cs.ell + 1))
+                assert _steps(t, r) == reference, (t, r)
+
+
 def test_phi_single_run_is_trivial():
     assert phi((), 0, 0) == ONE
     assert phi_tilde((), 0, 0) == (1,)
@@ -157,11 +167,11 @@ def test_phi_sums_to_one():
                 assert total == ONE
 
 
-def step_weights_sum_to_one(cs):
-    """Whether the factored step weights of a sequence add up to exactly 1,
-    over the common denominator prod [j]_q^d_j, d_j the largest power of
-    [j]_q that any one weight divides by, so no gcd is taken."""
-    weights = [cs.weight(k) for k in range(cs.ell + 1)]
+def step_weights_sum_to_one(steps):
+    """Whether the factored weights of ``_steps`` add up to exactly 1, over
+    the common denominator prod [j]_q^d_j, d_j the largest power of [j]_q
+    that any one weight divides by, so no gcd is taken."""
+    weights = [weight for _, weight in steps]
     common = {}
     for _, factors in weights:
         for j, x in factors.items():
@@ -178,14 +188,17 @@ def step_weights_sum_to_one(cs):
 def test_step_weights_sum_to_one_on_every_small_sequence():
     # every run-length sequence with l <= 4 and runs of 1 or 2 (b_0 may be
     # 0), straight from the factored weights: l >= 2 needs the first
-    # product's denominator to be A(i..k) + B(i..k)
+    # product's denominator to be A(i..k) + B(i..k).  Single-entry columns
+    # realise any sequence: (2,) is a one and (1,) a zero at threshold 1,
+    # and the absent column n+1 is the last zero of a_{l+1}
     runs = (1, 2)
     checked = 0
     for ell in range(5):
         for b in itertools.product((0,) + runs, *[runs] * ell):
             for a in itertools.product(runs, repeat=ell + 1):
-                cs = ColorSequence(b, a)
-                assert step_weights_sum_to_one(cs), cs
+                bits = [bit for bi, ai in zip(b, a) for bit in [1] * bi + [0] * ai][:-1]
+                steps = _steps(tuple((2,) if bit else (1,) for bit in bits), 1)
+                assert len(steps) == ell + 1 and step_weights_sum_to_one(steps), (b, a)
                 checked += 1
     assert checked == 3 * (2 + 8 + 32 + 128 + 512)
 
@@ -195,14 +208,10 @@ def test_factored_weights_match_reference():
     for n in range(6):
         for _, t in all_syt(n):
             for r in range(n + 1):
-                cs = delta(t, r)
-                for k in range(cs.ell + 1):
-                    e, factors = cs.weight(k)
+                for k, (_, (e, factors)) in enumerate(_steps(t, r)):
                     assert 1 not in factors and 0 not in factors.values()
                     assert factored_value(e, factors) == phi(t, r, k)
                     assert monomial(e) == phi_tilde(t, r, k)
-                with pytest.raises(ValueError):
-                    cs.weight(cs.ell + 1)
 
 
 def test_path_views_match_reference_products():
@@ -502,13 +511,11 @@ def test_phi_distribution_property(n, data):
     tabs = enumerate_syt(lam)
     t = data.draw(st.sampled_from(tabs))
     r = data.draw(st.integers(min_value=0, max_value=n))
-    cs = delta(t, r)
     total = ZERO
-    for k in range(cs.ell + 1):
-        f = factored_value(*cs.weight(k))
-        total = rat_add(total, f)
-        # each transition inserts where the color sequence allows
-        assert insert(t, r, k) != t
+    for grown, weight in _steps(t, r):
+        total = rat_add(total, factored_value(*weight))
+        # each transition grows the tableau by one cell
+        assert is_syt(grown) and sum(map(len, grown)) == n + 1
     assert total == ONE
     # reachability agrees with a literal nonzero check of the product form
     assert is_reachable(m, t) == bool(prob(m, t).num)

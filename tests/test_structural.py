@@ -54,6 +54,7 @@ from oracles import (
     dominates,
     e_expansion_at_one,
     factorize,
+    greedy_shapes_by_trial,
     in_mult_image,
     is_p_tableau,
     m_product_coeffs,
@@ -248,6 +249,14 @@ def test_greedy_shapes_from_one_peel_match_public_family():
                             continue
             assert _greedy_shapes(m) == shapes
 
+
+
+def test_greedy_shapes_built_directly_match_the_trial_reference():
+    # only displacements with room are built; trying every weight and
+    # dropping the non-partitions gives the same set on every vector, n <= 8
+    for n in range(1, 9):
+        for m in enumerate_hessenberg(n):
+            assert _greedy_shapes(m) == greedy_shapes_by_trial(m), m
 
 # -- factorization -------------------------------------------------------------
 
