@@ -35,8 +35,8 @@ from .posets import (
     path_hessenberg,
     poset_from_hessenberg,
 )
-from .qcore import QRat, partitions, q_factorial, q_int
-from .structural import K_set, greedy_shape_family
+from .qcore import QRat, partitions
+from .structural import K_set
 from .tableaux import enumerate_class, enumerate_powerful_arrays, inv_p, is_strong
 
 __version__ = "0.1.0"
@@ -58,7 +58,6 @@ __all__ = [
     "enumerate_hessenberg",
     "enumerate_hikita",
     "enumerate_powerful_arrays",
-    "greedy_shape_family",
     "h",
     "inv_p",
     "is_strong",
@@ -69,8 +68,6 @@ __all__ = [
     "path_hessenberg",
     "poset_from_hessenberg",
     "prob",
-    "q_factorial",
-    "q_int",
     "run_verification",
     "summarize",
     "to_elementary",

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 from fractions import Fraction
@@ -141,6 +142,14 @@ def hikita(hessenberg, shape, stat):
 
 def verify(conjecture, max_n, jobs, report_path, cache_dir, override_cap, verbose):
     """Check one conjecture on every unit order with at most max-n elements."""
+    if report_path:  # refused before the sweep, truncating nothing and leaving no new file
+        existed = os.path.exists(report_path)
+        try:
+            open(report_path, "a", encoding="utf-8").close()
+        except OSError as exc:
+            raise _UsageError(f"cannot write report file {report_path}: {exc}") from exc
+        if not existed:
+            os.remove(report_path)
     with _info_to_stderr() if verbose else contextlib.nullcontext():
         reports = _usage(run_verification, conjecture, max_n, jobs,
                          cache_dir=cache_dir, override_cap=override_cap)
@@ -152,13 +161,8 @@ def verify(conjecture, max_n, jobs, report_path, cache_dir, override_cap, verbos
     counts = summarize(reports)
     for line in report_lines(reports, ("fails", "error")):
         print(line, file=sys.stderr)
-    errors = counts.get("error", 0)
-    print(
-        f"{conjecture} n<={max_n}: holds={counts['holds']}"
-        f" fails={counts['fails']} skipped={counts['skipped']}"
-        + (f" error={errors}" if errors else "")
-    )
-    return 3 if errors else 1 if counts["fails"] else 0
+    print(f"{conjecture} n<={max_n}: " + " ".join(f"{k}={v}" for k, v in counts.items()))
+    return 3 if "error" in counts else 1 if counts["fails"] else 0
 
 
 def formula(path_n, gamma_text):

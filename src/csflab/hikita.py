@@ -22,9 +22,9 @@ prefixes.  The resulting map from each reachable tableau to the weight of
 its path serves ``prob`` (the full product), ``zeta`` (the q-power alone)
 and ``h`` (the q-integer part, prob/zeta); a tableau it lacks has
 probability zero.  ``h_unreduced`` multiplies the q-integers out into an
-integer numerator and denominator with no gcd (``qcore.q_int_product``,
-once per factorization); ``prob`` and ``h`` build their reduced QRat from
-that same pair of coefficient tuples, and ``zeta`` is a coefficient tuple.
+integer numerator and denominator with no gcd (``qcore.q_int_ratio``,
+once per factorization); ``prob`` and ``h`` reduce that same pair, ``zeta``
+is a coefficient tuple, and ``h_factors`` pairs each tableau with h's factors.
 ``enumerate_hikita`` buckets the map by shape, in column-word order;
 insertion only adds cells, so each bucket is what a growth pruned to its
 shape returns.  ``e_coefficients_by_shape`` sums each bucket into the
@@ -47,7 +47,7 @@ import itertools
 
 from .posets import check_hessenberg
 from .qcore import QRat, check_partition, conjugate, int_poly_add, int_poly_divexact
-from .qcore import q_factorial_factors, q_int_product
+from .qcore import q_factorial_factors, q_int_product, q_int_ratio
 from .tableaux import colword
 
 
@@ -132,12 +132,6 @@ def _grown(m):
     return path[-1][1]
 
 
-def _product(factors):
-    """The product of [j]_q^x as integer coefficient tuples (num, den)."""
-    return (q_int_product(tuple(sorted((j, x) for j, x in factors.items() if x > 0))),
-            q_int_product(tuple(sorted((j, -x) for j, x in factors.items() if x < 0))))
-
-
 def _check_args(m, cols):
     m = check_hessenberg(m)
     cols = tuple(tuple(c) for c in cols)
@@ -153,7 +147,7 @@ def prob(m, cols):
     path = _grown(m).get(cols)
     if path is None:
         return QRat(())
-    num, den = _product(path[1])
+    num, den = q_int_ratio(path[1].items())
     return QRat((0,) * path[0] + num, den)
 
 
@@ -175,7 +169,7 @@ def h_unreduced(m, cols):
     path = _grown(m).get(cols)
     if path is None or path[1].get(0, 0) > 0:
         raise ValueError("h is undefined: the tableau has probability zero")
-    return _product(path[1])
+    return q_int_ratio(path[1].items())
 
 
 def h(m, cols):
@@ -207,13 +201,12 @@ def enumerate_hikita(m, lam):
     return list(_by_shape(m).get(lam, ()))
 
 
-def h_unreduced_by_shape(m):
-    """Each shape reachable under m -> [(cols, h_unreduced(m, cols)), ...]
-    in column-word order, for a sweep over vectors it made itself: nothing
-    is validated, and no step weight is zero, so every h is defined."""
-    grown = _grown(m)
-    return {lam: [(cols, _product(grown[cols][1])) for cols in tabs]
-            for lam, tabs in _by_shape(m).items()}
+def h_factors(m):
+    """(tableau, h's factorization) for each tableau reachable under m, in
+    growth order: h = prob/zeta is the product of [j]_q^x over the sorted
+    (j, x) pairs.  For a sweep over vectors it made itself: nothing is
+    validated, and no step weight is zero, so every h is defined."""
+    return ((cols, tuple(sorted(net.items()))) for cols, (_, net) in _grown(m).items())
 
 
 def e_coefficients_by_shape(m):

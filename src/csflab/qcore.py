@@ -160,6 +160,12 @@ def q_int_product(factors):
     return tuple(out)
 
 
+def q_int_ratio(factors):
+    """The product of [j]_q^x over the (j, x) pairs as (num, den), no gcd."""
+    return (q_int_product(tuple(sorted((j, x) for j, x in factors if x > 0))),
+            q_int_product(tuple(sorted((j, -x) for j, x in factors if x < 0))))
+
+
 def q_factorial_factors(lam):
     """prod_i [lam_i]_q! as the sorted (j, x) pairs that ``q_int_product``
     takes: [j]_q appears once for each part of size at least j >= 2."""

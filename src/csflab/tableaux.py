@@ -16,8 +16,10 @@ The hot kernels read the poset's bitmasks (``_up``, ``_down``, ``_inc``,
 ``_hi``: bit b of ``_up[a]`` is set when a < b) into locals once per call
 and work on sets of entries as integers.  The standard walk and the
 powerful fill place one cell at a time into a flat grid, along a cell
-table cached per shape.  The element-by-element and nested-list versions
-they replaced are kept in ``tests/oracles.py`` and checked against them.
+table cached per shape, and strength reads the ladders of a column pair
+off its runs of incomparable entries in one pass (`_pair_test`).  The
+versions they replaced (element by element, nested lists, the ladder
+search) are kept in ``tests/oracles.py`` and checked against them.
 
 The class kernels name a tableau by its key: its column word packed at
 ``n.bit_length()`` bits per entry (`word_key`), comparable only within one
@@ -39,9 +41,7 @@ from .qcore import check_partition, compositions_with_sort, conjugate
 # ---------------------------------------------------------------------------
 
 def cols_to_rows(cols):
-    if not cols:
-        return ()
-    nrows = max(len(c) for c in cols)
+    nrows = max(map(len, cols), default=0)
     return tuple(
         tuple(c[i] for c in cols if len(c) > i) for i in range(nrows)
     )
@@ -84,9 +84,7 @@ def inv_word(p, w):
 
 def inv_p(p, x):
     """Inversion count of a word, or of a tableau given in column layout."""
-    if x and isinstance(x[0], tuple):
-        return inv_word(p, colword(x))
-    return inv_word(p, x)
+    return inv_word(p, colword(x) if x and isinstance(x[0], tuple) else x)
 
 
 def inv_sum(p, tableaux):
@@ -122,7 +120,7 @@ def key_to_tableau(p, key, lam):
 
 def standard_classes(p, lam):
     """The tableaux of the given row shape using each of 1..n once, and the
-    strong ones (see `is_strong`), as ``{key: inv}`` in key order.
+    strong ones of a unit order (`is_strong`), as ``{key: inv}`` in key order.
 
     Cells are filled in the order of the column word (`_standard_plan`),
     trying small values first, so keys come in increasing order.  A cell
@@ -188,41 +186,36 @@ def enumerate_standard(p, lam):
     return [key_to_tableau(p, key, lam) for key in standard_classes(p, lam)[0]]
 
 
-def _reach(inc, mask):
-    """Every element incomparable to some element of the mask."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        out |= inc[low.bit_length() - 1]
-    return out
-
-
 @functools.lru_cache(maxsize=1)  # the pairs of one poset, so of one vector in a sweep
 def _pair_test(inc):
-    """The memoized test of two adjacent columns, as masks, of the poset: no
-    ladder (a component of the incomparability graph between the columns,
-    grown from a seed in the right one) holds more right entries than left."""
+    """The memoized test of two adjacent columns, as masks, of a natural unit
+    interval order: no ladder holds more right entries than left.  As x < y
+    are incomparable exactly when x > m(y), the left entries incomparable to
+    a right entry form a run of the left column whose ends move up with the
+    entry.  Read in label order, a ladder is a stretch of right entries whose
+    runs meet its left entries, ended by the first run that misses them all
+    (an empty run is a ladder with no left entries)."""
     @functools.lru_cache(maxsize=None)
     def pair_strong(left_col, right_col):
-        rest = right_col
-        while rest:
-            right = grow = rest & -rest
-            left = 0
-            while grow:
-                new_left = _reach(inc, grow) & left_col & ~left
-                left |= new_left
-                grow = _reach(inc, new_left) & rest & ~right
-                right |= grow
-            if right.bit_count() > left.bit_count():
-                return False
-            rest &= ~right
-        return True
+        lefts = rights = 0  # the open ladder's left entries, as a mask, and right count
+        while right_col:
+            low = right_col & -right_col
+            right_col ^= low
+            run = inc[low.bit_length() - 1] & left_col
+            if not run & lefts:
+                if rights > lefts.bit_count():
+                    return False
+                lefts = rights = 0
+            lefts |= run
+            rights += 1
+        return rights <= lefts.bit_count()
     return pair_strong
 
 
 def is_strong(p, cols):
     """No adjacent column pair carries a right-unbalanced ladder."""
+    if p.m is None:
+        raise ValueError("is_strong needs a natural unit interval order")
     masks = [sum(1 << v for v in c) for c in cols]
     return all(map(_pair_test(p._inc), masks, masks[1:]))
 

@@ -43,7 +43,6 @@ from csflab.qcore import (
 )
 from csflab.structural import greedy_shape_family, powersum_words, r_index
 from csflab.tableaux import (
-    _pair_test,
     colword,
     enumerate_standard,
     inv_p,
@@ -693,6 +692,37 @@ def ladders(p, cols, i):
     return out
 
 
+def _reach(inc, mask):
+    """Every element incomparable to some element of the mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out |= inc[low.bit_length() - 1]
+    return out
+
+
+def pair_strong_by_growth(inc, left_col, right_col):
+    """The ladder search that ``tableaux._pair_test`` replaced: grow each
+    ladder (a component of the incomparability graph between two columns,
+    as masks) from a seed in the right column, and ask that none holds more
+    right entries than left.  It reads only the masks, so it holds on any
+    poset."""
+    rest = right_col
+    while rest:
+        right = grow = rest & -rest
+        left = 0
+        while grow:
+            new_left = _reach(inc, grow) & left_col & ~left
+            left |= new_left
+            grow = _reach(inc, new_left) & rest & ~right
+            right |= grow
+        if right.bit_count() > left.bit_count():
+            return False
+        rest &= ~right
+    return True
+
+
 def is_strong_by_ladders(p, cols):
     """No adjacent column pair carries a right-unbalanced ladder."""
     return not any(
@@ -780,14 +810,16 @@ def enumerate_powerful_arrays_by_less(p, lam):
 
 def standard_classes_by_nested_grid(p, lam):
     """`standard_classes` over a grid of columns, each cell reading the
-    cells below and to its left as ``grid[j][i + 1]`` and ``grid[j - 1][i]``."""
+    cells below and to its left as ``grid[j][i + 1]`` and ``grid[j - 1][i]``,
+    and testing each column pair by the ladder search `pair_strong_by_growth`."""
     lam = check_partition(lam)
     if sum(lam) != p.n:
         raise ValueError(f"shape {lam} does not use {p.n} entries")
     if not lam:
         return {0: 0}, {0: 0}
     down, hi, width = p._down, p._hi, p.n.bit_length()
-    pair_strong = _pair_test(p._inc)
+    pair_strong = functools.lru_cache(maxsize=None)(
+        functools.partial(pair_strong_by_growth, p._inc))
     heights = conjugate(lam)
     # (column, row, has a cell below, has a cell to the left) in fill order
     cells = [

@@ -458,13 +458,35 @@ def test_verify_unusable_cache_dir_is_a_usage_error(monkeypatch, tmp_path):
 
 
 
-def test_verify_unwritable_report_is_a_usage_error(tmp_path):
-    # every unit holds, so exit 1 would misreport a failed verification
+def test_verify_unwritable_report_is_a_usage_error(tmp_path, monkeypatch):
+    # refused before the sweep: no unit runs, and no exit 1 misreports a
+    # failed verification
+    import csflab.cli as cli
+
+    def no_sweep(*args, **kwargs):
+        pytest.fail("the sweep ran before the report path was refused")
+
+    monkeypatch.setattr(cli, "run_verification", no_sweep)
     path = tmp_path / "missing" / "r.jsonl"
     line = usage_error("verify", "--conjecture", "bounds", "--max-n", "3",
                        "--report", str(path))
     assert line.startswith(f"Error: cannot write report file {path}: ")
     assert not path.parent.exists()
+    line = usage_error("verify", "--conjecture", "bounds", "--max-n", "3",
+                       "--report", str(tmp_path))
+    assert line.startswith(f"Error: cannot write report file {tmp_path}: ")
+
+
+def test_verify_usage_error_leaves_the_report_path_as_it_was(tmp_path):
+    # the path is tried before the sweep, which then refuses --max-n
+    new, old = tmp_path / "new.jsonl", tmp_path / "old.jsonl"
+    old.write_bytes(b"kept\n")
+    for path in (new, old):
+        line = usage_error("verify", "--conjecture", "bounds", "--max-n", "0",
+                           "--report", str(path))
+        assert line.startswith("Error: n_max must be between 1 and 8")
+    assert not new.exists()
+    assert old.read_bytes() == b"kept\n"
 
 
 def test_csf_unwritable_json_is_a_usage_error(tmp_path):

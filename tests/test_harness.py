@@ -23,7 +23,7 @@ from csflab.harness import (
     Sweep,
     VerificationTask,
     _Cache,
-    _h_margin_nonneg,
+    _h_holds,
     _largest_first,
     _row_factorials,
     _shares,
@@ -37,11 +37,11 @@ from csflab.harness import (
     summarize,
     tasks_for,
 )
-from csflab.hikita import enumerate_hikita, h, h_unreduced, h_unreduced_by_shape
+from csflab.hikita import enumerate_hikita, h, h_factors
 from csflab.posets import check_hessenberg, enumerate_hessenberg, kchain_hessenberg
 from csflab.posets import poset_from_hessenberg
-from csflab.qcore import QRat, check_partition, int_poly_add, int_poly_mul, is_partition
-from csflab.qcore import partitions, poly_eval
+from csflab.qcore import QRat, check_partition, conjugate, int_poly_add, int_poly_mul
+from csflab.qcore import is_partition, partitions, poly_eval, q_int_ratio
 from csflab.tableaux import (
     enumerate_class,
     enumerate_powerful_arrays,
@@ -380,12 +380,13 @@ def test_integer_h_margin_matches_reduced_margin():
     verdicts = set()
     for n in range(1, 7):
         for m in enumerate_hessenberg(n):
+            factors = dict(h_factors(m))
             for lam in partitions(n):
                 floor = _row_factorials(lam)
                 for cols in enumerate_hikita(m, lam):
                     ht = h(m, cols)
                     reduced = QRat(int_poly_add(int_poly_mul(ht.num, floor), ht.den, -1), ht.den)
-                    verdict = _h_margin_nonneg(floor, *h_unreduced(m, cols))
+                    verdict = _h_holds(tuple(map(len, cols)), factors[cols])
                     assert verdict == rat_nonneg_on_nonneg(reduced)[0], (m, cols)
                     verdicts.add(verdict)
     assert verdicts == {True, False}
@@ -398,19 +399,19 @@ def _sign_decided_margins(n_max):
     tableaux = failing = 0
     for n in range(1, n_max + 1):
         for m in enumerate_hessenberg(n):
-            for lam, tabs in h_unreduced_by_shape(m).items():
-                floor = _row_factorials(lam)
-                for cols, (num, den) in tabs:
-                    tableaux += 1
-                    margin = int_poly_add(int_poly_mul(floor, num), den, -1)
-                    if poly_nonneg_on_nonneg(margin)[0]:
-                        continue
-                    failing += 1
-                    ht = h(m, cols)
-                    reduced = QRat(int_poly_add(int_poly_mul(ht.num, floor), ht.den, -1), ht.den)
-                    verdict, point = rat_nonneg_on_nonneg(reduced)
-                    assert not verdict, (m, cols)
-                    assert qrat_at(reduced, point) < 0 and poly_eval(margin, point) < 0
+            for cols, factors in h_factors(m):
+                tableaux += 1
+                floor = _row_factorials(conjugate(tuple(map(len, cols))))
+                num, den = q_int_ratio(factors)
+                margin = int_poly_add(int_poly_mul(floor, num), den, -1)
+                if poly_nonneg_on_nonneg(margin)[0]:
+                    continue
+                failing += 1
+                ht = h(m, cols)
+                reduced = QRat(int_poly_add(int_poly_mul(ht.num, floor), ht.den, -1), ht.den)
+                verdict, point = rat_nonneg_on_nonneg(reduced)
+                assert not verdict, (m, cols)
+                assert qrat_at(reduced, point) < 0 and poly_eval(margin, point) < 0
     return tableaux, failing
 
 
@@ -460,20 +461,25 @@ def test_undecided_h_margin_is_an_error_and_never_cached(monkeypatch, tmp_path):
     import csflab.harness as harness
 
     victim = (0, 0, 1, 1)
-    real = harness.h_unreduced_by_shape
+    real_factors, real_ratio = harness.h_factors, harness.q_int_ratio
+    first = next(real_factors(victim))[0]
+    floor = list(_row_factorials(conjugate(tuple(map(len, first)))))
+    unreal = ((1, -1),)  # [1]_q, which no step weight keeps
 
     def forced(m):
-        """victim's first tableau gets the margin (q-1)^2, which the signs
-        do not decide."""
-        out = real(m)
-        if m == victim:
-            lam, tabs = next(iter(out.items()))
-            floor = list(_row_factorials(lam))
-            tabs[0] = tabs[0][0], ((1,), tuple(int_poly_add(floor, [1, -2, 1], -1)))
-        return out
+        """victim's first tableau gets the unreal factorization, which
+        ``ratio`` makes the margin (q-1)^2, which the signs do not decide."""
+        for cols, factors in real_factors(m):
+            yield cols, unreal if (m, cols) == (victim, first) else factors
+
+    def ratio(factors):
+        if factors == unreal:
+            return (1,), tuple(int_poly_add(list(floor), [1, -2, 1], -1))
+        return real_ratio(factors)
 
     harness._h_failures.cache_clear()
-    monkeypatch.setattr(harness, "h_unreduced_by_shape", forced)
+    monkeypatch.setattr(harness, "h_factors", forced)
+    monkeypatch.setattr(harness, "q_int_ratio", ratio)
     reports = run_verification("h-lower-bound", 6, cache_dir=tmp_path)
     harness._h_failures.cache_clear()
     errors = [r for r in reports if r.status == "error"]
@@ -718,7 +724,7 @@ def test_no_harness_cache_grows_with_the_vectors_swept():
     assert not hasattr(harness, "_checked_partition")
     # every cache in the module's namespace, also one that wraps an imported function
     caches = {name: fn for name, fn in vars(harness).items() if hasattr(fn, "cache_info")}
-    assert {"_h_failures", "_greedy_shapes", "_h_margin_nonneg", "_row_factorials"} <= set(caches)
+    assert {"_h_failures", "_greedy_shapes", "_h_holds", "_row_factorials"} <= set(caches)
     for fn in caches.values():
         fn.cache_clear()
 
@@ -730,7 +736,7 @@ def test_no_harness_cache_grows_with_the_vectors_swept():
     # n = 5 adds 42 vectors, but only 7 shapes and one size
     before, after = sizes(4), sizes(5)
     for name, fn in caches.items():
-        bounded = (fn.cache_parameters()["maxsize"] or float("inf")) <= 4096
+        bounded = (fn.cache_parameters()["maxsize"] or float("inf")) <= 32768
         assert bounded or after[name] - before[name] <= 7, (name, before[name], after[name])
 
 
@@ -759,7 +765,7 @@ def test_every_csflab_cache_is_inventoried():
                  "harness._barbell_vectors", "harness._row_factorials",
                  "harness.code_version", "hikita._steps", "posets.path_hessenberg",
                  "qcore.q_int_product", "tableaux._powerful_plan", "tableaux._standard_plan")
-    expected = {**dict.fromkeys(per_vector, 1), "harness._h_margin_nonneg": 4096,
+    expected = {**dict.fromkeys(per_vector, 1), "harness._h_holds": 32768,
                 **dict.fromkeys(unbounded, None)}
     assert dict(found.values()) == expected
 

@@ -10,7 +10,6 @@ from csflab import hikita
 from csflab.csf import e_coeff
 from csflab.hikita import (
     _grown,
-    _product,
     _steps,
     enumerate_hikita,
     h,
@@ -29,6 +28,7 @@ from csflab.qcore import (
     poly_eval,
     q_factorial,
     q_int,
+    q_int_ratio,
 )
 from csflab.tableaux import enumerate_class, inv_p
 
@@ -181,8 +181,8 @@ def step_weights_sum_to_one(steps):
         exponents = dict(common)
         for j, x in factors.items():
             exponents[j] = exponents.get(j, 0) + x
-        int_poly_add(total, _product(exponents)[0], 1, e)
-    return coeff_tuple(total) == _product(common)[0]
+        int_poly_add(total, q_int_ratio(exponents.items())[0], 1, e)
+    return coeff_tuple(total) == q_int_ratio(common.items())[0]
 
 
 def test_step_weights_sum_to_one_on_every_small_sequence():

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from csflab.posets import enumerate_hessenberg, poset_from_hessenberg
 from csflab.qcore import partitions
 from csflab.tableaux import (
+    _pair_test,
     cols_to_rows,
     colword,
     enumerate_class,
@@ -31,6 +32,7 @@ from csflab.tableaux import (
 )
 
 from oracles import (
+    RelationPoset,
     col_heights,
     enumerate_powerful_arrays_by_less,
     enumerate_standard_by_less,
@@ -46,6 +48,7 @@ from oracles import (
     ladder_swap,
     ladders,
     monomial,
+    pair_strong_by_growth,
     powerful_arrays_by_rows,
     powerful_classes_by_rows,
     same_or_incomparable,
@@ -308,6 +311,16 @@ def test_strong_agrees_with_matching():
                 assert is_strong(p, t) == is_strong_by_matching(p, t)
 
 
+def test_is_strong_needs_a_natural_unit_interval_order():
+    # the one-pass ladder test reads each run off the natural unit labelling
+    two_plus_two = RelationPoset(4, [(1, 3), (2, 4)])
+    assert two_plus_two.m is None
+    with pytest.raises(ValueError, match="natural unit interval order"):
+        is_strong(two_plus_two, ((1, 3), (2, 4)))
+    chain = RelationPoset(3, [(1, 2), (2, 3)])  # the same order as Poset((0, 1, 2))
+    assert is_strong(chain, ((1, 2, 3),)) and not is_strong(chain, ((1, 2), (3,)))
+
+
 def test_strong_flags_match_census():
     for lam, entries in CENSUS.items():
         for text, _, strong in entries:
@@ -514,6 +527,56 @@ def test_cell_table_kernels_match_nested_kernels_to_seven():
 def test_cell_table_kernels_match_nested_kernels_at_n8():
     for m in enumerate_hessenberg(8):
         _cell_tables_match_nested_kernels(m)
+
+
+# -- the one-pass strength test against the ladder search it replaced ---------
+
+def _chain_masks(p):
+    """Every chain of p as a mask, the empty one first, each other grown
+    upward from its least element, one element of ``_up`` at a time."""
+    out = [0]
+
+    def grow(mask, top):
+        out.append(mask)
+        above = p._up[top]
+        while above:
+            low = above & -above
+            above ^= low
+            grow(mask | low, low.bit_length() - 1)
+
+    for v in range(1, p.n + 1):
+        grow(1 << v, v)
+    return out
+
+
+def _pair_tests_match_the_ladder_search(vectors):
+    """`_pair_test` against `pair_strong_by_growth` on every pair of disjoint
+    chains, as left and right column, with |right| <= |left|; the number of
+    pairs checked."""
+    pairs = 0
+    for m in vectors:
+        p = poset_from_hessenberg(m)
+        pair_strong, chains = _pair_test(p._inc), _chain_masks(p)
+        for left in chains:
+            for right in chains:
+                if not left & right and right.bit_count() <= left.bit_count():
+                    pairs += 1
+                    want = pair_strong_by_growth(p._inc, left, right)
+                    assert pair_strong(left, right) == want, (m, bin(left), bin(right))
+    return pairs
+
+
+def test_pair_test_matches_the_ladder_search_to_seven():
+    assert _pair_tests_match_the_ladder_search(VECTORS_TO_7) == 163050
+
+
+@pytest.mark.skipif(
+    not os.environ.get("CSFLAB_ACCEPT_N8"),
+    reason="set CSFLAB_ACCEPT_N8=1 to check every unit order with n=8 and n=9",
+)
+def test_pair_test_matches_the_ladder_search_at_n9():
+    vectors = enumerate_hessenberg(8) + enumerate_hessenberg(9)
+    assert _pair_tests_match_the_ladder_search(vectors) == 7983184
 
 
 def test_tableau_keys_roundtrip_in_column_word_order():
